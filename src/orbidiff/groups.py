@@ -20,6 +20,7 @@ ORTHO_TOL = 1e-12     # orthogonality tolerance on inputs
 FD_STEP = 1e-5        # central finite-difference step, chart units
 FD_TOL = 1e-6         # tolerance when comparing FD Jacobians
 MAX_ORDER_DEFAULT = 4096
+_BLOCK = 1 << 14      # entries per block of a batched kernel's point-label mask
 
 
 def polar_orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -35,9 +36,13 @@ def is_orthogonal(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     return float(np.abs(m.T @ m - np.eye(m.shape[0])).max()) < tol
 
 
-def _snap_key(m: np.ndarray) -> tuple:
+def _snap(pts: np.ndarray) -> np.ndarray:
     # +0.0 normalizes away -0.0 so sort keys are stable
-    return tuple((np.round(np.asarray(m, dtype=float).ravel(), 9) + 0.0).tolist())
+    return np.round(pts, 9) + 0.0
+
+
+def _snap_key(m: np.ndarray) -> tuple:
+    return tuple(_snap(np.asarray(m, dtype=float).ravel()).tolist())
 
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -87,14 +92,13 @@ class FiniteActionGroup:
         self.parent_labels = parent_labels
         self._stack = np.stack([e.matrix for e in self.elements])
         self._stack.setflags(write=False)
-        inv = np.full(self.order, -1, dtype=int)
-        for a in range(self.order):
-            hits = np.nonzero(self.cayley[a] == 0)[0]
-            if hits.size != 1:
-                raise ClosureExceeded(f"element {a} lacks a unique inverse")
-            inv[a] = hits[0]
-        self._inverses = inv
+        is_identity = self.cayley == 0
+        bad = np.flatnonzero(is_identity.sum(axis=1) != 1)
+        if bad.size:
+            raise ClosureExceeded(f"element {bad[0]} lacks a unique inverse")
+        self._inverses = np.argmax(is_identity, axis=1)
         self._inverses.setflags(write=False)
+        self._subgroups: dict[tuple[int, ...], FiniteActionGroup] = {}
 
     # -- basic structure ---------------------------------------------------
 
@@ -145,21 +149,20 @@ class FiniteActionGroup:
         return bool(np.array_equal(self.cayley, self.cayley.T))
 
     def subgroup(self, labels: Iterable[int]) -> "FiniteActionGroup":
-        """Subgroup on the given labels; label 0 stays the identity."""
-        labs = sorted(set(int(l) for l in labels))
+        """Subgroup on the given labels, memoised; label 0 stays the identity."""
+        labs = tuple(sorted(set(int(l) for l in labels)))
+        if labs in self._subgroups:
+            return self._subgroups[labs]
         if 0 not in labs:
             raise ClosureExceeded("subgroup must contain the identity")
-        labs = [0] + [l for l in labs if l != 0]
-        pos = {l: i for i, l in enumerate(labs)}
-        cay = np.empty((len(labs), len(labs)), dtype=int)
-        for i, a in enumerate(labs):
-            for j, b in enumerate(labs):
-                prod = self.multiply(a, b)
-                if prod not in pos:
-                    raise ClosureExceeded("labels are not closed under product")
-                cay[i, j] = pos[prod]
+        pos = np.full(self.order, -1, dtype=int)
+        pos[list(labs)] = np.arange(len(labs))
+        cay = pos[self.cayley[np.ix_(labs, labs)]]
+        if (cay < 0).any():
+            raise ClosureExceeded("labels are not closed under product")
         elems = [OrthogonalElement(self.matrix(l), i) for i, l in enumerate(labs)]
-        return FiniteActionGroup(elems, cay, parent_labels=tuple(labs))
+        return self._subgroups.setdefault(
+            labs, FiniteActionGroup(elems, cay, parent_labels=labs))
 
     def act(self, label: int, points: np.ndarray) -> np.ndarray:
         """Apply element to one point (n,) or a batch (k, n)."""
@@ -344,30 +347,71 @@ def fixed_subspace(group: FiniteActionGroup, tol: float = EPS_GRP) -> np.ndarray
     return vt[svals < tol]
 
 
+def translates(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
+    """(k, n) -> (k, order, n); entry [k, g] is bit for bit matrix(g) @ pts[k]."""
+    return (group.matrices @ np.asarray(pts, dtype=float)[:, None, :, None])[..., 0]
+
+
+def fixing_mask(group: FiniteActionGroup, pts: np.ndarray,
+                tol: float = EPS_GRP) -> np.ndarray:
+    """(k, order) mask of the elements moving each point less than tol."""
+    pts = np.asarray(pts, dtype=float)
+    step = max(1, _BLOCK // group.order)   # blocks of points bound the memory
+    return np.concatenate([np.abs(translates(group, b) - b[:, None]).max(axis=2) < tol
+                           for b in np.array_split(pts, range(step, len(pts), step))])
+
+
+def _distinct_translates(trans: np.ndarray, tol: float) -> np.ndarray:
+    """(k, order) mask of the translates kept by a walk in label order that
+    drops each translate within tol of one already kept."""
+    k, order, n = trans.shape
+    keep = np.ones((k, order), dtype=bool)
+    step = max(1, _BLOCK // (k * order))
+    for lo in range(1, order, step):   # blocks of rows bound the memory
+        hi = min(order, lo + step)
+        # close[., r, i]: translate i comes before translate lo + r and is near it
+        close = np.repeat(np.tri(hi - lo, hi, k=lo - 1, dtype=bool)[None], k, axis=0)
+        for c in range(n):
+            close &= np.abs(trans[:, lo:hi, None, c] - trans[:, None, :hi, c]) < tol
+        for r in np.flatnonzero(close.any(axis=(0, 2))):
+            keep[:, lo + r] = ~(close[:, r] & keep[:, :hi]).any(axis=1)
+    return keep
+
+
+def canonical_representatives(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
+    """(k, n) -> (k, n): the distinct translate with the lexicographically
+    least snapped coordinates; ties go to the lower group label."""
+    out = np.empty(np.shape(pts))
+    chunk = max(1, _BLOCK // group.order ** 2)
+    for lo in range(0, len(pts), chunk):
+        trans = translates(group, pts[lo:lo + chunk])
+        keys = np.where(_distinct_translates(trans, EPS_GRP)[..., None],
+                        _snap(trans), np.inf)
+        # lexsort is stable and takes its primary key last
+        first = np.lexsort(np.moveaxis(keys, 2, 0)[::-1], axis=-1)[:, 0]
+        out[lo:lo + chunk] = trans[np.arange(len(trans)), first]
+    return out
+
+
 def stabilizer(group: FiniteActionGroup, point: np.ndarray,
                tol: float = EPS_GRP) -> FiniteActionGroup:
     """Isotropy subgroup of a point: elements moving it less than tol."""
-    x = np.asarray(point, dtype=float)
-    moved = np.abs(group.matrices @ x - x).max(axis=1)
-    return group.subgroup(np.nonzero(moved < tol)[0])
+    mask = fixing_mask(group, np.asarray(point, dtype=float)[None], tol)[0]
+    return group.subgroup(np.flatnonzero(mask))
 
 
 def orbit(group: FiniteActionGroup, point: np.ndarray,
           tol: float = EPS_GRP) -> np.ndarray:
     """Deduplicated orbit of a point, rows sorted lexicographically."""
-    pts = group.matrices @ np.asarray(point, dtype=float)
-    keep: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.abs(p - q).max() < tol for q in keep):
-            keep.append(p)
-    keep.sort(key=_snap_key)
-    return np.stack(keep)
+    trans = translates(group, np.asarray(point, dtype=float)[None])
+    pts = trans[0][_distinct_translates(trans, tol)[0]]
+    return pts[np.lexsort(_snap(pts).T[::-1])]
 
 
 def canonical_orbit_representative(group: FiniteActionGroup,
                                    point: np.ndarray) -> np.ndarray:
     """Lexicographically least orbit member under coordinatewise comparison."""
-    return orbit(group, point)[0]
+    return canonical_representatives(group, np.asarray(point, dtype=float)[None])[0]
 
 
 # -- linearization of nonlinear actions -------------------------------------

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
                      EquivarianceViolation, ImageEscapesChart)
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
-                     center, inner_automorphisms, stabilizer)
+                     center, fixing_mask, inner_automorphisms, translates)
 from .model import (FLAT, DerivedChart, GoodOrbifold, QuotientPoint,
-                    build_atlas)
+                    _covered, build_atlas)
 
 LIFT_TOL = 1e-9          # equivariance tolerance on validated lifts
 COMPOSE_TOL = 1e-8       # equivariance tolerance after composition
@@ -543,24 +543,21 @@ def overlap_graph(orbifold: GoodOrbifold,
     """
     grp = orbifold.group
     model = orbifold.model
-    singular = orbifold.singular_points(48)
+    n = model.ambient_dim
+    trans = translates(grp, orbifold.singular_points(48))
+    # inside[c][s, mu]: the translate mu . s of singular point s lies in chart c
+    inside = [model.distances(trans.reshape(-1, n), ch.center).reshape(trans.shape[:2])
+              <= ch.radius for ch in atlas]
+    centers = translates(grp, np.reshape([ch.center for ch in atlas], (-1, n)))
     edges = []
     for i, ci in enumerate(atlas):
-        for j, cj in enumerate(atlas):
-            if j <= i:
-                continue
-            for lab in range(grp.order):
-                if model.distance(grp.act(lab, ci.center), cj.center) >= \
-                        ci.radius + cj.radius:
-                    continue
-                sing = []
-                for s in singular:
-                    for mu in range(grp.order):
-                        w = grp.act(mu, np.asarray(s))
-                        if ci.contains(w, slack=0.0) and \
-                                cj.contains(grp.act(lab, w), slack=0.0):
-                            sing.append(w)
-                edges.append(OverlapEdge(i, j, lab, tuple(sing)))
+        for j in range(i + 1, len(atlas)):
+            cj = atlas[j]
+            near = model.distances(centers[i], cj.center) < ci.radius + cj.radius
+            for lab in np.flatnonzero(near):
+                # eta . (mu . s) is the translate (eta mu) . s
+                hit = inside[i] & inside[j][:, grp.cayley[lab]]
+                edges.append(OverlapEdge(i, j, int(lab), tuple(trans[hit])))
     return tuple(edges)
 
 
@@ -662,16 +659,16 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
     for edge in edges:
         ci, cj = charts[edge.i], charts[edge.j]
         pairs: set[tuple[int, int]] | None = None
-        for w in edge.singular_points:
-            stab = stabilizer(grp, w)
-            if stab.order <= 1:
+        fixing = fixing_mask(grp, np.reshape(edge.singular_points, (-1, grp.dimension)))
+        # the constraint depends on a point only through its stabilizer
+        for row in np.unique(fixing, axis=0):
+            slabs = np.flatnonzero(row).tolist()
+            if len(slabs) <= 1:
                 continue
-            slabs = stab.parent_labels
             allowed = set()
             for a in range(ci.isotropy.order):
                 ga = ci.isotropy.parent_labels[a]
-                t = grp.multiply(grp.multiply(edge.eta, ga),
-                                 grp.inverse(edge.eta))
+                t = grp.conjugate(edge.eta, ga)
                 for b in range(cj.isotropy.order):
                     gb = cj.isotropy.parent_labels[b]
                     if any(grp.conjugate(s, gb) == t for s in slabs):
@@ -701,17 +698,12 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
 
 def _require_covering(orbifold: GoodOrbifold, charts: Sequence[DerivedChart],
                       resolution: int):
-    model = orbifold.model
-    grid = model.grid(resolution)
-    if model.kind == FLAT:
-        grid = grid[np.linalg.norm(grid, axis=1) <= model.radius * 0.75 + 1e-12]
-    for s in grid:
-        pts = orbifold.group.matrices @ s
-        if not any(float(model.distances(pts, ch.center).min())
-                   <= ch.radius * (1.0 + 1e-9) for ch in charts):
-            raise AtlasNotCovering(
-                f"atlas leaves {np.round(s, 4)} uncovered at resolution "
-                f"{resolution}")
+    grid = orbifold.model.verification_domain(orbifold.model.grid(resolution))
+    covered = _covered(orbifold, charts, grid, 1.0 + 1e-9)
+    if not covered.all():
+        raise AtlasNotCovering(
+            f"atlas leaves {np.round(grid[np.argmin(covered)], 4)} uncovered at "
+            f"resolution {resolution}")
 
 
 def count_theta_choices(group: FiniteActionGroup) -> int:

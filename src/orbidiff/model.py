@@ -16,10 +16,11 @@ from scipy.spatial import cKDTree
 
 from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
                      UnsupportedModel)
-from .groups import (EPS_GRP, FiniteActionGroup, _snap_key,
-                     football_rotation_group, generate_group,
+from .groups import (EPS_GRP, FiniteActionGroup, _snap, _snap_key,
+                     canonical_orbit_representative, canonical_representatives,
+                     fixing_mask, football_rotation_group, generate_group,
                      group_from_elements, orbit, reflection_2d, rotation_2d,
-                     sign_flip_group, stabilizer, trivial_group)
+                     sign_flip_group, stabilizer, translates, trivial_group)
 
 FLAT = "flat"
 SPHERE = "sphere"
@@ -90,6 +91,14 @@ class ModelSpace:
         far = np.pi - 2.0 * np.arcsin(np.clip(np.linalg.norm(pts + q, axis=1) / 2.0,
                                               0.0, 1.0))
         return np.where(pts @ q >= 0.0, near, far)
+
+    def verification_domain(self, pts: np.ndarray) -> np.ndarray:
+        """Rows of pts on the whole sphere, or in the closed 0.75R sub-ball."""
+        pts = np.asarray(pts, dtype=float)
+        if self.kind == SPHERE:
+            return pts
+        return pts[np.linalg.norm(pts, axis=1)
+                   <= self.radius * FLAT_DOMAIN_FACTOR + 1e-12]
 
     # -- geodesics (round metric on the sphere, Euclidean on the ball) ------
 
@@ -211,7 +220,7 @@ class GoodOrbifold:
     # -- quotient points -----------------------------------------------------
 
     def canonical_representative(self, point: np.ndarray) -> np.ndarray:
-        return orbit(self.group, point)[0]
+        return canonical_orbit_representative(self.group, point)
 
     def point(self, representative: np.ndarray) -> "QuotientPoint":
         rep = self.model.project(np.asarray(representative, dtype=float))
@@ -242,22 +251,15 @@ class GoodOrbifold:
 
     # -- singular structure ----------------------------------------------------
 
-    def singular_points(self, resolution: int = 16) -> list[np.ndarray]:
+    def singular_points(self, resolution: int = 16) -> np.ndarray:
         """Exact singular locations, sampled along every fixed-point set.
 
-        Points are canonical representatives, deduplicated.  For each
+        Rows are canonical representatives, deduplicated.  For each
         non-identity element we sample its fixed subspace intersected with the
         model (flat: the fixed subspace ball; sphere: its unit sphere).
         """
-        out: dict[tuple, np.ndarray] = {}
-
-        def add(p: np.ndarray):
-            if not self.model.contains(p, slack=0.0):
-                return
-            if stabilizer(self.group, p).order > 1:
-                c = self.canonical_representative(p)
-                out.setdefault(_snap_key(c), c)
-
+        # every candidate lies in the model: norm below 0.98R, or a unit vector
+        cands: list[np.ndarray] = []
         for lab in range(1, self.group.order):
             gmat = self.group.matrix(lab)
             _, svals, vt = np.linalg.svd(gmat - np.eye(self.group.dimension))
@@ -266,26 +268,28 @@ class GoodOrbifold:
             k = basis.shape[0]
             if k == 0:
                 if self.model.kind == FLAT:
-                    add(np.zeros(self.model.ambient_dim))
+                    cands.append(np.zeros(self.model.ambient_dim))
                 continue
             if self.model.kind == FLAT:
-                add(np.zeros(self.model.ambient_dim))
+                cands.append(np.zeros(self.model.ambient_dim))
                 axis = np.linspace(-1, 1, max(resolution, 3)) * self.model.radius * 0.98
                 for coeffs in itertools.product(axis, repeat=k):
                     p = np.asarray(coeffs) @ basis
                     if np.linalg.norm(p) < self.model.radius * 0.98:
-                        add(p)
+                        cands.append(p)
             else:
                 if k == 1:
-                    add(basis[0])
-                    add(-basis[0])
+                    cands += [basis[0], -basis[0]]
                 else:
                     axis = np.linspace(-1, 1, max(resolution, 3))
                     for coeffs in itertools.product(axis, repeat=k):
                         c = np.asarray(coeffs)
                         if np.linalg.norm(c) > 1e-9:
-                            add(self.model.project(c @ basis))
-        return list(out.values())
+                            cands.append(self.model.project(c @ basis))
+        pts = np.reshape(cands, (-1, self.model.ambient_dim))
+        reps = canonical_representatives(
+            self.group, pts[fixing_mask(self.group, pts).sum(axis=1) > 1])
+        return reps[_first_by_key(reps)[0]]
 
 
 @dataclass(frozen=True)
@@ -357,6 +361,25 @@ class DerivedChart:
                 f"radius={self.radius:.4f}, isotropy={self.isotropy.order})")
 
 
+def _first_by_key(pts: np.ndarray) -> tuple[list[int], list[tuple]]:
+    """Index of the first row with each snapped key, and those keys, in order."""
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(map(tuple, _snap(pts).tolist())):
+        first.setdefault(key, i)
+    return list(first.values()), list(first)
+
+
+def _covered(orbifold: GoodOrbifold, charts: Sequence[DerivedChart],
+             pts: np.ndarray, factor: float) -> np.ndarray:
+    """Mask of the points with a translate within factor x radius of a centre."""
+    trans = translates(orbifold.group, pts)
+    out = np.zeros(len(trans), dtype=bool)
+    for ch in charts:
+        dists = orbifold.model.distances(trans.reshape(-1, trans.shape[2]), ch.center)
+        out |= dists.reshape(trans.shape[:2]).min(axis=1) <= ch.radius * factor
+    return out
+
+
 def separation(orbifold: GoodOrbifold, point: np.ndarray) -> float:
     """Distance from a point to its nearest distinct orbit translate (inf if none)."""
     p = np.asarray(point, dtype=float)
@@ -406,45 +429,31 @@ def build_atlas(orbifold: GoodOrbifold, resolution: int = 16,
     """
     model = orbifold.model
 
-    def ordered_samples(res: int) -> list[np.ndarray]:
-        samples = [np.asarray(s) for s in orbifold.singular_points(res)]
-        grid = model.grid(res)
-        if model.kind == FLAT:
-            domain_r = model.radius * FLAT_DOMAIN_FACTOR
-            samples = [s for s in samples
-                       if np.linalg.norm(s) <= domain_r + 1e-12]
-            grid = grid[np.linalg.norm(grid, axis=1) <= domain_r + 1e-12]
-        seen = {_snap_key(s) for s in samples}
-        for g in grid:
-            c = orbifold.canonical_representative(g)
-            if _snap_key(c) not in seen:
-                seen.add(_snap_key(c))
-                samples.append(c)
-        keyed = [(-stabilizer(orbifold.group, s).order, _snap_key(s), s)
-                 for s in samples]
-        keyed.sort(key=lambda t: t[:2])
-        return [s for _, _, s in keyed]
+    def ordered_samples(res: int) -> np.ndarray:
+        grid = model.verification_domain(model.grid(res))
+        pts = np.concatenate([model.verification_domain(orbifold.singular_points(res)),
+                              canonical_representatives(orbifold.group, grid)])
+        idx, keys = _first_by_key(pts)
+        orders = fixing_mask(orbifold.group, pts[idx]).sum(axis=1)
+        ranked = sorted(range(len(idx)), key=lambda r: (-orders[r], keys[r]))
+        return pts[[idx[r] for r in ranked]]
 
     charts: list[DerivedChart] = []
-
-    def covered(s: np.ndarray) -> bool:
-        for ch in charts:
-            pts = orbifold.group.matrices @ s
-            if float(model.distances(pts, ch.center).min()) <= ch.radius * 0.999:
-                return True
-        return False
 
     # the refinement pass keeps finer grids covered; the final pass walks the
     # canonical covering grid so downstream covering checks hold by construction
     for res in (resolution, 2 * resolution - 1, COVERAGE_RESOLUTION):
-        for s in ordered_samples(res):
-            if covered(s):
+        samples = ordered_samples(res)
+        covered = _covered(orbifold, charts, samples, 0.999)
+        for i, s in enumerate(samples):
+            if covered[i]:
                 continue
             charts.append(build_chart(orbifold, orbifold.point(s)))
             if len(charts) > max_charts:
                 raise AtlasNotCovering(
                     f"atlas needs more than max_charts={max_charts} charts at "
                     f"resolution {res}")
+            covered |= _covered(orbifold, charts[-1:], samples, 0.999)
     return tuple(charts)
 
 
@@ -475,9 +484,11 @@ class Stratum:
 
 def signature_at(orbifold: GoodOrbifold, point: np.ndarray) -> tuple[int, ...]:
     """Sorted global labels of the stabilizer of a model point."""
-    sub = stabilizer(orbifold.group, point)
-    assert sub.parent_labels is not None
-    return tuple(sorted(sub.parent_labels))
+    return _signatures(orbifold.group, np.asarray(point, dtype=float)[None])[0]
+
+
+def _signatures(group: FiniteActionGroup, pts: np.ndarray) -> list[tuple[int, ...]]:
+    return [tuple(np.flatnonzero(row).tolist()) for row in fixing_mask(group, pts)]
 
 
 def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
@@ -488,13 +499,12 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     strata.  The resolution is recorded on every stratum.
     """
     model = orbifold.model
-    pts = [orbifold.canonical_representative(g) for g in model.grid(resolution)]
-    pts.extend(np.asarray(s) for s in orbifold.singular_points(resolution))
-    uniq: dict[tuple, np.ndarray] = {}
-    for p in pts:
-        uniq.setdefault(_snap_key(p), p)
-    points = np.stack(list(uniq.values()))
-    sigs = [signature_at(orbifold, p) for p in points]
+    pts = np.concatenate([
+        canonical_representatives(orbifold.group, model.grid(resolution)),
+        orbifold.singular_points(resolution)])
+    idx, keys = _first_by_key(pts)
+    points = pts[idx]
+    sigs = _signatures(orbifold.group, points)
 
     n = len(points)
     parent = list(range(n))
@@ -531,8 +541,8 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     for cid, ((sig, _), idxs) in enumerate(sorted(
             components.items(),
             key=lambda kv: (-len(kv[0][0]), kv[0][0],
-                            min(_snap_key(points[i]) for i in kv[1])))):
-        sample = points[sorted(idxs, key=lambda i: _snap_key(points[i]))]
+                            min(keys[i] for i in kv[1])))):
+        sample = points[sorted(idxs, key=lambda i: keys[i])]
         out.append(Stratum(orbifold, sig, cid, sample, resolution))
     return out
 

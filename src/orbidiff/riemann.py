@@ -83,10 +83,7 @@ def equivariant_partition_of_unity(orbifold: GoodOrbifold,
 
     raws = [raw_weight(ch) for ch in charts]
 
-    grid = model.grid(grid_resolution)
-    if model.kind == FLAT:
-        grid = grid[np.linalg.norm(grid, axis=1) <= model.radius * 0.75 + 1e-12]
-    for y in grid:
+    for y in model.verification_domain(model.grid(grid_resolution)):
         if sum(r(y) for r in raws) < 1e-12:
             raise CoverGap(f"partition weights vanish near {np.round(y, 4)}")
 

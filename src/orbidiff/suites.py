@@ -440,10 +440,8 @@ def _suite_riemann(ctx: _Context, records):
     orbifold = ctx.orbifold
     try:
         pou = equivariant_partition_of_unity(orbifold, ctx.atlas)
-        grid = orbifold.model.grid(ctx.config.verify_resolution)
-        if orbifold.model.kind == FLAT:
-            grid = grid[np.linalg.norm(grid, axis=1)
-                        <= orbifold.model.radius * 0.75 + 1e-12]
+        grid = orbifold.model.verification_domain(
+            orbifold.model.grid(ctx.config.verify_resolution))
         sum_res, equi_res = pou.verify(grid[::3])
         _record(records, "riemann", "partition_sum",
                 "partition weights sum to one on the verification grid",
@@ -683,9 +681,7 @@ def dump_fields(config: SuiteConfig, which: str, grid: int | None = None,
     atlas = build_atlas(orbifold, resolution=config.atlas_resolution,
                         max_charts=config.max_charts)
     res = grid or config.verify_resolution
-    pts = orbifold.model.grid(res)
-    if orbifold.model.kind == FLAT:
-        pts = pts[np.linalg.norm(pts, axis=1) <= orbifold.model.radius * 0.75]
+    pts = orbifold.model.verification_domain(orbifold.model.grid(res))
     out = io.StringIO()
     writer = csv.writer(out)
     coords = [f"x{i}" for i in range(orbifold.model.ambient_dim)]

@@ -174,6 +174,15 @@ class TestOrbitStabilizer:
         stab = G.stabilizer(grp, point).order
         assert orb * stab == grp.order
 
+    def test_shared_stabilizer_is_read_only(self):
+        grp = G.dihedral_group(4)
+        stab = G.stabilizer(grp, np.array([0.4, 0.0]))
+        assert G.stabilizer(grp, np.array([0.7, 0.0])) is stab
+        for arr in (stab.cayley, stab.matrices, stab._inverses):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+        assert stab.cayley[0, 0] == 0 and stab.inverse(0) == 0
+
     def test_canonical_representative_is_least(self):
         grp = G.dihedral_group(4)
         point = np.array([0.3, -0.2])

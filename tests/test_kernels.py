@@ -1,0 +1,200 @@
+"""The batched orbit, canonical-representative, fixing-mask and overlap
+kernels against the per-point loops they replaced.
+
+The reference functions below are the per-point implementations kept as
+oracles: outputs must agree bit for bit, because reports and CSV dumps are
+byte-identical for a fixed (config, seed).
+"""
+
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbidiff import groups as G
+from orbidiff import maps as P
+from orbidiff import model as M
+from orbidiff.errors import ClosureExceeded
+
+THIRD_TURN = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+POLYHEDRAL = {
+    "T": [THIRD_TURN, np.diag([1.0, -1.0, -1.0])],
+    "O": [THIRD_TURN, QUARTER_TURN],
+    "D2h": [np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0]),
+            np.diag([1.0, 1.0, -1.0])],
+    "Oh": [THIRD_TURN, QUARTER_TURN, -np.eye(3)],
+}
+
+
+def _groups():
+    out = {}
+    for p in range(2, 13):
+        out[f"Z{p}"] = lambda p=p: G.cyclic_rotation_group(p)
+        out[f"D{p}"] = lambda p=p: G.dihedral_group(p)
+    for p in (2, 3, 5, 8):
+        out[f"football{p}"] = lambda p=p: G.football_rotation_group(p)
+    for name, gens in POLYHEDRAL.items():
+        out[f"S2/{name}"] = lambda gens=gens: G.generate_group(gens)
+    return out
+
+
+GROUPS = _groups()
+
+
+@functools.cache
+def group(name):
+    return GROUPS[name]()
+
+
+# -- per-point references ------------------------------------------------------
+
+def reference_orbit(grp, point, tol=G.EPS_GRP):
+    pts = grp.matrices @ np.asarray(point, dtype=float)
+    keep = []
+    for p in pts:
+        if not any(np.abs(p - q).max() < tol for q in keep):
+            keep.append(p)
+    keep.sort(key=G._snap_key)
+    return np.stack(keep)
+
+
+def reference_signature(grp, point, tol=G.EPS_GRP):
+    x = np.asarray(point, dtype=float)
+    moved = np.abs(grp.matrices @ x - x).max(axis=1)
+    return tuple(np.nonzero(moved < tol)[0].tolist())
+
+
+def reference_overlap_graph(orbifold, atlas):
+    grp = orbifold.group
+    model = orbifold.model
+    singular = orbifold.singular_points(48)
+    edges = []
+    for i, ci in enumerate(atlas):
+        for j, cj in enumerate(atlas):
+            if j <= i:
+                continue
+            for lab in range(grp.order):
+                if model.distance(grp.act(lab, ci.center), cj.center) >= \
+                        ci.radius + cj.radius:
+                    continue
+                sing = []
+                for s in singular:
+                    for mu in range(grp.order):
+                        w = grp.act(mu, np.asarray(s))
+                        if ci.contains(w, slack=0.0) and \
+                                cj.contains(grp.act(lab, w), slack=0.0):
+                            sing.append(w)
+                edges.append(P.OverlapEdge(i, j, lab, tuple(sing)))
+    return tuple(edges)
+
+
+# -- kernels against the references --------------------------------------------
+
+def assert_matches_reference(grp, pts):
+    canon = G.canonical_representatives(grp, pts)
+    fixing = G.fixing_mask(grp, pts)
+    assert canon.shape == pts.shape and fixing.shape == (len(pts), grp.order)
+    for k, p in enumerate(pts):
+        ref = reference_orbit(grp, p)
+        assert G.orbit(grp, p).tobytes() == ref.tobytes()
+        assert canon[k].tobytes() == ref[0].tobytes()
+        sig = tuple(np.flatnonzero(fixing[k]).tolist())
+        assert sig == reference_signature(grp, p)
+        # near a fixed point without being fixed, the labels moving p less
+        # than tol need not form a subgroup
+        if set(grp.cayley[np.ix_(sig, sig)].ravel()) <= set(sig):
+            assert G.stabilizer(grp, p).parent_labels == sig
+        else:
+            with pytest.raises(ClosureExceeded):
+                G.stabilizer(grp, p)
+
+
+# coordinates from a coarse lattice land on mirrors and rotation axes, so
+# stabilizers larger than the identity are drawn often; coordinates near
+# EPS_GRP give translates within tol of some but not all earlier ones
+COORD = st.one_of(st.floats(-1.0, 1.0),
+                  st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25]),
+                  st.floats(-3.0, 3.0).map(lambda x: x * G.EPS_GRP))
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_kernels_match_per_point_loops(name, data):
+    grp = group(name)
+    pts = data.draw(st.lists(st.lists(COORD, min_size=grp.dimension,
+                                      max_size=grp.dimension),
+                             min_size=1, max_size=6))
+    assert_matches_reference(grp, np.array(pts, dtype=float))
+
+
+@pytest.mark.parametrize("block", [G._BLOCK, 1000, 40])
+@pytest.mark.parametrize("name", ["D12", "football8", "S2/Oh"])
+def test_kernels_match_across_blocks(name, block, monkeypatch):
+    # a smaller block splits the points, and at 1000 and 40 the rows of the
+    # close mask too; the points sit on mirrors and axes or within a few
+    # EPS_GRP of the fixed origin
+    monkeypatch.setattr(G, "_BLOCK", block)
+    grp = group(name)
+    rng = np.random.default_rng(7)
+    pts = rng.normal(size=(300, grp.dimension))
+    pts[::3] = np.round(pts[::3])
+    pts[1::3] *= G.EPS_GRP
+    assert_matches_reference(grp, pts)
+
+
+def test_close_mask_memory_does_not_grow_with_order_squared():
+    # Z_1024 built directly: generate_group takes minutes at this order
+    p = 1024
+    labels = np.arange(p)
+    grp = G.FiniteActionGroup(
+        [G.OrthogonalElement(G.rotation_2d(2.0 * np.pi * a / p), a) for a in labels],
+        (labels[:, None] + labels[None]) % p)
+    pts = np.array([[0.6, 0.1], [0.0, 0.0], [0.3 * G.EPS_GRP, 0.0], [-0.2, 0.5]])
+    tracemalloc.start()
+    try:
+        canon = G.canonical_representatives(grp, pts)
+        orb = G.orbit(grp, pts[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (4, 1024, 1024) float mask alone would take 32 MiB
+    assert peak < 16 * 2**20
+    assert len(orb) == p and canon[0].tobytes() == orb[0].tobytes()
+    assert len(G.orbit(grp, pts[2])) == 1
+    assert np.array_equal(canon[1], [0.0, 0.0])
+
+
+def test_singular_points_are_fixed_canonical_and_distinct():
+    orbifold = M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
+                              group("S2/Oh"), name="S2/Oh")
+    pts = orbifold.singular_points(16)
+    assert pts.shape[1] == 3 and len(pts) > 0
+    assert (G.fixing_mask(orbifold.group, pts).sum(axis=1) > 1).all()
+    assert np.array_equal(G.canonical_representatives(orbifold.group, pts), pts)
+    assert len({G._snap_key(p) for p in pts}) == len(pts)
+
+
+def _edge_bytes(edges):
+    return [(e.i, e.j, e.eta, tuple(w.tobytes() for w in e.singular_points))
+            for e in edges]
+
+
+@pytest.mark.parametrize("build, resolution, carries_singular", [
+    (M.plane_mod_reflection, 16, True),
+    (lambda: M.disk_mod_dihedral(4), 13, True),
+    (lambda: M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
+                            group("S2/T"), name="S2/T"), 16, False),
+    (lambda: M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
+                            group("S2/O"), name="S2/O"), 16, False),
+])
+def test_overlap_graph_matches_reference_loop(build, resolution, carries_singular):
+    orbifold = build()
+    atlas = M.build_atlas(orbifold, resolution=resolution)
+    edges = P.overlap_graph(orbifold, atlas)
+    assert _edge_bytes(edges) == _edge_bytes(reference_overlap_graph(orbifold, atlas))
+    assert any(e.singular_points for e in edges) == carries_singular

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from orbidiff import maps as P
 from orbidiff import model as M
 from orbidiff.errors import AtlasNotCovering, BranchAmbiguity
-from orbidiff.groups import GroupHom, rotation_about_z
+from orbidiff.groups import GroupHom, generate_group, rotation_about_z
 from orbidiff.model import DerivedChart, build_chart
 
 
@@ -93,6 +93,20 @@ class TestIdentityLifts:
         sing = [k for k, c in enumerate(atlas) if c.isotropy.order > 1]
         for a in ids.assignments:
             assert len({a[k] for k in sing}) == 1
+
+    def test_full_octahedral_sphere_quotient(self):
+        # every singular point of S^2/O_h lies on a mirror, and a mirror
+        # stratum forces equal germs (as for D2h), so the lift is unique
+        third = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        orbifold = M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
+                                  generate_group([third, quarter, -np.eye(3)]))
+        assert orbifold.group.order == 48
+        assert len(M.strata(orbifold, resolution=32)) == 7
+        atlas = M.build_atlas(orbifold, resolution=16)
+        assert tuple(c.isotropy.order for c in atlas) == (8, 6, 4)
+        edges = P.overlap_graph(orbifold, atlas)
+        assert P.enumerate_identity_lifts(orbifold, atlas, edges=edges).order == 1
 
     def test_atlas_not_covering(self, football3):
         pole = build_chart(football3, football3.point([0, 0, 1.0]))

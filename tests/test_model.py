@@ -154,6 +154,35 @@ class TestStrata:
         assert layers[0].is_singleton
 
 
+class TestVerificationDomain:
+    @pytest.mark.parametrize("dimension,radius", [(1, 2.0), (2, 1.0), (2, 1.5),
+                                                  (3, 1.0)])
+    def test_matches_filter_without_slack(self, dimension, radius):
+        # field dumps used to filter without the 1e-12 slack; no grid point
+        # falls in the slack band at these resolutions
+        model = M.ModelSpace(M.FLAT, dimension, radius)
+        for res in range(2, 101 if dimension < 3 else 31):
+            grid = model.grid(res)
+            strict = grid[np.linalg.norm(grid, axis=1) <= radius * 0.75]
+            assert np.array_equal(model.verification_domain(grid), strict)
+
+    @pytest.mark.parametrize("dimension,radius", [(1, 2.0), (2, 1.0)])
+    def test_keeps_rounded_points_on_the_boundary(self, dimension, radius):
+        # at resolution 197 rounding puts grid points on the 0.75R sphere a
+        # hair outside it: the slack keeps them, a filter without it drops them
+        model = M.ModelSpace(M.FLAT, dimension, radius)
+        grid = model.grid(197)
+        norms = np.linalg.norm(grid, axis=1)
+        kept = model.verification_domain(grid)
+        extra = (norms > radius * 0.75) & (norms <= radius * 0.75 + 1e-12)
+        assert extra.any()
+        assert np.array_equal(kept, grid[(norms <= radius * 0.75) | extra])
+
+    def test_sphere_keeps_every_point(self, football3):
+        grid = football3.model.grid(12)
+        assert np.array_equal(football3.model.verification_domain(grid), grid)
+
+
 class TestProduct:
     def test_corner_isotropy_is_product(self, line_flip):
         prod = M.product(line_flip, line_flip)
