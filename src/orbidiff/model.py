@@ -16,6 +16,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
                      UnsupportedModel)
+from . import groups
 from .groups import (EPS_GRP, FiniteActionGroup, _snap, _snap_key,
                      canonical_orbit_representative, canonical_representatives,
                      fixing_mask, football_rotation_group, generate_group,
@@ -238,13 +239,30 @@ class GoodOrbifold:
 
     def quotient_distance(self, a: "QuotientPoint", b: "QuotientPoint") -> float:
         """Nearest-orbit distance; symmetric by construction (min of both orders)."""
-        d_ab = self._raw_distance(a.canonical, b.canonical)
-        d_ba = self._raw_distance(b.canonical, a.canonical)
-        return min(d_ab, d_ba)
+        return float(self.quotient_distances(a.canonical[None], b.canonical[None])[0, 0])
 
-    def _raw_distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        pts = self.group.matrices @ a
-        return float(self.model.distances(pts, b).min())
+    def quotient_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, n), (M, n) canonical rows -> (N, M) nearest-orbit distances.
+
+        Entry (i, j) is the least distance from a translate of a_i to b_j or
+        from a translate of b_j to a_i.  Tiles of rows of a by rows of b keep
+        each tile's pair distances near ``groups._BLOCK`` entries.
+        """
+        n = self.model.ambient_dim
+        a = np.asarray(a, dtype=float).reshape(-1, n)
+        b = np.asarray(b, dtype=float).reshape(-1, n)
+        order = self.group.order
+        cols = max(1, min(len(b), groups._BLOCK // order))
+        rows = max(1, groups._BLOCK // (order * cols))
+        out = np.empty((len(a), len(b)))
+        for co in range(0, len(b), cols):
+            tb = translates(self.group, b[co:co + cols])
+            for lo in range(0, len(a), rows):
+                ta = translates(self.group, a[lo:lo + rows])
+                d_ab = _pair_distances(self.model, ta, b[co:co + cols]).min(axis=1)
+                d_ba = _pair_distances(self.model, tb, a[lo:lo + rows]).min(axis=1)
+                out[lo:lo + rows, co:co + cols] = np.minimum(d_ab, d_ba.T)
+        return out
 
     def isotropy_at(self, p: "QuotientPoint") -> FiniteActionGroup:
         return stabilizer(self.group, p.representative)
@@ -359,6 +377,39 @@ class DerivedChart:
     def __repr__(self) -> str:
         return (f"DerivedChart(center={np.round(self.center, 4)}, "
                 f"radius={self.radius:.4f}, isotropy={self.isotropy.order})")
+
+
+def _pair_distances(model: ModelSpace, pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(k, order, n), (m, n) -> (k, order, m): ``model.distances(pts[i], q[j])``
+    for every i and j, with the same arithmetic entry by entry."""
+    if model.kind == FLAT:
+        return _chord_lengths(pts, q, 1.0)
+    dots = pts @ q.T
+    # the last bits of a BLAS dot product depend on the shape of the call, so
+    # near-orthogonal pairs take their sign from the (order, n) @ (n,) product
+    # that ModelSpace.distances forms
+    for i, g, j in zip(*np.nonzero(np.abs(dots) < 1e-12)):
+        dots[i, g, j] = (pts[i] @ q[j])[g]
+    sign = np.where(dots >= 0.0, 1.0, -1.0)
+    angle = 2.0 * np.arcsin(np.clip(_chord_lengths(pts, q, sign) / 2.0, 0.0, 1.0))
+    return np.where(sign > 0.0, angle, np.pi - angle)
+
+
+def _chord_lengths(pts: np.ndarray, q: np.ndarray, sign) -> np.ndarray:
+    """|pts[i, g] - sign[i, g, j] q[j]| for every i, g and j.
+
+    np.linalg.norm adds fewer than 8 squares in order, so one coordinate at
+    a time gives its bits without a (k, order, m, n) array; from 8 on it adds
+    pairwise, and the norm itself is taken.
+    """
+    if q.shape[1] >= 8:
+        return np.linalg.norm(pts[..., None, :] - np.expand_dims(sign, -1) * q,
+                              axis=-1)
+    squares = 0.0
+    for pk, qk in zip(np.moveaxis(pts, -1, 0), q.T.copy()):
+        chord = pk[..., None] - sign * qk
+        squares = squares + chord * chord
+    return np.sqrt(squares)
 
 
 def _first_by_key(pts: np.ndarray) -> tuple[list[int], list[tuple]]:

@@ -7,6 +7,7 @@ map into the diffeomorphism group; inverting it recovers the section.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -14,7 +15,9 @@ import numpy as np
 
 from .errors import (ChartMismatch, CoverGap, NotCloseToIdentity, NotSPD,
                      OutOfDomain, ThetaNotIdentity)
-from .groups import EPS_GRP, GroupHom, stabilizer
+from . import groups
+from .groups import (EPS_GRP, GroupHom, canonical_representatives, stabilizer,
+                     translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
                    cs_distance, derive_theta, identity_map)
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
@@ -34,27 +37,71 @@ def _bump(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PartitionOfUnity:
-    """Normalized equivariant chart weights summing to one."""
+    """Normalized equivariant chart weights summing to one.
+
+    ``values`` is the evaluation kernel; ``weights[j]`` is its column j on
+    one point, filled in when no weights are given.
+    """
 
     orbifold: GoodOrbifold
     atlas: tuple[DerivedChart, ...]
-    weights: tuple[Callable[[np.ndarray], float], ...]
+    weights: tuple[Callable[[np.ndarray], float], ...] = ()
+
+    def __post_init__(self):
+        if not self.weights:
+            object.__setattr__(self, "weights", tuple(
+                functools.partial(self._weight, j) for j in range(len(self.atlas))))
+
+    def _weight(self, j: int, y: np.ndarray) -> float:
+        return float(self.values(np.asarray(y, dtype=float)[None])[0, j])
+
+    def _raw(self, pts: np.ndarray) -> np.ndarray:
+        """(k, n) -> (k, charts) group-averaged bumps, before normalizing.
+
+        Points go through in blocks of about ``groups._BLOCK`` translates.
+        """
+        model = self.orbifold.model
+        grp = self.orbifold.group
+        pts = np.asarray(pts, dtype=float).reshape(-1, model.ambient_dim)
+        step = max(1, groups._BLOCK // grp.order)
+        out = np.empty((len(pts), len(self.atlas)))
+        for lo in range(0, len(pts), step):
+            trans = translates(grp, pts[lo:lo + step]).reshape(-1, model.ambient_dim)
+            for j, ch in enumerate(self.atlas):
+                u = (model.distances(trans, ch.center) / ch.radius) ** 2
+                bumps = _bump(u).reshape(-1, grp.order)
+                out[lo:lo + step, j] = bumps.sum(axis=1) / grp.order
+        return out
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        """(k, n) -> (k, charts): every normalized weight at every point."""
+        raw = self._raw(pts)
+        total = _row_totals(raw)[:, None]
+        return np.divide(raw, total, out=np.zeros_like(raw), where=total > 0.0)
 
     def total(self, y: np.ndarray) -> float:
-        return float(sum(w(y) for w in self.weights))
+        return float(_row_totals(self.values(np.asarray(y, dtype=float)[None]))[0])
 
     def verify(self, grid: np.ndarray) -> tuple[float, float]:
         """(sum residual, equivariance residual) over the grid."""
-        sum_res = 0.0
+        grid = np.asarray(grid, dtype=float)
+        base = self.values(grid)
+        sum_res = float(np.abs(_row_totals(base) - 1.0).max(initial=0.0))
+        moved = translates(self.orbifold.group, grid)
         equi_res = 0.0
-        grp = self.orbifold.group
-        for y in grid:
-            sum_res = max(sum_res, abs(self.total(y) - 1.0))
-            for lab in range(1, grp.order):
-                gy = grp.act(lab, y)
-                for w in self.weights:
-                    equi_res = max(equi_res, abs(w(gy) - w(y)))
+        for lab in range(1, self.orbifold.group.order):
+            diff = np.abs(self.values(moved[:, lab]) - base)
+            equi_res = max(equi_res, float(diff.max(initial=0.0)))
         return sum_res, equi_res
+
+
+def _row_totals(mat: np.ndarray) -> np.ndarray:
+    """Row sums adding the columns left to right, as Python's ``sum`` does;
+    ``ndarray.sum`` adds pairwise from 8 columns on."""
+    total = np.zeros(len(mat))
+    for col in mat.T:
+        total += col
+    return total
 
 
 def equivariant_partition_of_unity(orbifold: GoodOrbifold,
@@ -67,35 +114,13 @@ def equivariant_partition_of_unity(orbifold: GoodOrbifold,
     deck group makes every weight a function on the quotient.  Raises
     CoverGap when the un-normalized total vanishes on the verification grid.
     """
+    pou = PartitionOfUnity(orbifold, tuple(atlas))
     model = orbifold.model
-    grp = orbifold.group
-    charts = tuple(atlas)
-
-    def raw_weight(chart: DerivedChart) -> Callable[[np.ndarray], float]:
-        center, radius = chart.center, chart.radius
-
-        def w(y: np.ndarray) -> float:
-            pts = grp.matrices @ np.asarray(y, dtype=float)
-            u = (model.distances(pts, center) / radius) ** 2
-            return float(_bump(u).sum() / grp.order)
-
-        return w
-
-    raws = [raw_weight(ch) for ch in charts]
-
-    for y in model.verification_domain(model.grid(grid_resolution)):
-        if sum(r(y) for r in raws) < 1e-12:
-            raise CoverGap(f"partition weights vanish near {np.round(y, 4)}")
-
-    def normalized(k: int) -> Callable[[np.ndarray], float]:
-        def w(y: np.ndarray) -> float:
-            vals = [r(y) for r in raws]
-            total = sum(vals)
-            return vals[k] / total if total > 0.0 else 0.0
-        return w
-
-    return PartitionOfUnity(orbifold, charts, tuple(normalized(k)
-                                                    for k in range(len(charts))))
+    grid = model.verification_domain(model.grid(grid_resolution))
+    gaps = np.flatnonzero(_row_totals(pou._raw(grid)) < 1e-12)
+    if gaps.size:
+        raise CoverGap(f"partition weights vanish near {np.round(grid[gaps[0]], 4)}")
+    return pou
 
 
 # -- metric fields ----------------------------------------------------------------
@@ -366,17 +391,33 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
     axis = np.linspace(-1.0, 1.0, image_per_axis)
     disc = np.array([[a, b] for a in axis for b in axis
                      if np.hypot(a, b) <= 1.0]) * eps
-    images = [the_exp(p, c @ frame) for c in disc]
+    images = _canonicals([the_exp(p, c @ frame) for c in disc])
     spacing = 2.0 * eps / (image_per_axis - 1)
     tol = 2.5 * spacing
-    targets = [orbifold.point(g) for g in orbifold.model.grid(32)
-               if orbifold.quotient_distance(orbifold.point(g), p) <= eps * 0.9]
-    gap = 0.0
-    for q in targets:
-        best = min(orbifold.quotient_distance(img, q) for img in images)
-        gap = max(gap, best)
+    grid = _canonicalize(orbifold, orbifold.model.grid(32))
+    near = orbifold.quotient_distances(grid, p.canonical[None])[:, 0] <= eps * 0.9
+    gap = _cover_gap(orbifold, grid[near], images)
     return HomeoCheckReport(injective, gap <= tol, witness, gap, tol,
-                            pairs, len(targets))
+                            pairs, int(near.sum()))
+
+
+def _canonicals(points: Sequence[QuotientPoint]) -> np.ndarray:
+    """(k, n) rows of the canonical members of quotient points."""
+    return np.array([q.canonical for q in points])
+
+
+def _canonicalize(orbifold: GoodOrbifold, pts: np.ndarray) -> np.ndarray:
+    """The canonical members ``orbifold.point`` gives model points, in one batch."""
+    model = orbifold.model
+    return canonical_representatives(orbifold.group, np.array(
+        [model.project(y) for y in pts]).reshape(-1, model.ambient_dim))
+
+
+def _cover_gap(orbifold: GoodOrbifold, targets: np.ndarray,
+               images: np.ndarray) -> float:
+    """Largest quotient distance from a target row to its nearest image row."""
+    dists = orbifold.quotient_distances(targets, images)
+    return float(dists.min(axis=1).max(initial=0.0))
 
 
 def exp_stratum_check(exp_map: ExpMap, p: QuotientPoint, v: np.ndarray,
@@ -532,8 +573,6 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
         (lambda q: f.target.point(f.global_lift(q.representative))
          if f.global_lift is not None else f.underlying(q))
 
-    injective = True
-    witness = None
     sources: list[QuotientPoint] = []
     images: list[QuotientPoint] = []
     spacing = 0.0
@@ -544,27 +583,22 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
             q = orbifold.point(y)
             sources.append(q)
             images.append(apply_f(q))
-    for i in range(len(sources)):
-        for j in range(i + 1, len(sources)):
-            if orbifold.quotient_distance(sources[i], sources[j]) < 1e-6:
-                continue
-            if orbifold.quotient_distance(images[i], images[j]) < 1e-9:
-                injective = False
-                witness = (sources[i], sources[j])
-                break
-        if not injective:
-            break
+    src, img = _canonicals(sources), _canonicals(images)
+    # pairs (i < j) of distinct sources with coinciding images, row-major
+    collide = np.triu(~(orbifold.quotient_distances(src, src) < 1e-6), k=1) \
+        & (orbifold.quotient_distances(img, img) < 1e-9)
+    hits = np.flatnonzero(collide)
+    injective = hits.size == 0
+    witness = None
+    if not injective:
+        i, j = divmod(int(hits[0]), len(sources))
+        witness = (sources[i], sources[j])
 
     tol = 2.5 * spacing
-    gap = 0.0
-    for chart in f.atlas:
-        inner = chart.sample_points(per_axis=per_axis,
-                                    shrink=inner_fraction)
-        for y in inner:
-            target = orbifold.point(y)
-            best = min(orbifold.quotient_distance(img, target)
-                       for img in images)
-            gap = max(gap, best)
+    inner = np.concatenate([chart.sample_points(per_axis=per_axis,
+                                                shrink=inner_fraction)
+                            for chart in f.atlas])
+    gap = _cover_gap(orbifold, _canonicalize(orbifold, inner), img)
 
     d0 = cs_distance(f, identity_map(orbifold, f.atlas), s=0,
                      per_axis=per_axis).value

@@ -12,7 +12,7 @@ import hashlib
 import io
 import itertools
 import platform
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy
@@ -626,8 +626,8 @@ def run_suite(config: SuiteConfig, suites: tuple[str, ...] | None = None,
               grid_override: int | None = None) -> SuiteReport:
     """Execute the selected suites in declared order, deterministically."""
     if grid_override is not None:
-        config.strata_resolution = grid_override
-        config.verify_resolution = grid_override
+        config = replace(config, strata_resolution=grid_override,
+                         verify_resolution=grid_override)
     chosen = tuple(suites or config.suites)
     # suites always execute in the canonical declared order
     chosen = tuple(s for s in _SUITE_RUNNERS if s in chosen)
@@ -691,8 +691,8 @@ def dump_fields(config: SuiteConfig, which: str, grid: int | None = None,
         pou = equivariant_partition_of_unity(orbifold, atlas)
         writer.writerow(coords + [f"weight_chart{j}"
                                   for j in range(len(atlas))] + ["total"])
-        for y in pts:
-            vals = [w(y) for w in pou.weights]
+        for y, row in zip(pts, pou.values(pts)):
+            vals = row.tolist()
             writer.writerow([f"{c:.12g}" for c in y]
                             + [f"{v:.12g}" for v in vals]
                             + [f"{sum(vals):.12g}"])

@@ -218,6 +218,19 @@ class TestSuitesAndReports:
         for _, rec in report.records:
             assert rec.passed == (rec.residual <= rec.tolerance)
 
+    def test_grid_override_leaves_the_callers_config_unchanged(self):
+        cfg = parse_config(FLAT_Z2)
+        before = (cfg.strata_resolution, cfg.verify_resolution)
+        report = run_suite(cfg, suites=("strata", "riemann"), grid_override=8)
+        assert (cfg.strata_resolution, cfg.verify_resolution) == before
+        assert (report.config.strata_resolution,
+                report.config.verify_resolution) == (8, 8)
+        assert "resolution 8" in report.render()
+        # the in-place override ran on the caller's config set to the grid
+        cfg.strata_resolution = cfg.verify_resolution = 8
+        assert report.render() == run_suite(
+            cfg, suites=("strata", "riemann")).render()
+
     def test_describe_football(self):
         text = describe(parse_config(DEFAULT_FOOTBALL3))
         assert "strata: 3" in text
@@ -327,6 +340,18 @@ class TestCli:
                          str(tmp_path / "d")])
         assert code == 0
         assert (tmp_path / "d" / "partition_halfline.csv").exists()
+
+    def test_run_grid_dumps_at_the_grid(self, tmp_path):
+        cfg_file = tmp_path / "flat.cfg"
+        cfg_file.write_text(FLAT_Z2)
+        assert cli.main(["run", "--config", str(cfg_file), "--suite", "group",
+                         "--grid", "7", "--out", str(tmp_path / "r")]) == 0
+        assert cli.main(["dump", "--config", str(cfg_file), "--which",
+                         "partition", "--grid", "7", "--out",
+                         str(tmp_path / "d")]) == 0
+        run_csv = (tmp_path / "r" / "partition_halfline.csv").read_text()
+        assert run_csv == (tmp_path / "d" / "partition_halfline.csv").read_text()
+        assert run_csv != dump_fields(parse_config(FLAT_Z2), "partition")[1]
 
     def test_repeatable_suite_flag(self, tmp_path):
         cfg_file = tmp_path / "flat.cfg"

@@ -1,0 +1,315 @@
+"""The batched partition-of-unity and quotient-distance kernels against the
+per-point code they replaced.
+
+The reference functions below are the per-point implementations kept as
+oracles: every entry must agree bit for bit, because reports and CSV dumps
+are byte-identical for a fixed (config, seed).
+"""
+
+import functools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbidiff import groups as G
+from orbidiff import maps as P
+from orbidiff import model as M
+from orbidiff import riemann as R
+from orbidiff.errors import CoverGap
+
+THIRD_TURN = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _sphere(name, gens):
+    return lambda: M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
+                                  G.generate_group(gens), name=name)
+
+
+# (orbifold, atlas resolution); the atlases hold 3 to 12 charts, so row
+# totals are taken over fewer and over more than 8 columns
+CASES = {
+    "football2": (lambda: M.football(2), 20),
+    "football3": (lambda: M.football(3), 20),
+    "football5": (lambda: M.football(5), 20),
+    "disk_Z4": (lambda: M.disk_mod_rotation(4), 13),
+    "disk_D4": (lambda: M.disk_mod_dihedral(4), 13),
+    "mirror": (M.plane_mod_reflection, 13),
+    "line": (M.line_mod_flip, 15),
+    "S2/T": (_sphere("S2/T", [THIRD_TURN, np.diag([1.0, -1.0, -1.0])]), 8),
+    "S2/Oh": (_sphere("S2/Oh", [THIRD_TURN, QUARTER_TURN, -np.eye(3)]), 8),
+}
+
+
+@functools.cache
+def case(name):
+    build, resolution = CASES[name]
+    orbifold = build()
+    return orbifold, M.build_atlas(orbifold, resolution=resolution)
+
+
+# -- per-point references --------------------------------------------------------
+
+def reference_raw_weights(orbifold, atlas):
+    model, grp = orbifold.model, orbifold.group
+
+    def raw_weight(chart):
+        def w(y):
+            pts = grp.matrices @ np.asarray(y, dtype=float)
+            u = (model.distances(pts, chart.center) / chart.radius) ** 2
+            return float(R._bump(u).sum() / grp.order)
+        return w
+
+    return [raw_weight(ch) for ch in atlas]
+
+
+def reference_weights(orbifold, atlas):
+    raws = reference_raw_weights(orbifold, atlas)
+
+    def normalized(k):
+        def w(y):
+            vals = [r(y) for r in raws]
+            total = sum(vals)
+            return vals[k] / total if total > 0.0 else 0.0
+        return w
+
+    return [normalized(k) for k in range(len(atlas))]
+
+
+def reference_total(weights, y):
+    return float(sum(w(y) for w in weights))
+
+
+def reference_verify(orbifold, weights, grid):
+    sum_res = 0.0
+    equi_res = 0.0
+    grp = orbifold.group
+    for y in grid:
+        sum_res = max(sum_res, abs(reference_total(weights, y) - 1.0))
+        for lab in range(1, grp.order):
+            gy = grp.act(lab, y)
+            for w in weights:
+                equi_res = max(equi_res, abs(w(gy) - w(y)))
+    return sum_res, equi_res
+
+
+def reference_raw_distance(orbifold, a, b):
+    pts = orbifold.group.matrices @ a
+    return float(orbifold.model.distances(pts, b).min())
+
+
+def reference_quotient_distance(orbifold, a, b):
+    return min(reference_raw_distance(orbifold, a, b),
+               reference_raw_distance(orbifold, b, a))
+
+
+def reference_injectivity_witness(orbifold, sources, images):
+    for i in range(len(sources)):
+        for j in range(i + 1, len(sources)):
+            if reference_quotient_distance(orbifold, sources[i].canonical,
+                                           sources[j].canonical) < 1e-6:
+                continue
+            if reference_quotient_distance(orbifold, images[i].canonical,
+                                           images[j].canonical) < 1e-9:
+                return sources[i], sources[j]
+    return None
+
+
+# -- drawn points ---------------------------------------------------------------------
+
+# coarse lattice coordinates land on mirrors, axes and chart centres
+COORD = st.one_of(st.floats(-1.0, 1.0),
+                  st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0]))
+
+
+def model_points(orbifold, rows):
+    """Points of the model from drawn coordinates: projected to the sphere,
+    or scaled into the ball (rows of the unit cube outside the unit ball
+    move onto the sphere of radius 0.98R)."""
+    pts = np.array(rows, dtype=float).reshape(-1, orbifold.model.ambient_dim)
+    if orbifold.model.kind == M.FLAT:
+        norms = np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1.0)
+        return pts / norms * 0.98 * orbifold.model.radius
+    pts[np.linalg.norm(pts, axis=1) < 1e-3] = np.eye(3)[2]
+    return np.array([orbifold.model.project(p) for p in pts])
+
+
+def draw_points(data, orbifold, max_size=6):
+    n = orbifold.model.ambient_dim
+    rows = data.draw(st.lists(st.lists(COORD, min_size=n, max_size=n),
+                              min_size=1, max_size=max_size))
+    return model_points(orbifold, rows)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# -- kernels against the references -------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_partition_values_match_reference_weights(name, data):
+    orbifold, atlas = case(name)
+    pts = draw_points(data, orbifold, max_size=4)
+    pou = R.equivariant_partition_of_unity(orbifold, atlas)
+    ref = reference_weights(orbifold, atlas)
+    vals = pou.values(pts)
+    assert_bitwise(vals, [[w(y) for w in ref] for y in pts])
+    for y in pts:
+        assert_bitwise([w(y) for w in pou.weights], [w(y) for w in ref])
+        assert_bitwise(pou.total(y), reference_total(ref, y))
+    assert pou.verify(pts[:2]) == reference_verify(orbifold, ref, pts[:2])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_quotient_distances_match_reference(name, data):
+    orbifold, _ = case(name)
+    a = G.canonical_representatives(orbifold.group, draw_points(data, orbifold))
+    b = G.canonical_representatives(orbifold.group, draw_points(data, orbifold))
+    dists = orbifold.quotient_distances(a, b)
+    assert_bitwise(dists, [[reference_quotient_distance(orbifold, x, y)
+                            for y in b] for x in a])
+    for x in a[:2]:
+        for y in b[:2]:
+            qx, qy = orbifold.point(x), orbifold.point(y)
+            assert_bitwise(orbifold.quotient_distance(qx, qy),
+                           reference_quotient_distance(orbifold, qx.canonical,
+                                                       qy.canonical))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_verify_matches_reference_on_the_verification_grid(name):
+    orbifold, atlas = case(name)
+    pou = R.equivariant_partition_of_unity(orbifold, atlas)
+    grid = orbifold.model.verification_domain(orbifold.model.grid(6))
+    ref = reference_weights(orbifold, atlas)
+    assert pou.verify(grid) == reference_verify(orbifold, ref, grid)
+
+
+@pytest.mark.parametrize("block", [G._BLOCK, 50, 7])
+@pytest.mark.parametrize("name", ["football5", "mirror", "S2/Oh"])
+def test_kernels_match_across_blocks(name, block, monkeypatch):
+    # small blocks split the points of values and both sides of the
+    # distance tiles; at 7 a single translate set exceeds the block
+    monkeypatch.setattr(G, "_BLOCK", block)
+    orbifold, atlas = case(name)
+    rng = np.random.default_rng(11)
+    pts = model_points(orbifold, rng.uniform(-1.0, 1.0, size=(
+        120, orbifold.model.ambient_dim)))
+    pts[::4] = model_points(orbifold, np.round(pts[::4]))
+    pou = R.PartitionOfUnity(orbifold, atlas)
+    ref = reference_weights(orbifold, atlas)
+    assert_bitwise(pou.values(pts), [[w(y) for w in ref] for y in pts])
+    canon = G.canonical_representatives(orbifold.group, pts)
+    a, b = canon[:45], canon[45:75]
+    assert_bitwise(orbifold.quotient_distances(a, b),
+                   [[reference_quotient_distance(orbifold, x, y) for y in b]
+                    for x in a])
+
+
+def test_atlas_prefixes_around_eight_charts_match_reference():
+    # prefixes of the football5 atlas sum 1, 7, 8 and 9 columns; their
+    # partitions leave gaps, so the kernel is built without the cover probe
+    orbifold, atlas = case("football5")
+    pts = orbifold.model.grid(8)
+    for k in (1, 7, 8, 9):
+        pou = R.PartitionOfUnity(orbifold, atlas[:k])
+        ref = reference_weights(orbifold, atlas[:k])
+        assert_bitwise(pou.values(pts), [[w(y) for w in ref] for y in pts])
+        assert pou.verify(pts[::4]) == reference_verify(orbifold, ref, pts[::4])
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_near_orthogonal_pairs_match_reference(p):
+    # rotated translates end up orthogonal to b within rounding, where the
+    # sign of a BLAS dot product decides between two arcsin branches
+    orbifold = M.football(p)
+    t = np.linspace(-1.0, 1.0, 9)
+    a = G.canonical_representatives(orbifold.group, model_points(
+        orbifold, np.stack([np.zeros_like(t), np.ones_like(t), t], axis=1)))
+    turns = 2.0 * np.pi * np.arange(2 * p) / (2 * p)
+    b = G.canonical_representatives(orbifold.group, np.concatenate([
+        np.stack([np.cos(turns), np.sin(turns), np.zeros_like(turns)], axis=1),
+        np.eye(3)]))
+    assert_bitwise(orbifold.quotient_distances(a, b),
+                   [[reference_quotient_distance(orbifold, x, y) for y in b]
+                    for x in a])
+
+
+def test_quotient_distances_match_reference_from_eight_coordinates():
+    # np.linalg.norm adds 8 or more squares pairwise
+    orbifold = M.GoodOrbifold(M.ModelSpace(M.FLAT, 9, 2.0),
+                              G.group_from_elements([np.eye(9), -np.eye(9)]))
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-0.6, 0.6, size=(7, 9)), rng.uniform(-0.6, 0.6, size=(5, 9))
+    assert_bitwise(orbifold.quotient_distances(a, b),
+                   [[reference_quotient_distance(orbifold, x, y) for y in b]
+                    for x in a])
+
+
+def test_empty_inputs_give_empty_matrices():
+    orbifold, atlas = case("football3")
+    pou = R.PartitionOfUnity(orbifold, atlas)
+    assert pou.values(np.empty((0, 3))).shape == (0, len(atlas))
+    assert pou.verify(np.empty((0, 3))) == (0.0, 0.0)
+    assert orbifold.quotient_distances(np.empty((0, 3)),
+                                       np.eye(3)).shape == (0, 3)
+    assert orbifold.quotient_distances(np.eye(3),
+                                       np.empty((0, 3))).shape == (3, 0)
+
+
+def test_cover_gap_names_the_first_vanishing_grid_point():
+    orbifold, atlas = case("football3")
+    small = [M.build_chart(orbifold, orbifold.point([0, 0, 1.0]), radius=0.2)]
+    raws = reference_raw_weights(orbifold, small)
+    grid = orbifold.model.grid(24)
+    first = next(y for y in grid if sum(r(y) for r in raws) < 1e-12)
+    with pytest.raises(CoverGap) as exc:
+        R.equivariant_partition_of_unity(orbifold, small)
+    assert str(np.round(first, 4)) in str(exc.value)
+
+
+def test_fold_witness_is_the_first_pair_of_the_loop(football3_atlas):
+    orbifold = M.football(3)
+    idm = P.identity_map(orbifold, football3_atlas)
+
+    def folding(q):
+        rep = q.representative
+        return orbifold.point(np.array([rep[0], rep[1], abs(rep[2])]))
+
+    report = R.verify_diffeo(idm, per_axis=4, underlying_override=folding)
+    sources = [orbifold.point(y) for ch in idm.atlas
+               for y in ch.sample_points(per_axis=4)]
+    want = reference_injectivity_witness(orbifold, sources,
+                                         [folding(q) for q in sources])
+    assert want is not None and report.injectivity_witness is not None
+    for got, ref in zip(report.injectivity_witness, want):
+        assert got.representative.tobytes() == ref.representative.tobytes()
+
+
+def test_kernel_memory_stays_flat_on_an_order_48_group():
+    orbifold, atlas = case("S2/Oh")
+    rng = np.random.default_rng(3)
+    pts = model_points(orbifold, rng.normal(size=(5000, 3)))
+    canon = G.canonical_representatives(orbifold.group, pts[:2300])
+    pou = R.PartitionOfUnity(orbifold, atlas)
+    tracemalloc.start()
+    try:
+        dists = orbifold.quotient_distances(canon[:2000], canon[2000:])
+        vals = pou.values(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # unblocked, the (2000, 48, 300, 3) pair differences alone take 660 MiB
+    assert peak < 16 * 2**20
+    assert dists.shape == (2000, 300) and vals.shape == (5000, len(atlas))
+    assert np.allclose(vals.sum(axis=1), 1.0)

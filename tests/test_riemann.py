@@ -211,6 +211,22 @@ class TestHomeoAndStrata:
         assert not rep.injective
         assert rep.injectivity_witness is not None
 
+    def test_planted_shrunk_exp_fails_surjectivity(self, football3,
+                                                   football3_exp):
+        eps = 0.3
+
+        def shrunk(p, v):
+            # images fill only the 0.3 eps ball: injective, not onto
+            return football3_exp.exp(p, 0.3 * np.asarray(v, dtype=float))
+
+        rep = R.exp_local_homeo_check(
+            football3_exp, football3.point([0, 0, 1.0]), eps,
+            np.random.default_rng(4), exp_override=shrunk)
+        assert rep.injective
+        assert not rep.surjective
+        assert rep.surjectivity_gap > rep.surjectivity_tolerance
+        assert rep.targets_checked > 0
+
     def test_mirror_stratum_preserved(self, mirror):
         exp_map = R.ExpMap.closed_form(mirror)
         p = mirror.point([0.2, 0.0])
@@ -394,6 +410,23 @@ class TestVerifyDiffeo:
                                  underlying_override=folding)
         assert not report.injective
         assert report.injectivity_witness is not None
+
+
+    def test_planted_cap_map_fails_surjectivity(self, football3,
+                                                football3_atlas):
+        idm = P.identity_map(football3, football3_atlas)
+
+        def into_cap(q):
+            # central projection from (0, 0, -3): injective, and it commutes
+            # with the rotations, but every image lies near the north pole
+            moved = q.representative + np.array([0.0, 0.0, 3.0])
+            return football3.point(moved / np.linalg.norm(moved))
+
+        report = R.verify_diffeo(idm, per_axis=4,
+                                 underlying_override=into_cap)
+        assert report.injective
+        assert not report.surjective
+        assert not report.passed
 
 
 class TestTransitions:
