@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigInvalid
-from .groups import generate_group, is_orthogonal, rotation_2d, rotation_about_z, trivial_group
+from .groups import (generate_group, is_orthogonal, rotation_2d, rotation_about_z,
+                     row_apply, trivial_group)
 from .maps import OrbifoldMapData, map_from_global
 from .model import FLAT, SPHERE, GoodOrbifold, ModelSpace
 from .tangent import CurveInOrbifold, CurveSegment
@@ -351,15 +352,16 @@ def build_map(spec: MapSpec, orbifold: GoodOrbifold,
         else:
             raise ConfigInvalid(
                 f"map {spec.name}: rotations need a sphere or a flat plane")
-        return map_from_global(orbifold, orbifold, lambda y, m=mat: m @ y,
+        return map_from_global(orbifold, orbifold,
+                               lambda pts, m=mat: row_apply(m, pts),
                                atlas=atlas, name=spec.name,
-                               inverse=lambda y, m=inv: m @ y)
+                               inverse=lambda pts, m=inv: row_apply(m, pts))
     if spec.kind == "power":
         if model.kind != FLAT or model.dimension != 1:
             raise ConfigInvalid(f"map {spec.name}: power maps act on flat lines")
         k = spec.exponent
         return map_from_global(orbifold, orbifold,
-                               lambda y, k=k: np.asarray(y, dtype=float) ** k,
+                               lambda pts, k=k: np.asarray(pts, dtype=float) ** k,
                                atlas=atlas, name=spec.name)
     if spec.kind == "constant":
         from .maps import constant_map
@@ -372,11 +374,11 @@ def build_map(spec: MapSpec, orbifold: GoodOrbifold,
     if model.kind != FLAT:
         raise ConfigInvalid(f"map {spec.name}: polynomial lifts act on flat models")
 
-    def func(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(model.ambient_dim)
+    def func(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros((len(pts), model.ambient_dim))
         for exps, vec in spec.coefficients:
-            out = out + vec * float(np.prod(y ** np.asarray(exps)))
+            out = out + vec * np.prod(pts ** np.asarray(exps), axis=1)[:, None]
         return out
 
     built = map_from_global(orbifold, orbifold, func, atlas=atlas,

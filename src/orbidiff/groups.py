@@ -347,9 +347,27 @@ def fixed_subspace(group: FiniteActionGroup, tol: float = EPS_GRP) -> np.ndarray
     return vt[svals < tol]
 
 
+def row_apply(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """(..., n, n) matrices applied to (..., n) rows, broadcasting; each row
+    is bit for bit ``m @ row``, whatever the number of rows in the call."""
+    pts = np.ascontiguousarray(pts, dtype=float)
+    return (m @ pts[..., None])[..., 0]
+
+
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., n), (..., n) -> (...): dot products of rows, broadcasting; each is
+    bit for bit ``np.dot`` of the two rows, and ``np.sqrt(row_dot(a, a))`` is
+    the 1-D ``np.linalg.norm`` of each row."""
+    if np.ndim(a) == np.ndim(b) == 1:
+        return np.dot(a, b)     # the same product, without the stacking cost
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def translates(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
     """(k, n) -> (k, order, n); entry [k, g] is bit for bit matrix(g) @ pts[k]."""
-    return (group.matrices @ np.asarray(pts, dtype=float)[:, None, :, None])[..., 0]
+    return row_apply(group.matrices, np.asarray(pts, dtype=float)[:, None])
 
 
 def fixing_mask(group: FiniteActionGroup, pts: np.ndarray,

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
                      EquivarianceViolation, ImageEscapesChart)
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
-                     center, fixing_mask, inner_automorphisms, translates)
+                     center, fixing_mask, inner_automorphisms, row_apply,
+                     translates)
 from .model import (FLAT, DerivedChart, GoodOrbifold, QuotientPoint,
                     _covered, build_atlas)
 
@@ -27,7 +28,10 @@ COMPOSE_TOL = 1e-8       # equivariance tolerance after composition
 
 @dataclass(frozen=True)
 class ChartLift:
-    """One chart of a map: evaluable lift plus its homomorphism."""
+    """One chart of a map: evaluable lift plus its homomorphism.
+
+    ``func`` maps (k, n) model points to their (k, m) images.
+    """
 
     chart: DerivedChart
     func: Callable[[np.ndarray], np.ndarray]
@@ -35,7 +39,17 @@ class ChartLift:
 
     def sample_values(self, per_axis: int = 5) -> tuple[np.ndarray, np.ndarray]:
         pts = self.chart.sample_points(per_axis=per_axis)
-        return pts, np.stack([np.asarray(self.func(p), dtype=float) for p in pts])
+        return pts, np.asarray(self.func(pts), dtype=float)
+
+
+def _isotropy_values(chart: DerivedChart, func: Callable, pts: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """func on the points, (k, m), and on their isotropy translates,
+    (k, isotropy order, m): entry [:, a] is func at matrix(a) @ pts."""
+    trans = translates(chart.isotropy, pts)
+    k, order, n = trans.shape
+    moved = np.asarray(func(trans.reshape(-1, n)), dtype=float)
+    return np.asarray(func(pts), dtype=float), moved.reshape(k, order, -1)
 
 
 def derive_theta(chart: DerivedChart, func: Callable, target_group: FiniteActionGroup,
@@ -45,15 +59,13 @@ def derive_theta(chart: DerivedChart, func: Callable, target_group: FiniteAction
     For every isotropy element g the target element T(g) is the unique group
     element with func(g y) == T(g) func(y) on chart samples.
     """
-    pts = chart.sample_points(per_axis=per_axis)
-    vals = np.stack([np.asarray(func(p), dtype=float) for p in pts])
+    vals, moved = _isotropy_values(chart, func,
+                                   chart.sample_points(per_axis=per_axis))
     table = []
     for a in range(chart.isotropy.order):
-        g = chart.isotropy.matrix(a)
-        moved = np.stack([np.asarray(func(g @ p), dtype=float) for p in pts])
         residuals = np.abs(
             vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
-            - moved[None, :, :]).max(axis=(1, 2))
+            - moved[None, :, a]).max(axis=(1, 2))
         best = int(np.argmin(residuals))
         if residuals[best] > tol:
             raise EquivarianceViolation(
@@ -73,15 +85,13 @@ def compatible_thetas(chart: DerivedChart, func: Callable,
 
     Constant lifts into fixed points admit several; none of them is preferred.
     """
-    pts = chart.sample_points(per_axis=per_axis)
-    vals = np.stack([np.asarray(func(p), dtype=float) for p in pts])
+    vals, moved = _isotropy_values(chart, func,
+                                   chart.sample_points(per_axis=per_axis))
     options: list[list[int]] = []
     for a in range(chart.isotropy.order):
-        g = chart.isotropy.matrix(a)
-        moved = np.stack([np.asarray(func(g @ p), dtype=float) for p in pts])
         residuals = np.abs(
             vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
-            - moved[None, :, :]).max(axis=(1, 2))
+            - moved[None, :, a]).max(axis=(1, 2))
         options.append([int(m) for m in np.nonzero(residuals <= tol)[0]])
     out = []
     for combo in itertools.product(*options):
@@ -132,13 +142,14 @@ class OrbifoldMapData:
         """Induced map of underlying spaces, evaluated through any chart."""
         try:
             if self.global_lift is not None:
-                return self.target.point(self.global_lift(q.representative))
+                return self.target.point(self.global_lift(q.representative[None])[0])
             grp = self.source.group
             for entry in self.lifts:
                 for lab in range(grp.order):
                     rep = grp.act(lab, q.canonical)
                     if entry.chart.contains(rep, slack=0.0):
-                        return self.target.point(np.asarray(entry.func(rep)))
+                        return self.target.point(
+                            np.asarray(entry.func(rep[None]), dtype=float)[0])
         except ValueError as exc:
             raise ImageEscapesChart(str(exc)) from exc
         raise ChartMismatch(f"no chart of the atlas covers {q}")
@@ -171,15 +182,12 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
     """
     per_chart = []
     for entry in f.lifts:
-        pts = entry.chart.sample_points(per_axis=per_axis)
-        vals = np.stack([np.asarray(entry.func(p), dtype=float) for p in pts])
+        vals, moved = _isotropy_values(entry.chart, entry.func,
+                                       entry.chart.sample_points(per_axis=per_axis))
         worst = 0.0
         for a in range(entry.chart.isotropy.order):
-            g = entry.chart.isotropy.matrix(a)
             tg = entry.theta.matrix(a)
-            moved = np.stack([np.asarray(entry.func(g @ p), dtype=float)
-                              for p in pts])
-            worst = max(worst, float(np.abs(moved - vals @ tg.T).max()))
+            worst = max(worst, float(np.abs(moved[:, a] - vals @ tg.T).max()))
         per_chart.append(worst)
 
     commutation = 0.0
@@ -195,15 +203,17 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
                 pts = ei.chart.sample_points(per_axis=per_axis)
                 moved = grp.act(lab, pts)
                 inside = [k for k, p in enumerate(moved)
-                          if ej.chart.contains(p, slack=0.0)]
-                for k in inside[:8]:
-                    try:
-                        qa = f.target.point(np.asarray(ei.func(pts[k])))
-                        qb = f.target.point(np.asarray(ej.func(moved[k])))
-                    except ValueError as exc:
-                        raise ImageEscapesChart(str(exc)) from exc
-                    commutation = max(commutation,
-                                      f.target.quotient_distance(qa, qb))
+                          if ej.chart.contains(p, slack=0.0)][:8]
+                if not inside:
+                    continue
+                try:
+                    ya = np.asarray(ei.func(pts[inside]), dtype=float)
+                    yb = np.asarray(ej.func(moved[inside]), dtype=float)
+                    for a, b in zip(ya, yb):
+                        commutation = max(commutation, f.target.quotient_distance(
+                            f.target.point(a), f.target.point(b)))
+                except ValueError as exc:
+                    raise ImageEscapesChart(str(exc)) from exc
     return EquivarianceReport(tuple(per_chart), commutation, per_axis)
 
 
@@ -246,13 +256,17 @@ def identity_map(orbifold: GoodOrbifold,
     trivial = all(loc == 0 for loc in assignments)
     return OrbifoldMapData(
         orbifold, orbifold, lifts, degree=99, name=name,
-        global_lift=(lambda y: np.asarray(y, dtype=float).copy()) if trivial else None,
-        inverse_lift=(lambda y: np.asarray(y, dtype=float).copy()) if trivial else None)
+        global_lift=_copy_rows if trivial else None,
+        inverse_lift=_copy_rows if trivial else None)
+
+
+def _copy_rows(pts: np.ndarray) -> np.ndarray:
+    return np.array(pts, dtype=float)
 
 
 def _linear_map(mat: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     m = np.array(mat, dtype=float)
-    return lambda y: m @ np.asarray(y, dtype=float)
+    return lambda pts: row_apply(m, pts)
 
 
 def constant_map(source: GoodOrbifold, target: GoodOrbifold,
@@ -261,12 +275,16 @@ def constant_map(source: GoodOrbifold, target: GoodOrbifold,
     """Constant map; theta is the trivial homomorphism on every chart."""
     charts = tuple(atlas) if atlas is not None else build_atlas(source)
     val = np.asarray(value, dtype=float)
+
+    def func(pts: np.ndarray) -> np.ndarray:
+        return np.tile(val, (len(pts), 1))
+
     lifts = []
     for ch in charts:
         theta = GroupHom(ch.isotropy, target.group, (0,) * ch.isotropy.order)
-        lifts.append(ChartLift(ch, lambda y, v=val: v.copy(), theta))
+        lifts.append(ChartLift(ch, func, theta))
     return OrbifoldMapData(source, target, lifts, degree=99, name=name,
-                           global_lift=lambda y: val.copy())
+                           global_lift=func)
 
 
 # -- composition -----------------------------------------------------------------
@@ -284,8 +302,8 @@ def compose(f: OrbifoldMapData, g: OrbifoldMapData,
     for entry in f.lifts:
         if g.global_lift is not None:
             gfunc = g.global_lift
-            func = (lambda y, ff=entry.func, gg=gfunc:
-                    np.asarray(gg(np.asarray(ff(y), dtype=float)), dtype=float))
+            func = (lambda pts, ff=entry.func, gg=gfunc:
+                    np.asarray(gg(np.asarray(ff(pts), dtype=float)), dtype=float))
         else:
             func = _compose_through_chart(entry, g)
         theta = derive_theta(entry.chart, func, g.target.group,
@@ -293,12 +311,12 @@ def compose(f: OrbifoldMapData, g: OrbifoldMapData,
         lifts.append(ChartLift(entry.chart, func, theta))
     composite_global = None
     if f.global_lift is not None and g.global_lift is not None:
-        composite_global = (lambda y, ff=f.global_lift, gg=g.global_lift:
-                            np.asarray(gg(np.asarray(ff(y), dtype=float))))
+        composite_global = (lambda pts, ff=f.global_lift, gg=g.global_lift:
+                            np.asarray(gg(np.asarray(ff(pts), dtype=float))))
     inverse = None
     if f.inverse_lift is not None and g.inverse_lift is not None:
-        inverse = (lambda y, fi=f.inverse_lift, gi=g.inverse_lift:
-                   np.asarray(fi(np.asarray(gi(y), dtype=float))))
+        inverse = (lambda pts, fi=f.inverse_lift, gi=g.inverse_lift:
+                   np.asarray(fi(np.asarray(gi(pts), dtype=float))))
     out = OrbifoldMapData(f.source, g.target, lifts,
                           degree=min(f.degree, g.degree),
                           name=name or f"{g.name}*{f.name}",
@@ -314,15 +332,15 @@ def compose(f: OrbifoldMapData, g: OrbifoldMapData,
 def _compose_through_chart(entry: ChartLift, g: OrbifoldMapData) -> Callable:
     mid = g.source
     pts = entry.chart.sample_points(per_axis=4)
-    images = np.stack([np.asarray(entry.func(p), dtype=float) for p in pts])
+    images = np.asarray(entry.func(pts), dtype=float)
     for gentry in g.lifts:
         for lab in range(mid.group.order):
             moved = mid.group.act(lab, images)
             dists = mid.model.distances(moved, gentry.chart.center)
             if float(dists.max()) <= gentry.chart.radius:
                 eta = mid.group.matrix(lab)
-                return (lambda y, ff=entry.func, gg=gentry.func, m=eta:
-                        np.asarray(gg(m @ np.asarray(ff(y), dtype=float))))
+                return (lambda pts, ff=entry.func, gg=gentry.func, m=eta:
+                        np.asarray(gg(row_apply(m, ff(pts)))))
     raise ChartMismatch(
         "no chart of g contains the image of an f-chart under any deck "
         "transport; refine the atlases")
@@ -372,7 +390,7 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
         dist = model.distance(big.center, point)
         start_r = min(small.radius * 0.9, dist)
         if dist < 1e-12:
-            val = np.asarray(small_lift(point), dtype=float)
+            val = one_small(point)
             cache[key] = val
             return val
         if model.kind == FLAT:
@@ -384,7 +402,7 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
             v = v / np.linalg.norm(v)
             path = [model.geo_exp(big.center, r * v)
                     for r in np.linspace(start_r, dist, steps)]
-        prev = np.asarray(small_lift(path[0]), dtype=float)
+        prev = one_small(path[0])
         for p in path[1:]:
             cand = candidates(p)
             dists = np.linalg.norm(cand - prev, axis=1)
@@ -402,16 +420,18 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
         cache[key] = prev
         return prev
 
-    def extension(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if model.distance(big.center, y) <= small.radius * 0.9:
-            return np.asarray(small_lift(y), dtype=float)
-        return continue_to(y)
+    def one_small(y: np.ndarray) -> np.ndarray:
+        return np.asarray(small_lift(y[None]), dtype=float)[0]
 
-    for p in small.sample_points(per_axis=4):
-        if float(np.abs(extension(p) - np.asarray(small_lift(p))).max()) > LIFT_TOL:
-            raise EquivarianceViolation(
-                "extension does not restrict to the given lift")
+    def extension(pts: np.ndarray) -> np.ndarray:
+        # each row continues along its own path, so the rows go one by one
+        return np.array([one_small(y) if model.distance(big.center, y)
+                         <= small.radius * 0.9 else continue_to(y)
+                         for y in np.asarray(pts, dtype=float)])
+
+    pts = small.sample_points(per_axis=4)
+    if float(np.abs(extension(pts) - np.asarray(small_lift(pts))).max()) > LIFT_TOL:
+        raise EquivarianceViolation("extension does not restrict to the given lift")
     theta = derive_theta(big, extension, tgt_grp, per_axis=4, tol=COMPOSE_TOL)
     return ChartLift(big, extension, theta)
 
@@ -431,8 +451,13 @@ class MapDistanceReport:
 
 def _lift_jet(model, func, pts: np.ndarray, s: int,
               step: float) -> list[np.ndarray]:
-    """Values and directional FD derivatives up to order s along a frame."""
-    vals = np.stack([np.asarray(func(p), dtype=float) for p in pts])
+    """Values and directional FD derivatives up to order s along a frame.
+
+    One call of func per order: the values, (k, m); every +-step point,
+    (k, dim, m) differences; and the order-2 stencil, (k, dim (dim + 1) / 2, m)
+    with the pairs i <= j in row-major order.
+    """
+    vals = np.asarray(func(pts), dtype=float)
     jets = [vals]
     if s == 0:
         return jets
@@ -445,32 +470,34 @@ def _lift_jet(model, func, pts: np.ndarray, s: int,
         frame = model.tangent_basis(p)
         return model.geo_exp(p, t * frame[i])
 
+    def at(stencil: list) -> np.ndarray:
+        """func on (k, points per row, n) stencil rows, shaped alike."""
+        arr = np.asarray(stencil, dtype=float)
+        out = np.asarray(func(arr.reshape(-1, arr.shape[-1])), dtype=float)
+        return out.reshape(*arr.shape[:2], -1)
+
     dim = model.dimension
-    first = np.stack([
-        np.stack([(np.asarray(func(shift(p, i, step)), dtype=float)
-                   - np.asarray(func(shift(p, i, -step)), dtype=float))
-                  / (2 * step) for i in range(dim)])
-        for p in pts])
-    jets.append(first)
+    # per point and axis: the +step and the -step point
+    pm = at([[shift(p, i, t) for i in range(dim) for t in (step, -step)]
+             for p in pts]).reshape(len(pts), dim, 2, -1)
+    jets.append((pm[:, :, 0] - pm[:, :, 1]) / (2 * step))
     if s >= 2:
-        second = []
-        for p in pts:
-            f0 = np.asarray(func(p), dtype=float)
-            rows = []
-            for i in range(dim):
-                for j in range(i, dim):
-                    if i == j:
-                        fp = np.asarray(func(shift(p, i, step)), dtype=float)
-                        fm = np.asarray(func(shift(p, i, -step)), dtype=float)
-                        rows.append((fp - 2 * f0 + fm) / step ** 2)
-                    else:
-                        fpp = np.asarray(func(shift(shift(p, i, step), j, step)))
-                        fpm = np.asarray(func(shift(shift(p, i, step), j, -step)))
-                        fmp = np.asarray(func(shift(shift(p, i, -step), j, step)))
-                        fmm = np.asarray(func(shift(shift(p, i, -step), j, -step)))
-                        rows.append((fpp - fpm - fmp + fmm) / (4 * step ** 2))
-            second.append(np.stack(rows))
-        jets.append(np.stack(second))
+        mixed = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        if mixed:
+            corners = at([[shift(shift(p, i, a), j, b) for i, j in mixed
+                           for a, b in ((step, step), (step, -step),
+                                        (-step, step), (-step, -step))]
+                          for p in pts]).reshape(len(pts), len(mixed), 4, -1)
+        rows = []
+        for i in range(dim):
+            for j in range(i, dim):
+                if i == j:
+                    rows.append((pm[:, i, 0] - 2 * vals + pm[:, i, 1]) / step ** 2)
+                else:
+                    c = corners[:, mixed.index((i, j))]
+                    rows.append((c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3])
+                                / (4 * step ** 2))
+        jets.append(np.stack(rows, axis=1))
     return jets
 
 
@@ -624,7 +651,7 @@ class IdentityLiftGroup:
         for ch in self.atlas:
             entry = f.lift_at(ch)
             pts = ch.sample_points(per_axis=4)
-            vals = np.stack([np.asarray(entry.func(p), dtype=float) for p in pts])
+            vals = np.asarray(entry.func(pts), dtype=float)
             found = None
             for loc in range(ch.isotropy.order):
                 m = ch.isotropy.matrix(loc)
@@ -814,7 +841,7 @@ def equivariant_polynomial_approx(entry: ChartLift, degree: int,
         raise ChartMismatch("polynomial lifts are fit on flat charts")
     pts = chart.sample_points(per_axis=per_axis)
     local = pts - chart.center
-    vals = np.stack([np.asarray(entry.func(p), dtype=float) for p in pts])
+    vals = np.asarray(entry.func(pts), dtype=float)
     exps = monomial_exponents(chart.orbifold.dimension, degree)
     vander = np.stack([np.prod(local ** np.asarray(e), axis=1) for e in exps],
                       axis=1)

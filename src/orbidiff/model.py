@@ -21,7 +21,8 @@ from .groups import (EPS_GRP, FiniteActionGroup, _snap, _snap_key,
                      canonical_orbit_representative, canonical_representatives,
                      fixing_mask, football_rotation_group, generate_group,
                      group_from_elements, orbit, reflection_2d, rotation_2d,
-                     sign_flip_group, stabilizer, translates, trivial_group)
+                     row_apply, row_dot, sign_flip_group, stabilizer, translates,
+                     trivial_group)
 
 FLAT = "flat"
 SPHERE = "sphere"
@@ -64,23 +65,29 @@ class ModelSpace:
         return abs(float(np.linalg.norm(p)) - 1.0) < 1e-12 + slack
 
     def project(self, point: np.ndarray) -> np.ndarray:
+        """Nearest model point of each (..., n) row on the sphere; rows as
+        given on a flat model."""
         p = np.asarray(point, dtype=float)
         if self.kind == SPHERE:
-            return p / np.linalg.norm(p)
+            return p / np.sqrt(row_dot(p, p))[..., None]
         return p
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
+        return float(self.row_distances(a, b))
+
+    def row_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(..., n), (..., n) -> (...): distance from each row of a to the
+        same row of b."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind == FLAT:
-            return float(np.linalg.norm(a - b))
+            return np.sqrt(row_dot(a - b, a - b))
         # chord-based great-circle distance: full precision at both ends,
         # unlike arccos of the dot product which loses ~1e-8 near zero
-        if float(np.dot(a, b)) >= 0.0:
-            half = np.clip(np.linalg.norm(a - b) / 2.0, 0.0, 1.0)
-            return float(2.0 * np.arcsin(half))
-        half = np.clip(np.linalg.norm(a + b) / 2.0, 0.0, 1.0)
-        return float(np.pi - 2.0 * np.arcsin(half))
+        near = row_dot(a, b) >= 0.0
+        chord = np.where(near[..., None], a - b, a + b)
+        angle = 2.0 * np.arcsin(np.clip(np.sqrt(row_dot(chord, chord)) / 2.0, 0.0, 1.0))
+        return np.where(near, angle, np.pi - angle)
 
     def distances(self, pts: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Distances from each row of pts to q."""
@@ -91,7 +98,9 @@ class ModelSpace:
                                        0.0, 1.0))
         far = np.pi - 2.0 * np.arcsin(np.clip(np.linalg.norm(pts + q, axis=1) / 2.0,
                                               0.0, 1.0))
-        return np.where(pts @ q >= 0.0, near, far)
+        # row_dot, unlike the matrix-vector product pts @ q, gives each row
+        # the sign ModelSpace.distance takes, whatever rows share the call
+        return np.where(row_dot(pts, q) >= 0.0, near, far)
 
     def verification_domain(self, pts: np.ndarray) -> np.ndarray:
         """Rows of pts on the whole sphere, or in the closed 0.75R sub-ball."""
@@ -104,33 +113,34 @@ class ModelSpace:
     # -- geodesics (round metric on the sphere, Euclidean on the ball) ------
 
     def geo_exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Geodesic exponential; exp(x, 0) == x exactly."""
+        """Geodesic exponential of (..., n) rows; exp(x, 0) == x exactly."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if self.kind == FLAT:
             return x + v
-        speed = float(np.linalg.norm(v))
-        if speed == 0.0:
-            return x.copy()
-        return np.cos(speed) * x + np.sin(speed) * v / speed
+        speed = np.sqrt(row_dot(v, v))[..., None]
+        still = speed == 0.0
+        speed = np.where(still, 1.0, speed)
+        return np.where(still, x, np.cos(speed) * x + np.sin(speed) * v / speed)
 
     def geo_log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Inverse of geo_exp(x, .); smallest representative on the sphere."""
+        """Inverse of geo_exp(x, .) on (..., n) rows; smallest representative
+        on the sphere."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.kind == FLAT:
             return y - x
-        if np.array_equal(x, y):
-            return np.zeros_like(x)
-        dot = float(np.clip(np.dot(x, y), -1.0, 1.0))
+        dot = np.clip(row_dot(x, y), -1.0, 1.0)[..., None]
         perp = y - dot * x
-        norm = float(np.linalg.norm(perp))
-        if dot <= -1.0 + 1e-12 and norm < 1e-9:
+        norm = np.sqrt(row_dot(perp, perp))[..., None]
+        if np.any((dot <= -1.0 + 1e-12) & (norm < 1e-9)):
             raise ValueError("log undefined at antipodal points")
-        if norm < 1e-9:
-            return perp  # series tail; relative error O(theta^2)
+        # below 1e-9 perp is the series tail, relative error O(theta^2);
         # atan2 keeps full precision at both ends, unlike arccos near 0
-        return float(np.arctan2(norm, dot)) * perp / norm
+        tiny = norm < 1e-9
+        norm = np.where(tiny, 1.0, norm)
+        out = np.where(tiny, perp, np.arctan2(norm, dot) * perp / norm)
+        return np.where(np.all(x == y, axis=-1, keepdims=True), 0.0, out)
 
     def tangent_basis(self, x: np.ndarray) -> np.ndarray:
         """Orthonormal rows spanning the tangent space at x."""
@@ -189,8 +199,7 @@ class ModelSpace:
         cube = cube[np.linalg.norm(cube, axis=1) <= 1.0 + 1e-12] * radius * shrink
         if self.kind == FLAT:
             return center + cube
-        frame = self.tangent_basis(center)
-        return np.stack([self.geo_exp(center, c @ frame) for c in cube])
+        return self.geo_exp(center, row_apply(self.tangent_basis(center).T, cube))
 
 
 class GoodOrbifold:
@@ -300,10 +309,9 @@ class GoodOrbifold:
                     cands += [basis[0], -basis[0]]
                 else:
                     axis = np.linspace(-1, 1, max(resolution, 3))
-                    for coeffs in itertools.product(axis, repeat=k):
-                        c = np.asarray(coeffs)
-                        if np.linalg.norm(c) > 1e-9:
-                            cands.append(self.model.project(c @ basis))
+                    coeffs = np.array(list(itertools.product(axis, repeat=k)))
+                    coeffs = coeffs[np.sqrt(row_dot(coeffs, coeffs)) > 1e-9]
+                    cands.extend(self.model.project(row_apply(basis.T, coeffs)))
         pts = np.reshape(cands, (-1, self.model.ambient_dim))
         reps = canonical_representatives(
             self.group, pts[fixing_mask(self.group, pts).sum(axis=1) > 1])
@@ -384,13 +392,7 @@ def _pair_distances(model: ModelSpace, pts: np.ndarray, q: np.ndarray) -> np.nda
     for every i and j, with the same arithmetic entry by entry."""
     if model.kind == FLAT:
         return _chord_lengths(pts, q, 1.0)
-    dots = pts @ q.T
-    # the last bits of a BLAS dot product depend on the shape of the call, so
-    # near-orthogonal pairs take their sign from the (order, n) @ (n,) product
-    # that ModelSpace.distances forms
-    for i, g, j in zip(*np.nonzero(np.abs(dots) < 1e-12)):
-        dots[i, g, j] = (pts[i] @ q[j])[g]
-    sign = np.where(dots >= 0.0, 1.0, -1.0)
+    sign = np.where(row_dot(pts[..., None, :], q) >= 0.0, 1.0, -1.0)
     angle = 2.0 * np.arcsin(np.clip(_chord_lengths(pts, q, sign) / 2.0, 0.0, 1.0))
     return np.where(sign > 0.0, angle, np.pi - angle)
 
@@ -694,15 +696,15 @@ def graph_suborbifold(map_data, tolerance: float = 1e-8,
                 for a in range(chart.isotropy.order)]
         twisted = group_from_elements(mats)
         base = chart.sample_points(per_axis=per_axis)
-        graph_pts = np.hstack([base, np.stack([np.asarray(func(y)) for y in base])])
+        vals = np.asarray(func(base), dtype=float)
+        graph_pts = np.hstack([base, vals])
+        trans = translates(chart.isotropy, base)
+        moved = np.asarray(func(trans.reshape(-1, trans.shape[2])),
+                           dtype=float).reshape(*trans.shape[:2], -1)
         res = 0.0
         for a in range(chart.isotropy.order):
-            g = chart.isotropy.matrix(a)
-            tg = theta.matrix(a)
-            for y in base:
-                lhs = tg @ np.asarray(func(y))
-                rhs = np.asarray(func(g @ y))
-                res = max(res, float(np.abs(lhs - rhs).max()))
+            lhs = row_apply(theta.matrix(a), vals)
+            res = max(res, float(np.abs(lhs - moved[:, a]).max(initial=0.0)))
         if res > tolerance:
             raise EquivarianceViolation(
                 f"graph of chart at {np.round(chart.center, 4)} is not invariant: "

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (ChartMismatch, CoverGap, NotCloseToIdentity, NotSPD,
                      OutOfDomain, ThetaNotIdentity)
 from . import groups
-from .groups import (EPS_GRP, GroupHom, canonical_representatives, stabilizer,
-                     translates)
+from .groups import (EPS_GRP, GroupHom, canonical_representatives, row_apply,
+                     row_dot, stabilizer, translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
                    cs_distance, derive_theta, identity_map)
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
@@ -250,29 +250,37 @@ class ExpMap:
         return np.inf
 
     def lift_exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(k, n) base points and (k, n) vectors -> (k, n) endpoints."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
+        if self.mode == "ode":
+            return np.array([self._ode_exp(a, b) for a, b in zip(x, v)]
+                            ).reshape(x.shape)
+        speed = np.sqrt(row_dot(v, v))
+        moving = speed != 0.0
+        if self.mode == "closed-form-flat":
+            return np.where(moving[:, None], x + v, x)
+        past = np.flatnonzero(moving & (speed >= np.pi))
+        if past.size:
+            raise OutOfDomain(f"|v| = {speed[past[0]]:.4f} is at or past the cut locus")
+        v = v - row_dot(v, x)[:, None] * x
+        return np.where(moving[:, None], self.orbifold.model.geo_exp(x, v), x)
+
+    def _ode_exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """RK4 geodesic from one point; the metric is evaluated per point."""
         speed = float(np.linalg.norm(v))
         if speed == 0.0:
             return x.copy()
-        if self.mode == "closed-form-flat":
-            return x + v
-        if self.mode == "closed-form-sphere":
-            if speed >= np.pi:
-                raise OutOfDomain(f"|v| = {speed:.4f} is at or past the cut locus")
-            v = v - np.dot(v, x) * x
-            return self.orbifold.model.geo_exp(x, v)
         h = self.chart.radius * self.step_fraction
         steps = max(int(np.ceil(speed / h)), 1)
         dt = 1.0 / steps
-        pos, vel = x.copy(), v.copy()
 
         def acc(state):
             p, u = state
             gamma = _christoffel(self.metric, p)
             return np.array([u, -np.einsum("kij,i,j->k", gamma, u, u)])
 
-        state = np.array([pos, vel])
+        state = np.array([x, v])
         for _ in range(steps):
             k1 = acc(state)
             k2 = acc(state + 0.5 * dt * k1)
@@ -285,15 +293,19 @@ class ExpMap:
         return out
 
     def lift_log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(k, n) base points and (k, n) targets -> (k, n) vectors."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if self.mode == "closed-form-flat":
             return y - x
         if self.mode == "closed-form-sphere":
             return self.orbifold.model.geo_log(x, y)
+        return np.array([self._ode_log(a, b) for a, b in zip(x, y)]).reshape(x.shape)
+
+    def _ode_log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         v = y - x
         for _ in range(200):
-            residual = y - self.lift_exp(x, v)
+            residual = y - self._ode_exp(x, v)
             if float(np.abs(residual).max()) < 1e-12:
                 return v
             v = v + 0.8 * residual
@@ -302,7 +314,7 @@ class ExpMap:
     def exp(self, p: QuotientPoint, v: np.ndarray | TangentVectorAt
             ) -> QuotientPoint:
         vec = v.vector if isinstance(v, TangentVectorAt) else np.asarray(v, float)
-        out = self.lift_exp(p.representative, vec)
+        out = self.lift_exp(p.representative[None], vec[None])[0]
         if not self.orbifold.model.contains(out):
             raise OutOfDomain("exponential image leaves the model")
         return self.orbifold.point(out)
@@ -312,7 +324,8 @@ class ExpMap:
         grp = self.orbifold.group
         reps = grp.matrices @ q.canonical
         dists = self.orbifold.model.distances(reps, p.representative)
-        vec = self.lift_log(p.representative, reps[int(np.argmin(dists))])
+        vec = self.lift_log(p.representative[None],
+                            reps[int(np.argmin(dists))][None])[0]
         return tangent_vector(self.orbifold, p, vec)
 
 
@@ -409,8 +422,8 @@ def _canonicals(points: Sequence[QuotientPoint]) -> np.ndarray:
 def _canonicalize(orbifold: GoodOrbifold, pts: np.ndarray) -> np.ndarray:
     """The canonical members ``orbifold.point`` gives model points, in one batch."""
     model = orbifold.model
-    return canonical_representatives(orbifold.group, np.array(
-        [model.project(y) for y in pts]).reshape(-1, model.ambient_dim))
+    return canonical_representatives(orbifold.group, model.project(
+        np.asarray(pts, dtype=float).reshape(-1, model.ambient_dim)))
 
 
 def _cover_gap(orbifold: GoodOrbifold, targets: np.ndarray,
@@ -425,7 +438,8 @@ def exp_stratum_check(exp_map: ExpMap, p: QuotientPoint, v: np.ndarray,
     """exp(p, t v) stays in the stratum of p for admissible v."""
     base_sig = signature_at(exp_map.orbifold, p.representative)
     for t in t_grid:
-        out = exp_map.lift_exp(p.representative, t * np.asarray(v, dtype=float))
+        out = exp_map.lift_exp(p.representative[None],
+                               (t * np.asarray(v, dtype=float))[None])[0]
         if signature_at(exp_map.orbifold, out) != base_sig:
             return False
     return True
@@ -447,8 +461,8 @@ def E_apply(sigma: Orbisection, exp_map: ExpMap,
             f"section sup norm {seminorm(sigma, 0):.4f} reaches the exp "
             f"domain bound {bound:.4f}")
 
-    def func(y: np.ndarray) -> np.ndarray:
-        return exp_map.lift_exp(y, sigma.field(y))
+    def func(pts: np.ndarray) -> np.ndarray:
+        return exp_map.lift_exp(pts, sigma.field(pts))
 
     lifts = [ChartLift(ch, func, GroupHom.inclusion(ch.isotropy, orbifold.group))
              for ch in sigma.atlas]
@@ -461,19 +475,26 @@ def E_apply(sigma: Orbisection, exp_map: ExpMap,
 
 def make_inverse_lift(func: Callable, orbifold: GoodOrbifold,
                       tol: float = 1e-12, iters: int = 200) -> Callable:
-    """Pointwise inverse of a near-identity global lift, by damped iteration."""
+    """Inverse of a near-identity global lift on (k, n) rows, by damped
+    iteration.  A converged row is frozen, so each row takes the steps it
+    would take alone."""
     model = orbifold.model
 
-    def inverse(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        w = y.copy()
+    def inverse(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        w = pts.copy()
+        active = np.arange(len(pts))
         for _ in range(iters):
-            r = y - np.asarray(func(w), dtype=float)
-            if float(np.abs(r).max()) < tol:
+            if not active.size:
                 return w
-            w = model.project(w + r)
-        raise NotCloseToIdentity("inverse iteration failed; map too far from "
-                                 "the identity")
+            r = pts[active] - np.asarray(func(w[active]), dtype=float)
+            moving = ~(np.abs(r).max(axis=1) < tol)
+            active = active[moving]
+            w[active] = model.project(w[active] + r[moving])
+        if active.size:
+            raise NotCloseToIdentity("inverse iteration failed; map too far "
+                                     "from the identity")
+        return w
 
     return inverse
 
@@ -499,15 +520,16 @@ def E_inverse(f: OrbifoldMapData, exp_map: ExpMap,
             else 0.5 * orbifold.model.radius
     worst = 0.0
     for entry in f.lifts:
-        for y in entry.chart.sample_points(per_axis=4):
-            worst = max(worst, orbifold.model.distance(y, np.asarray(entry.func(y))))
+        pts = entry.chart.sample_points(per_axis=4)
+        worst = max(worst, float(orbifold.model.row_distances(
+            pts, np.asarray(entry.func(pts), dtype=float)).max()))
     if worst >= eps_inj:
         raise NotCloseToIdentity(
             f"lift displacement {worst:.4f} reaches the injectivity scale "
             f"{eps_inj:.4f}")
 
-    def field(y: np.ndarray) -> np.ndarray:
-        return exp_map.lift_log(y, np.asarray(f.global_lift(y), dtype=float))
+    def field(pts: np.ndarray) -> np.ndarray:
+        return exp_map.lift_log(pts, np.asarray(f.global_lift(pts), dtype=float))
 
     return Orbisection(orbifold, f.atlas, field, name=name or f"log[{f.name}]")
 
@@ -519,9 +541,9 @@ def transition_map(f: OrbifoldMapData, g: OrbifoldMapData, sigma: Orbisection,
         raise ChartMismatch("transition maps need global lifts and an inverse")
     e_sigma = E_apply(sigma, exp_map)
 
-    def func(y: np.ndarray) -> np.ndarray:
+    def func(pts: np.ndarray) -> np.ndarray:
         return np.asarray(
-            g.inverse_lift(f.global_lift(e_sigma.global_lift(y))), dtype=float)
+            g.inverse_lift(f.global_lift(e_sigma.global_lift(pts))), dtype=float)
 
     lifts = [ChartLift(ch, func,
                        derive_theta(ch, func, sigma.orbifold.group, per_axis=3))
@@ -570,7 +592,7 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
     """
     orbifold = f.source
     apply_f = underlying_override or \
-        (lambda q: f.target.point(f.global_lift(q.representative))
+        (lambda q: f.target.point(f.global_lift(q.representative[None])[0])
          if f.global_lift is not None else f.underlying(q))
 
     sources: list[QuotientPoint] = []
@@ -687,7 +709,7 @@ def conjugate_identity_lift(id_group: IdentityLiftGroup,
     grp = orbifold.group
     out = []
     for j, chart in enumerate(id_group.atlas):
-        z = np.asarray(g.inverse_lift(chart.center), dtype=float)
+        z = np.asarray(g.inverse_lift(chart.center[None]), dtype=float)[0]
         source = None
         for k, ck in enumerate(id_group.atlas):
             for lab in range(grp.order):
@@ -702,12 +724,9 @@ def conjugate_identity_lift(id_group: IdentityLiftGroup,
         gk_global = id_group.atlas[k].isotropy.parent_labels[assignment[k]]
         germ = grp.matrix(grp.conjugate(grp.inverse(lab), gk_global))
 
-        def conj(y: np.ndarray) -> np.ndarray:
-            return np.asarray(
-                g.global_lift(germ @ np.asarray(g.inverse_lift(y), dtype=float)))
-
         pts = chart.sample_points(per_axis=4)
-        vals = np.stack([conj(y) for y in pts])
+        vals = np.asarray(g.global_lift(row_apply(germ, g.inverse_lift(pts))),
+                          dtype=float)
         match = None
         for loc in range(chart.isotropy.order):
             m = chart.isotropy.matrix(loc)

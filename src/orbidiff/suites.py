@@ -21,7 +21,7 @@ from .config import SuiteConfig
 from .errors import CoverGap, OrbidiffError
 from . import __version__
 from .groups import (NonlinearActionSample, center, fixed_subspace,
-                     inner_automorphisms, linearize_action, orbit,
+                     inner_automorphisms, linearize_action, orbit, row_apply,
                      sign_flip_group, stabilizer)
 from .maps import (OrbifoldMapData, VectorPolynomial, average_polynomial,
                    check_equivariance, count_theta_choices, cs_distance,
@@ -353,11 +353,9 @@ def _suite_maps(ctx: _Context, records):
         loc = 1 % big.isotropy.order
         gmat = big.isotropy.matrix(loc)
         ext = extend_lift(lambda q: q, small,
-                          lambda y, m=gmat: m @ np.asarray(y, dtype=float),
-                          big, orbifold)
+                          lambda pts, m=gmat: row_apply(m, pts), big, orbifold)
         pts = big.sample_points(per_axis=4)
-        res = max(float(np.abs(np.asarray(ext.func(p)) - gmat @ p).max())
-                  for p in pts)
+        res = float(np.abs(ext.func(pts) - row_apply(gmat, pts)).max())
         _record(records, "maps", "lift_extension",
                 "the unique radial continuation of an identity-lift germ is "
                 "the same deck element on the whole chart", res,
@@ -370,13 +368,13 @@ def _suite_tangent(ctx: _Context, records):
     dim = orbifold.model.ambient_dim
     coeff = rng.normal(size=(dim, dim))
 
-    def raw(y):
-        return coeff @ np.asarray(y, dtype=float) + coeff[:, 0]
+    def raw(pts):
+        return row_apply(coeff, pts) + coeff[:, 0]
 
     once = project_equivariant(orbifold.group, raw, model=orbifold.model)
     twice = project_equivariant(orbifold.group, once, model=orbifold.model)
     pts = np.concatenate([ch.sample_points(per_axis=3) for ch in ctx.atlas])
-    idem = max(float(np.abs(once(p) - twice(p)).max()) for p in pts)
+    idem = float(np.abs(once(pts) - twice(pts)).max())
     _record(records, "tangent", "projection_idempotent",
             "equivariant averaging of vector fields is idempotent", idem,
             ctx.tol("idempotence"))
@@ -700,8 +698,7 @@ def dump_fields(config: SuiteConfig, which: str, grid: int | None = None,
         sigma = section if section is not None else \
             random_orbisection(orbifold, atlas, rng, 0.05, "dump")
         writer.writerow(coords + [f"s_{c}" for c in coords])
-        for y in pts:
-            v = sigma.value(y)
+        for y, v in zip(pts, sigma.values(pts)):
             writer.writerow([f"{c:.12g}" for c in y] + [f"{c:.12g}" for c in v])
     else:
         chart = max(atlas, key=lambda c: c.isotropy.order)

@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotDifferentiable
-from .groups import EPS_GRP, FiniteActionGroup, fixed_subspace, stabilizer
+from .groups import (EPS_GRP, FiniteActionGroup, fixed_subspace, row_apply,
+                     row_dot, stabilizer, translates)
 from .maps import _lift_jet
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
                     _snap_key)
@@ -93,29 +94,29 @@ def project_equivariant(group: FiniteActionGroup, field: Callable,
 
     s_bar(y) = (1/|G|) sum_g g^-1 s(g y); idempotent on equivariant input.
     With a sphere model the input is first projected to the tangent plane,
-    which the averaging preserves.
+    which the averaging preserves.  Both fields map (k, n) rows to (k, n)
+    rows; the raw field gets the k |G| translates in one call.
     """
-    def tangentialize(y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def averaged(pts: np.ndarray) -> np.ndarray:
+        trans = translates(group, pts)
+        k, order, n = trans.shape
+        vals = np.asarray(field(trans.reshape(-1, n)), dtype=float).reshape(k, order, n)
         if model is not None and model.kind == SPHERE:
-            return v - np.dot(v, y) * y
-        return v
-
-    def averaged(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        acc = None
-        for lab in range(group.order):
-            g = group.matrix(lab)
-            gy = g @ y
-            val = tangentialize(gy, np.asarray(field(gy), dtype=float))
-            term = g.T @ val
-            acc = term if acc is None else acc + term
-        return acc / group.order
+            vals = vals - row_dot(vals, trans)[..., None] * trans
+        terms = row_apply(np.swapaxes(group.matrices, 1, 2), vals)
+        acc = terms[:, 0]
+        for lab in range(1, order):
+            acc = acc + terms[:, lab]
+        return acc / order
 
     return averaged
 
 
 class Orbisection:
-    """Section of the tangent orbibundle over a good orbifold."""
+    """Section of the tangent orbibundle over a good orbifold.
+
+    ``field`` maps (k, n) model points to their (k, n) values.
+    """
 
     def __init__(self, orbifold: GoodOrbifold, atlas: Sequence[DerivedChart],
                  field: Callable[[np.ndarray], np.ndarray], name: str = ""):
@@ -126,7 +127,10 @@ class Orbisection:
         self._grid_cache: dict[tuple, np.ndarray] = {}
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        return np.asarray(self.field(np.asarray(y, dtype=float)), dtype=float)
+        return self.values(np.asarray(y, dtype=float)[None])[0]
+
+    def values(self, pts: np.ndarray) -> np.ndarray:
+        return np.asarray(self.field(np.asarray(pts, dtype=float)), dtype=float)
 
     def at(self, p: QuotientPoint) -> TangentVectorAt:
         return tangent_vector(self.orbifold, p, self.value(p.representative))
@@ -136,8 +140,7 @@ class Orbisection:
         key = (_snap_key(chart.center), chart.radius, per_axis)
         if key not in self._grid_cache:
             pts = chart.sample_points(per_axis=per_axis)
-            vals = np.stack([self.value(p) for p in pts])
-            self._grid_cache[key] = (pts, vals)
+            self._grid_cache[key] = (pts, self.values(pts))
         return self._grid_cache[key]
 
     def equivariance_residual(self, per_axis: int = 5) -> float:
@@ -146,10 +149,11 @@ class Orbisection:
         worst = 0.0
         for chart in self.atlas:
             pts, vals = self.chart_values(chart, per_axis)
+            trans = translates(grp, pts)
+            moved = self.values(trans.reshape(-1, trans.shape[2])).reshape(trans.shape)
             for lab in range(grp.order):
                 g = grp.matrix(lab)
-                moved = np.stack([self.value(g @ p) for p in pts])
-                worst = max(worst, float(np.abs(moved - vals @ g.T).max()))
+                worst = max(worst, float(np.abs(moved[:, lab] - vals @ g.T).max()))
         return worst
 
     def center_fixed_residual(self) -> float:
@@ -178,7 +182,8 @@ class Orbisection:
 def zero_orbisection(orbifold: GoodOrbifold,
                      atlas: Sequence[DerivedChart]) -> Orbisection:
     dim = orbifold.model.ambient_dim
-    return Orbisection(orbifold, atlas, lambda y: np.zeros(dim), name="zero")
+    return Orbisection(orbifold, atlas, lambda pts: np.zeros((len(pts), dim)),
+                       name="zero")
 
 
 def linear_combination(sigma: Orbisection, tau: Orbisection,
@@ -188,14 +193,14 @@ def linear_combination(sigma: Orbisection, tau: Orbisection,
         raise ValueError("sections live on different orbifolds")
     return Orbisection(
         sigma.orbifold, sigma.atlas,
-        lambda y, f=sigma.field, g=tau.field, a=a, b=b:
-            a * np.asarray(f(y), dtype=float) + b * np.asarray(g(y), dtype=float),
+        lambda pts, f=sigma.field, g=tau.field, a=a, b=b:
+            a * np.asarray(f(pts), dtype=float) + b * np.asarray(g(pts), dtype=float),
         name=f"{a}*{sigma.name}+{b}*{tau.name}")
 
 
 def scale(sigma: Orbisection, t: float) -> Orbisection:
     return Orbisection(sigma.orbifold, sigma.atlas,
-                       lambda y, f=sigma.field: t * np.asarray(f(y), dtype=float),
+                       lambda pts, f=sigma.field: t * np.asarray(f(pts), dtype=float),
                        name=f"{t}*{sigma.name}")
 
 
@@ -227,10 +232,10 @@ def random_orbisection(orbifold: GoodOrbifold, atlas: Sequence[DerivedChart],
     dim = orbifold.model.ambient_dim
     coeff = rng.normal(size=(dim, 1 + dim + dim * dim))
 
-    def raw(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        feats = np.concatenate([[1.0], y, np.outer(y, y).ravel()])
-        return coeff @ feats
+    def raw(pts: np.ndarray) -> np.ndarray:
+        feats = np.hstack([np.ones((len(pts), 1)), pts,
+                           (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), -1)])
+        return row_apply(coeff, feats)
 
     field = project_equivariant(orbifold.group, raw, model=orbifold.model)
     section = Orbisection(orbifold, atlas, field, name=name or "random")

@@ -14,7 +14,7 @@ from orbidiff import riemann as R
 from orbidiff import tangent as T
 from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
 from orbidiff.groups import (cyclic_rotation_group, dihedral_group,
-                             rotation_about_z)
+                             rotation_about_z, row_apply)
 from orbidiff.suites import run_suite
 
 
@@ -177,10 +177,10 @@ def test_criterion_09_equivariant_averaging_battery():
     twice = P.average_polynomial(once, pairs)
     poly_idem = float(np.abs(once.coeffs - twice.coeffs).max())
 
-    field = lambda y: bump @ np.asarray(y, dtype=float) + bump[:, 0]
+    field = lambda pts: row_apply(bump, pts) + bump[:, 0]
     f_once = T.project_equivariant(disk.group, field)
     f_twice = T.project_equivariant(disk.group, f_once)
-    proj_idem = max(float(np.abs(f_once(p) - f_twice(p)).max())
+    proj_idem = max(float(np.abs(f_once(p[None])[0] - f_twice(p[None])[0]).max())
                     for p in chart.sample_points(per_axis=4))
 
     ok = (inv < 1e-10 and min_eig > 0 and sum_res < 1e-9
@@ -201,8 +201,9 @@ def test_criterion_10_corollary_membership():
     for k in range(5):
         angle = gen.uniform(0.2, 2.8)
         diffeos.append(P.map_from_global(
-            fb, fb, lambda y, a=angle: rotation_about_z(a) @ y, atlas,
-            inverse=lambda y, a=angle: rotation_about_z(-a) @ y))
+            fb, fb, lambda pts, a=angle: row_apply(rotation_about_z(a), pts),
+            atlas,
+            inverse=lambda pts, a=angle: row_apply(rotation_about_z(-a), pts)))
     for k in range(5):
         sigma = T.random_orbisection(fb, atlas, gen, 0.04)
         diffeos.append(R.E_apply(sigma, exp_map))

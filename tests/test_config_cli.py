@@ -144,7 +144,7 @@ angle = 0.4
         atlas = build_atlas(orbifold, resolution=cfg.atlas_resolution)
         sq = build_map(cfg.maps["sq"], orbifold, atlas)
         y = np.array([0.3, 0.4])
-        assert np.abs(np.asarray(sq.global_lift(y))
+        assert np.abs(np.asarray(sq.global_lift(y[None]))[0]
                       - np.array([0.3 * (0.09 + 0.16), 0.0])).max() < 1e-12
 
     def test_power_map_on_line(self):
@@ -152,7 +152,7 @@ angle = 0.4
         orbifold = cfg.build_orbifold()
         atlas = build_atlas(orbifold, resolution=15)
         sq = build_map(cfg.maps["sq"], orbifold, atlas)
-        assert float(np.asarray(sq.global_lift(np.array([0.5])))[0]) == 0.25
+        assert float(np.asarray(sq.global_lift(np.array([[0.5]])))[0, 0]) == 0.25
 
     def test_constant_map_rejects_bad_point(self):
         cfg = parse_config(

@@ -245,6 +245,49 @@ def test_near_orthogonal_pairs_match_reference(p):
                     for x in a])
 
 
+def reference_sphere_distances(pts, q):
+    """ModelSpace.distances on the sphere with each row's branch taken from
+    np.dot of that row, as ModelSpace.distance takes it."""
+    near = 2.0 * np.arcsin(np.clip(np.linalg.norm(pts - q, axis=1) / 2.0, 0.0, 1.0))
+    far = np.pi - 2.0 * np.arcsin(np.clip(np.linalg.norm(pts + q, axis=1) / 2.0,
+                                          0.0, 1.0))
+    return np.array([n if np.dot(p, q) >= 0.0 else f
+                     for p, n, f in zip(pts, near, far)])
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_distances_take_each_rows_branch_on_near_orthogonal_rows(p):
+    # the translates of these rows are orthogonal to the columns of b within
+    # rounding; a matrix-vector product gives some of them the other sign
+    orbifold = M.football(p)
+    t = np.linspace(-1.0, 1.0, 9)
+    a = model_points(orbifold, np.stack([np.zeros_like(t), np.ones_like(t), t],
+                                        axis=1))
+    pts = G.translates(orbifold.group, a).reshape(-1, 3)
+    turns = 2.0 * np.pi * np.arange(2 * p) / (2 * p)
+    for q in np.concatenate([np.stack([np.cos(turns), np.sin(turns),
+                                       np.zeros_like(turns)], axis=1), np.eye(3)]):
+        assert_bitwise(orbifold.model.distances(pts, q),
+                       reference_sphere_distances(pts, q))
+
+
+def test_distances_do_not_depend_on_the_rows_beside():
+    # 300 rows on the great circle orthogonal to q, whole and in three-row
+    # sub-calls
+    model = M.ModelSpace(M.SPHERE, 2)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        q = model.project(rng.normal(size=3))
+        e1 = model.project(np.cross(q, [0.3, 0.5, 0.8]))
+        e2 = np.cross(q, e1)
+        turns = rng.uniform(0.0, 2.0 * np.pi, 300)
+        pts = np.cos(turns)[:, None] * e1 + np.sin(turns)[:, None] * e2
+        whole = model.distances(pts, q)
+        assert_bitwise(whole, np.concatenate(
+            [model.distances(pts[i:i + 3], q) for i in range(0, 300, 3)]))
+        assert_bitwise(whole, reference_sphere_distances(pts, q))
+
+
 def test_quotient_distances_match_reference_from_eight_coordinates():
     # np.linalg.norm adds 8 or more squares pairwise
     orbifold = M.GoodOrbifold(M.ModelSpace(M.FLAT, 9, 2.0),

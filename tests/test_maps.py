@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from orbidiff import maps as P
 from orbidiff import model as M
 from orbidiff.errors import AtlasNotCovering, BranchAmbiguity
-from orbidiff.groups import GroupHom, generate_group, rotation_about_z
+from orbidiff.groups import GroupHom, generate_group, rotation_about_z, row_apply
 from orbidiff.model import DerivedChart, build_chart
 
 
@@ -43,7 +43,7 @@ class TestCheckEquivariance:
         grp = football3.group
         sing = next(c for c in football3_atlas if c.isotropy.order > 1)
         base_lift = P.ChartLift(
-            sing, lambda y: np.asarray(y, dtype=float),
+            sing, lambda pts: np.asarray(pts, dtype=float),
             GroupHom.inclusion(sing.isotropy, grp))
         base = P.OrbifoldMapData(football3, football3, [base_lift],
                                  validate=False)
@@ -53,7 +53,7 @@ class TestCheckEquivariance:
             table = tuple(grp.conjugate(d, base_lift.theta.table[a])
                           for a in range(sing.isotropy.order))
             moved = P.ChartLift(
-                sing, lambda y, m=mat: m @ np.asarray(y, dtype=float),
+                sing, lambda pts, m=mat: row_apply(m, pts),
                 GroupHom(sing.isotropy, grp, table))
             res = P.check_equivariance(
                 P.OrbifoldMapData(football3, football3, [moved],
@@ -63,7 +63,7 @@ class TestCheckEquivariance:
     def test_compatible_thetas_at_constant_lift(self, line_flip,
                                                 line_flip_atlas):
         sing = next(c for c in line_flip_atlas if c.isotropy.order > 1)
-        thetas = P.compatible_thetas(sing, lambda y: np.array([0.0]),
+        thetas = P.compatible_thetas(sing, lambda pts: np.zeros((len(pts), 1)),
                                      line_flip.group)
         # constant lift into the fixed point admits both homomorphisms
         assert len(thetas) == 2
@@ -152,10 +152,10 @@ class TestExtendLift:
                             radius=big.radius * 0.4)
         g = big.isotropy.matrix(1)
         ext = P.extend_lift(lambda q: q, small,
-                            lambda y: g @ np.asarray(y, dtype=float),
+                            lambda pts: row_apply(g, pts),
                             big, football3)
         for p in big.sample_points(per_axis=5):
-            assert np.abs(np.asarray(ext.func(p)) - g @ p).max() < 1e-9
+            assert np.abs(np.asarray(ext.func(p[None]))[0] - g @ p).max() < 1e-9
 
     def test_rotation_extension_matches_global(self, football3):
         rot = rotation_about_z(2 * np.pi / 3 * 0.5)
@@ -167,10 +167,10 @@ class TestExtendLift:
             return football3.point(rot @ q.representative)
 
         ext = P.extend_lift(underlying, small,
-                            lambda y: rot @ np.asarray(y, dtype=float),
+                            lambda pts: row_apply(rot, pts),
                             big, football3)
         for p in big.sample_points(per_axis=5):
-            assert np.abs(np.asarray(ext.func(p)) - rot @ p).max() < 1e-9
+            assert np.abs(np.asarray(ext.func(p[None]))[0] - rot @ p).max() < 1e-9
 
     def test_square_map_keeps_positive_branch(self, line_flip):
         big = build_chart(line_flip, line_flip.point([0.0]), radius=1.2)
@@ -183,7 +183,7 @@ class TestExtendLift:
                             lambda y: np.asarray(y, dtype=float) ** 2,
                             big, line_flip)
         for x in np.linspace(-1.1, 1.1, 23):
-            val = float(np.asarray(ext.func(np.array([x])))[0])
+            val = float(np.asarray(ext.func(np.array([[x]])))[0, 0])
             assert val == pytest.approx(x * x, abs=1e-9)
 
     def test_branch_ambiguity_near_collision(self):
@@ -201,15 +201,16 @@ class TestExtendLift:
             ext = P.extend_lift(underlying, small,
                                 lambda y: np.asarray(y, dtype=float) ** 2,
                                 big, wide)
-            ext.func(np.array([0.0002]))
+            ext.func(np.array([[0.0002]]))
 
 
 class TestCompose:
     def test_identity_after_map(self, football3, football3_atlas):
         rot = P.map_from_global(
             football3, football3,
-            lambda y: rotation_about_z(0.4) @ y, football3_atlas,
-            inverse=lambda y: rotation_about_z(-0.4) @ y, name="rot")
+            lambda pts: row_apply(rotation_about_z(0.4), pts), football3_atlas,
+            inverse=lambda pts: row_apply(rotation_about_z(-0.4), pts),
+            name="rot")
         idm = P.identity_map(football3, football3_atlas)
         comp = P.compose(rot, idm)
         assert P.cs_distance(comp, rot, s=0, per_axis=4).value < 1e-12
@@ -218,8 +219,9 @@ class TestCompose:
         def rot_map(angle):
             return P.map_from_global(
                 football3, football3,
-                lambda y, a=angle: rotation_about_z(a) @ y, football3_atlas,
-                inverse=lambda y, a=angle: rotation_about_z(-a) @ y)
+                lambda pts, a=angle: row_apply(rotation_about_z(a), pts),
+                football3_atlas,
+                inverse=lambda pts, a=angle: row_apply(rotation_about_z(-a), pts))
 
         comp = P.compose(rot_map(0.3), rot_map(0.5))
         assert P.cs_distance(comp, rot_map(0.8), s=0,
@@ -228,8 +230,9 @@ class TestCompose:
     def test_composite_equivariance_validated(self, football3,
                                               football3_atlas):
         rot = P.map_from_global(
-            football3, football3, lambda y: rotation_about_z(0.7) @ y,
-            football3_atlas, inverse=lambda y: rotation_about_z(-0.7) @ y)
+            football3, football3,
+            lambda pts: row_apply(rotation_about_z(0.7), pts), football3_atlas,
+            inverse=lambda pts: row_apply(rotation_about_z(-0.7), pts))
         comp = P.compose(rot, rot)
         assert P.check_equivariance(comp, per_axis=4).max_residual < 1e-8
 
@@ -247,7 +250,7 @@ class TestCsDistance:
         rmat = rotation_2d(angle)
         rot = P.map_from_global(
             disk_z4, disk_z4,
-            lambda y: rmat @ np.asarray(y, dtype=float), disk_z4_atlas)
+            lambda pts: row_apply(rmat, pts), disk_z4_atlas)
         idm = P.identity_map(disk_z4, disk_z4_atlas)
         report = P.cs_distance(idm, rot, s=0, per_axis=5)
         # oracle: per grid point the distance is min over the deck rotations

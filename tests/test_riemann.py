@@ -7,7 +7,7 @@ from orbidiff import riemann as R
 from orbidiff import tangent as T
 from orbidiff.errors import (CoverGap, NotCloseToIdentity, NotSPD,
                              OutOfDomain, ThetaNotIdentity)
-from orbidiff.groups import GroupHom, rotation_about_z
+from orbidiff.groups import GroupHom, rotation_about_z, row_apply
 
 
 class TestPartitionOfUnity:
@@ -165,8 +165,8 @@ class TestExpMap:
         ode = R.ExpMap.ode(manifold, chart, metric)
         x = np.array([0.05, 0.1])
         v = np.array([0.2, -0.1])
-        y = ode.lift_exp(x, v)
-        back = ode.lift_log(x, y)
+        y = ode.lift_exp(x[None], v[None])[0]
+        back = ode.lift_log(x[None], y[None])[0]
         assert np.abs(back - v).max() < 1e-9
 
     def test_ode_equivariance_on_quotient(self, disk_z4, disk_z4_atlas):
@@ -177,8 +177,8 @@ class TestExpMap:
         g = chart.isotropy.matrix(1)
         x = np.array([0.05, 0.02])
         v = np.array([0.06, -0.03])
-        a = ode.lift_exp(g @ x, g @ v)
-        b = g @ ode.lift_exp(x, v)
+        a = ode.lift_exp((g @ x)[None], (g @ v)[None])[0]
+        b = g @ ode.lift_exp(x[None], v[None])[0]
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -259,11 +259,12 @@ class TestChartMapE:
                                radius=0.999),)
         exp_map = R.ExpMap.closed_form(manifold)
         shift = np.array([0.05, -0.02])
-        sigma = T.Orbisection(manifold, atlas, lambda y: shift.copy())
+        sigma = T.Orbisection(manifold, atlas,
+                              lambda pts: np.tile(shift, (len(pts), 1)))
         f = R.E_apply(sigma, exp_map)
         for y in atlas[0].sample_points(per_axis=4):
-            assert np.abs(np.asarray(f.global_lift(y)) - (y + shift)).max() \
-                == 0.0
+            assert np.abs(np.asarray(f.global_lift(y[None]))[0]
+                          - (y + shift)).max() == 0.0
 
     def test_equivariance_of_twenty_random_sections(self, football3,
                                                     football3_atlas,
@@ -297,9 +298,10 @@ class TestChartMapE:
                                                            football3_exp):
         angle = 0.07
         rmat = rotation_about_z(angle)
-        rot = P.map_from_global(football3, football3, lambda y: rmat @ y,
+        rot = P.map_from_global(football3, football3,
+                                lambda pts: row_apply(rmat, pts),
                                 football3_atlas,
-                                inverse=lambda y: rmat.T @ y)
+                                inverse=lambda pts: row_apply(rmat.T, pts))
         sigma = R.E_inverse(rot, football3_exp)
         # closed-form great-circle log toward the rotated image
         worst = 0.0
@@ -322,11 +324,11 @@ class TestChartMapE:
         lifts = []
         for ch in football3_atlas:
             table = (0,) * ch.isotropy.order  # planted: trivial homomorphism
-            lifts.append(P.ChartLift(ch, lambda y: np.asarray(y, dtype=float),
+            lifts.append(P.ChartLift(ch, lambda pts: np.asarray(pts, dtype=float),
                                      GroupHom(ch.isotropy, football3.group,
                                               table)))
         planted = P.OrbifoldMapData(football3, football3, lifts,
-                                    global_lift=lambda y: np.asarray(y),
+                                    global_lift=lambda pts: np.asarray(pts),
                                     validate=False)
         with pytest.raises(ThetaNotIdentity):
             R.E_inverse(planted, football3_exp)
@@ -334,16 +336,18 @@ class TestChartMapE:
     def test_far_from_identity_rejected(self, football3, football3_atlas,
                                         football3_exp):
         rmat = rotation_about_z(2.5)  # identity homomorphism, huge displacement
-        far = P.map_from_global(football3, football3, lambda y: rmat @ y,
-                                football3_atlas, inverse=lambda y: rmat.T @ y)
+        far = P.map_from_global(football3, football3,
+                                lambda pts: row_apply(rmat, pts), football3_atlas,
+                                inverse=lambda pts: row_apply(rmat.T, pts))
         with pytest.raises(NotCloseToIdentity):
             R.E_inverse(far, football3_exp)
 
     def test_flip_has_nonidentity_theta(self, football3, football3_atlas,
                                         football3_exp):
         flip = np.diag([1.0, -1.0, -1.0])
-        far = P.map_from_global(football3, football3, lambda y: flip @ y,
-                                football3_atlas, inverse=lambda y: flip @ y)
+        far = P.map_from_global(football3, football3,
+                                lambda pts: row_apply(flip, pts), football3_atlas,
+                                inverse=lambda pts: row_apply(flip, pts))
         with pytest.raises(ThetaNotIdentity):
             R.E_inverse(far, football3_exp)
 
@@ -448,8 +452,9 @@ class TestTransitions:
         def rot(angle):
             m = rotation_about_z(angle)
             return P.map_from_global(football3, football3,
-                                     lambda y, m=m: m @ y, football3_atlas,
-                                     inverse=lambda y, m=m: m.T @ y)
+                                     lambda pts, m=m: row_apply(m, pts),
+                                     football3_atlas,
+                                     inverse=lambda pts, m=m: row_apply(m.T, pts))
 
         f, g = rot(alpha), rot(beta)
         gen = np.random.default_rng(21)
@@ -490,8 +495,9 @@ class TestCorollaryChecks:
         ids = P.enumerate_identity_lifts(football3, football3_atlas)
         gen = np.random.default_rng(10)
         rot = P.map_from_global(
-            football3, football3, lambda y: rotation_about_z(0.8) @ y,
-            football3_atlas, inverse=lambda y: rotation_about_z(-0.8) @ y)
+            football3, football3,
+            lambda pts: row_apply(rotation_about_z(0.8), pts), football3_atlas,
+            inverse=lambda pts: row_apply(rotation_about_z(-0.8), pts))
         esig = R.E_apply(T.random_orbisection(football3, football3_atlas,
                                               gen, 0.04), football3_exp)
         report = R.reduced_group_quotient_check(ids, [rot, esig])
@@ -501,8 +507,9 @@ class TestCorollaryChecks:
         ids = P.enumerate_identity_lifts(football3, football3_atlas)
         flip_mat = np.diag([1.0, -1.0, -1.0])
         flip = P.map_from_global(football3, football3,
-                                 lambda y: flip_mat @ y, football3_atlas,
-                                 inverse=lambda y: flip_mat @ y)
+                                 lambda pts: row_apply(flip_mat, pts),
+                                 football3_atlas,
+                                 inverse=lambda pts: row_apply(flip_mat, pts))
         poles = [k for k, c in enumerate(football3_atlas)
                  if c.isotropy.order > 1]
         a = list(ids.assignments[0])

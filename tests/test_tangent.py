@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from orbidiff import model as M
 from orbidiff import tangent as T
 from orbidiff.errors import NotDifferentiable
-from orbidiff.groups import fixed_subspace, stabilizer
+from orbidiff.groups import fixed_subspace, row_apply, row_dot, stabilizer
 
 
 class TestAdmissibleSpace:
@@ -48,54 +48,54 @@ class TestAdmissibleSpace:
 
 class TestProjectEquivariant:
     def test_already_equivariant_field_unchanged(self, disk_z4):
-        def field(y):
-            y = np.asarray(y, dtype=float)
-            return y * float(y @ y)
+        def field(pts):
+            pts = np.asarray(pts, dtype=float)
+            return pts * row_dot(pts, pts)[:, None]
 
         projected = T.project_equivariant(disk_z4.group, field)
         for y in np.random.default_rng(0).normal(size=(12, 2)) * 0.4:
-            assert np.abs(projected(y) - field(y)).max() < 1e-12
+            assert np.abs(projected(y[None])[0] - field(y[None])[0]).max() < 1e-12
 
     def test_constant_field_on_line_flip_projects_to_zero(self, line_flip):
         projected = T.project_equivariant(line_flip.group,
-                                          lambda y: np.array([5.0]))
+                                          lambda pts: np.full((len(pts), 1), 5.0))
         for x in np.linspace(-1.5, 1.5, 11):
-            assert abs(float(projected(np.array([x]))[0])) < 1e-15
+            assert abs(float(projected(np.array([[x]]))[0, 0])) < 1e-15
 
     def test_random_cubic_becomes_equivariant(self, disk_z4, rng):
         coeff = rng.normal(size=(2, 10))
 
-        def field(y):
-            y = np.asarray(y, dtype=float)
-            feats = np.array([1, y[0], y[1], y[0] ** 2, y[0] * y[1],
-                              y[1] ** 2, y[0] ** 3, y[0] ** 2 * y[1],
-                              y[0] * y[1] ** 2, y[1] ** 3])
-            return coeff @ feats
+        def field(pts):
+            y = np.asarray(pts, dtype=float).T
+            feats = np.array([np.ones_like(y[0]), y[0], y[1], y[0] ** 2,
+                              y[0] * y[1], y[1] ** 2, y[0] ** 3, y[0] ** 2 * y[1],
+                              y[0] * y[1] ** 2, y[1] ** 3]).T
+            return row_apply(coeff, feats)
 
         projected = T.project_equivariant(disk_z4.group, field)
         res = 0.0
         for y in rng.normal(size=(15, 2)) * 0.4:
             for lab in range(disk_z4.group.order):
                 g = disk_z4.group.matrix(lab)
-                res = max(res, float(np.abs(projected(g @ y)
-                                            - g @ projected(y)).max()))
+                res = max(res, float(np.abs(projected((g @ y)[None])[0]
+                                            - g @ projected(y[None])[0]).max()))
         assert res < 1e-12
 
     def test_idempotent(self, disk_z4, rng):
-        raw = lambda y: np.asarray([y[0] + 0.3, y[1] ** 2])
+        raw = lambda pts: np.stack([pts[:, 0] + 0.3, pts[:, 1] ** 2], axis=1)
         once = T.project_equivariant(disk_z4.group, raw)
         twice = T.project_equivariant(disk_z4.group, once)
         for y in rng.normal(size=(10, 2)) * 0.4:
-            assert np.abs(once(y) - twice(y)).max() < 1e-12
+            assert np.abs(once(y[None])[0] - twice(y[None])[0]).max() < 1e-12
 
     def test_sphere_projection_keeps_tangency(self, football3, rng):
-        raw = lambda y: rng.normal(size=3) * 0 + np.array([0.2, -0.1, 0.4])
+        raw = lambda pts: rng.normal(size=(len(pts), 3)) * 0 + np.array([0.2, -0.1, 0.4])
         projected = T.project_equivariant(football3.group, raw,
                                           model=football3.model)
         for _ in range(8):
             y = rng.normal(size=3)
             y = y / np.linalg.norm(y)
-            assert abs(float(projected(y) @ y)) < 1e-12
+            assert abs(float(projected(y[None])[0] @ y)) < 1e-12
 
 
 class TestOrbisectionAlgebra:
@@ -151,8 +151,8 @@ class TestSeminorm:
         atlas = (M.build_chart(manifold, manifold.point([0.0, 0.0]),
                                radius=0.999),)
         sigma = T.Orbisection(manifold, atlas,
-                              lambda y: np.array([0.0, 0.001])
-                              * np.sin(50 * y[0]))
+                              lambda pts: np.array([0.0, 0.001])
+                              * np.sin(50 * pts[:, :1]))
         assert T.seminorm(sigma, 0) < 2e-3
         assert T.seminorm(sigma, 1) > 2e-2
 
