@@ -47,15 +47,12 @@ def _snap_key(m: np.ndarray) -> tuple:
 
 def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 step: float = FD_STEP) -> np.ndarray:
-    """Jacobian of f at x by central differences."""
+    """Jacobian at x of a map of (k, n) rows, by central differences; the
+    2n stencil rows go through f in one call."""
     x = np.asarray(x, dtype=float)
-    fx = np.asarray(f(x), dtype=float)
-    jac = np.empty((fx.size, x.size))
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = step
-        jac[:, j] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step)
-    return jac
+    shift = step * np.eye(x.size)
+    vals = np.asarray(f(np.concatenate([x + shift, x - shift])), dtype=float)
+    return (vals[:x.size] - vals[x.size:]).T / (2.0 * step)
 
 
 @dataclass(frozen=True)
@@ -439,8 +436,8 @@ class NonlinearActionSample:
     """A smooth finite action on a chart ball, given per-label.
 
     ``group`` supplies the abstract structure (labels, Cayley table); ``maps``
-    are the nonlinear chart maps fixing the origin and ``linearizations`` their
-    Jacobians at 0.
+    are the nonlinear chart maps fixing the origin, each taking (k, n) rows
+    to (k, n) rows, and ``linearizations`` their Jacobians at 0.
     """
 
     group: FiniteActionGroup
@@ -454,7 +451,7 @@ class NonlinearActionSample:
             raise ValueError("maps and linearizations must cover every label")
         origin = np.zeros(self.group.dimension)
         for lab in range(self.group.order):
-            val = np.asarray(self.maps[lab](origin), dtype=float)
+            val = np.asarray(self.maps[lab](origin[None]), dtype=float)[0]
             if float(np.abs(val).max(initial=0.0)) > 1e-12:
                 raise ValueError(f"map for label {lab} does not fix the origin")
             jac = fd_jacobian(self.maps[lab], origin)
@@ -465,7 +462,7 @@ class NonlinearActionSample:
 
 @dataclass(frozen=True)
 class LinearizationResult:
-    """Averaged chart map together with its verification residuals."""
+    """Averaged chart map (on (k, n) rows) with its verification residuals."""
 
     chart_map: Callable[[np.ndarray], np.ndarray]
     conjugacy_residual: float
@@ -486,21 +483,21 @@ def linearize_action(action: NonlinearActionSample,
         raise SampleOutOfChart("sample points must lie inside the chart ball")
     group = action.group
 
-    def chart_map(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        acc = np.zeros_like(y)
+    def chart_map(pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        acc = np.zeros_like(pts)
         for lab in range(group.order):
             inv = group.inverse(lab)
-            acc = acc + action.linearizations[lab] @ np.asarray(action.maps[inv](y))
+            acc = acc + row_apply(action.linearizations[lab],
+                                  np.asarray(action.maps[inv](pts), dtype=float))
         return acc / group.order
 
+    base = chart_map(samples)
     conj = 0.0
     for lab in range(group.order):
-        lin = action.linearizations[lab]
-        for y in samples:
-            lhs = chart_map(np.asarray(action.maps[lab](y), dtype=float))
-            rhs = lin @ chart_map(y)
-            conj = max(conj, float(np.abs(lhs - rhs).max()))
+        lhs = chart_map(np.asarray(action.maps[lab](samples), dtype=float))
+        rhs = row_apply(action.linearizations[lab], base)
+        conj = max(conj, float(np.abs(lhs - rhs).max()))
     dres = float(np.abs(fd_jacobian(chart_map, np.zeros(group.dimension))
                         - np.eye(group.dimension)).max())
     return LinearizationResult(chart_map, conj, dres, len(samples))

@@ -7,6 +7,7 @@ strata, isotropy, and the quotient metric are all derived from that pair.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,6 +31,7 @@ SPHERE = "sphere"
 CHART_RADIUS_FACTOR = 0.4     # default chart radius as a fraction of separation
 FLAT_DOMAIN_FACTOR = 0.75     # closed sub-ball used for covering-style checks
 COVERAGE_RESOLUTION = 16      # canonical grid for atlas covering checks
+_EDGE_ROWS = 256              # moved points per neighbour query in strata
 
 
 @dataclass(frozen=True)
@@ -414,12 +416,12 @@ def _chord_lengths(pts: np.ndarray, q: np.ndarray, sign) -> np.ndarray:
     return np.sqrt(squares)
 
 
-def _first_by_key(pts: np.ndarray) -> tuple[list[int], list[tuple]]:
-    """Index of the first row with each snapped key, and those keys, in order."""
-    first: dict[tuple, int] = {}
-    for i, key in enumerate(map(tuple, _snap(pts).tolist())):
-        first.setdefault(key, i)
-    return list(first.values()), list(first)
+def _first_by_key(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first row with each snapped key, in order, and the
+    lexicographic rank of that row's key among the distinct keys."""
+    _, first = np.unique(_snap(pts), axis=0, return_index=True)
+    ranks = np.argsort(first)
+    return first[ranks], ranks
 
 
 def _covered(orbifold: GoodOrbifold, charts: Sequence[DerivedChart],
@@ -482,14 +484,14 @@ def build_atlas(orbifold: GoodOrbifold, resolution: int = 16,
     """
     model = orbifold.model
 
+    @functools.cache    # the default passes repeat COVERAGE_RESOLUTION
     def ordered_samples(res: int) -> np.ndarray:
         grid = model.verification_domain(model.grid(res))
         pts = np.concatenate([model.verification_domain(orbifold.singular_points(res)),
                               canonical_representatives(orbifold.group, grid)])
-        idx, keys = _first_by_key(pts)
+        idx, ranks = _first_by_key(pts)
         orders = fixing_mask(orbifold.group, pts[idx]).sum(axis=1)
-        ranked = sorted(range(len(idx)), key=lambda r: (-orders[r], keys[r]))
-        return pts[[idx[r] for r in ranked]]
+        return pts[idx[np.lexsort((ranks, -orders))]]
 
     charts: list[DerivedChart] = []
 
@@ -537,11 +539,8 @@ class Stratum:
 
 def signature_at(orbifold: GoodOrbifold, point: np.ndarray) -> tuple[int, ...]:
     """Sorted global labels of the stabilizer of a model point."""
-    return _signatures(orbifold.group, np.asarray(point, dtype=float)[None])[0]
-
-
-def _signatures(group: FiniteActionGroup, pts: np.ndarray) -> list[tuple[int, ...]]:
-    return [tuple(np.flatnonzero(row).tolist()) for row in fixing_mask(group, pts)]
+    mask = fixing_mask(orbifold.group, np.asarray(point, dtype=float)[None])[0]
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
@@ -549,55 +548,74 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
 
     Connectivity is grid adjacency at the sampling resolution, measured in
     the quotient (orbit-aware), so fundamental-domain seams do not split
-    strata.  The resolution is recorded on every stratum.
+    strata.  The resolution is recorded on every stratum.  Strata come by
+    decreasing isotropy order, then signature, then least sample key; the
+    samples of each come in key order.
     """
     model = orbifold.model
+    group = orbifold.group
     pts = np.concatenate([
-        canonical_representatives(orbifold.group, model.grid(resolution)),
+        canonical_representatives(group, model.grid(resolution)),
         orbifold.singular_points(resolution)])
-    idx, keys = _first_by_key(pts)
+    idx, ranks = _first_by_key(pts)
     points = pts[idx]
-    sigs = _signatures(orbifold.group, points)
-
-    n = len(points)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+    masks, codes = np.unique(fixing_mask(group, points), axis=0,
+                             return_inverse=True)
+    codes = codes.reshape(-1)
+    sigs = [tuple(np.flatnonzero(m).tolist()) for m in masks]
 
     spacing = model.grid_spacing(resolution)
     thresh = 1.6 * spacing
     if model.kind == SPHERE:
         thresh = 2.0 * np.sin(min(thresh, np.pi) / 2.0)  # chordal
     tree = cKDTree(points)
-    for lab in range(orbifold.group.order):
-        moved = points @ orbifold.group.matrix(lab).T
-        pairs = tree.query_ball_point(moved, r=thresh)
-        for i, hits in enumerate(pairs):
-            for j in hits:
-                if sigs[i] == sigs[j]:
-                    union(i, j)
+    labels = np.arange(len(points))
+    for lab in range(group.order):
+        moved = points @ group.matrix(lab).T
+        # each block of moved rows is merged as it comes, which bounds the
+        # edges held at once
+        for lo in range(0, len(points), _EDGE_ROWS):
+            hits = cKDTree(moved[lo:lo + _EDGE_ROWS]).sparse_distance_matrix(
+                tree, thresh, output_type="ndarray")
+            labels = _merge(labels, codes, hits["i"] + lo, hits["j"])
 
-    components: dict[tuple[tuple[int, ...], int], list[int]] = {}
-    for i in range(n):
-        components.setdefault((sigs[i], find(i)), []).append(i)
+    sig_rank = np.argsort(sorted(range(len(sigs)),
+                                 key=lambda c: (-len(sigs[c]), sigs[c])))
+    least = np.full(len(points), len(points))
+    np.minimum.at(least, labels, ranks)
+    comp = least[labels]        # a component's least key rank names it
+    order = np.lexsort((ranks, comp, sig_rank[codes]))
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    return [Stratum(orbifold, sigs[codes[rows[0]]], cid, points[rows], resolution)
+            for cid, rows in enumerate(np.split(order, cuts))]
 
-    out = []
-    for cid, ((sig, _), idxs) in enumerate(sorted(
-            components.items(),
-            key=lambda kv: (-len(kv[0][0]), kv[0][0],
-                            min(keys[i] for i in kv[1])))):
-        sample = points[sorted(idxs, key=lambda i: keys[i])]
-        out.append(Stratum(orbifold, sig, cid, sample, resolution))
-    return out
+
+def _merge(labels: np.ndarray, codes: np.ndarray, heads: np.ndarray,
+           tails: np.ndarray) -> np.ndarray:
+    """Component labels after adding the edges (heads[e], tails[e]) whose two
+    ends have the same code.
+
+    labels[x] is the least node of x's component so far (np.arange at the
+    start).  Each round hooks the larger label of every edge joining two
+    components under the smaller, then jumps pointers until each node
+    points at its root; rounds repeat until no edge joins two components.
+    """
+    same = codes[heads] == codes[tails]
+    heads, tails = heads[same], tails[same]
+    while True:
+        a, b = labels[heads], labels[tails]
+        cross = a != b
+        if not cross.any():
+            return labels
+        heads, tails = heads[cross], tails[cross]
+        labels = labels.copy()
+        np.minimum.at(labels, np.maximum(a[cross], b[cross]),
+                      np.minimum(a[cross], b[cross]))
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
 
 
 # -- products and suborbifolds --------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (ChartMismatch, CoverGap, NotCloseToIdentity, NotSPD,
                      OutOfDomain, ThetaNotIdentity)
 from . import groups
-from .groups import (EPS_GRP, GroupHom, canonical_representatives, row_apply,
-                     row_dot, stabilizer, translates)
+from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, canonical_representatives,
+                     row_apply, row_dot, stabilizer, translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
                    cs_distance, derive_theta, identity_map)
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
@@ -703,40 +703,67 @@ def conjugate_identity_lift(id_group: IdentityLiftGroup,
     the center; None means some germ failed to normalize into the isotropy,
     i.e. the conjugate is not an identity lift over this atlas.
     """
+    return conjugate_identity_lifts(id_group, [assignment], g, tol)[0]
+
+
+def conjugate_identity_lifts(id_group: IdentityLiftGroup,
+                             assignments: Sequence[tuple[int, ...]],
+                             g: OrbifoldMapData,
+                             tol: float = 1e-8) -> list[tuple[int, ...] | None]:
+    """conjugate_identity_lift of each assignment by one g.
+
+    Chart by chart, the work that depends on g alone (the preimage of the
+    center and its source chart, the sample points and their preimages) is
+    done once, and g's global lift runs once on the preimages moved by each
+    distinct germ the assignments still alive there ask for.
+    """
     if g.global_lift is None or g.inverse_lift is None:
         raise ChartMismatch("conjugation needs global and inverse lifts")
-    orbifold = id_group.orbifold
-    grp = orbifold.group
-    out = []
-    for j, chart in enumerate(id_group.atlas):
+    grp = id_group.orbifold.group
+    atlas = id_group.atlas
+    out: list[list[int] | None] = [[] for _ in assignments]
+    for chart in atlas:
+        alive = [n for n, locs in enumerate(out) if locs is not None]
+        if not alive:
+            break
         z = np.asarray(g.inverse_lift(chart.center[None]), dtype=float)[0]
-        source = None
-        for k, ck in enumerate(id_group.atlas):
-            for lab in range(grp.order):
-                if ck.contains(grp.act(lab, z), slack=0.0):
-                    source = (k, lab)
-                    break
-            if source:
-                break
+        source = _source_chart(atlas, grp, z)
         if source is None:
-            return None
+            return [None] * len(assignments)
         k, lab = source
-        gk_global = id_group.atlas[k].isotropy.parent_labels[assignment[k]]
-        germ = grp.matrix(grp.conjugate(grp.inverse(lab), gk_global))
+        parents = atlas[k].isotropy.parent_labels
+        germ_of = {n: grp.conjugate(grp.inverse(lab), parents[assignments[n][k]])
+                   for n in alive}
+        germs = sorted(set(germ_of.values()))
 
         pts = chart.sample_points(per_axis=4)
-        vals = np.asarray(g.global_lift(row_apply(germ, g.inverse_lift(pts))),
-                          dtype=float)
-        match = None
-        for loc in range(chart.isotropy.order):
-            m = chart.isotropy.matrix(loc)
-            if float(np.abs(vals - pts @ m.T).max()) <= tol:
-                match = loc
-                break
-        if match is None:
-            return None
-        out.append(match)
-    return tuple(out)
+        back = np.asarray(g.inverse_lift(pts), dtype=float)
+        moved = row_apply(grp.matrices[germs][:, None], back)
+        vals = np.asarray(g.global_lift(moved.reshape(-1, moved.shape[2])),
+                          dtype=float).reshape(len(germs), len(pts), -1)
+        targets = [pts @ chart.isotropy.matrix(loc).T
+                   for loc in range(chart.isotropy.order)]
+        match = {germ: next((loc for loc, t in enumerate(targets)
+                             if float(np.abs(v - t).max()) <= tol), None)
+                 for germ, v in zip(germs, vals)}
+        for n in alive:
+            loc = match[germ_of[n]]
+            if loc is None:
+                out[n] = None
+            else:
+                out[n].append(loc)
+    return [None if locs is None else tuple(locs) for locs in out]
+
+
+def _source_chart(atlas: Sequence[DerivedChart], grp: FiniteActionGroup,
+                  z: np.ndarray) -> tuple[int, int] | None:
+    """First (chart index, deck label) in atlas order, then label order,
+    whose chart holds the translate of z by that label."""
+    for k, ck in enumerate(atlas):
+        for lab in range(grp.order):
+            if ck.contains(grp.act(lab, z), slack=0.0):
+                return k, lab
+    return None
 
 
 @dataclass(frozen=True)
@@ -770,12 +797,9 @@ def reduced_group_quotient_check(id_group: IdentityLiftGroup,
 
     conj_ok = id_group.is_group()
     for g in sample_diffeos:
-        for a in elements:
-            image = conjugate_identity_lift(id_group, a, g)
-            if image is None or not id_group.contains(image):
-                conj_ok = False
-                break
-        if not conj_ok:
+        if not all(image is not None and id_group.contains(image)
+                   for image in conjugate_identity_lifts(id_group, elements, g)):
+            conj_ok = False
             break
 
     # (c): alternative lifts of one underlying map are deck variants eta g;

@@ -229,7 +229,7 @@ def _suite_group(ctx: _Context, records):
                lambda y: -np.asarray(y, dtype=float)),
         (np.eye(1), -np.eye(1)), radius=1.0)
     lin = linearize_action(linear_action, samples)
-    sup = max(float(np.abs(lin.chart_map(s) - s).max()) for s in samples)
+    sup = float(np.abs(lin.chart_map(samples) - samples).max())
     _record(records, "group", "linearize_fixed_point",
             "an already linear action averages to the identity chart map",
             sup, 1e-12 * ctx.scale)

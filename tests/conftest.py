@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from orbidiff import model as M
 from orbidiff.riemann import ExpMap
+
+# `pytest --hypothesis-profile=ci` replays the same examples on every run;
+# without it hypothesis keeps exploring new ones
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

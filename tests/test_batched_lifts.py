@@ -199,7 +199,7 @@ def reference_random_field(orbifold, atlas, rng, c1_bound=0.05):
     field = reference_averaged(orbifold.group, reference_raw(coeff),
                                orbifold.model)
     size = reference_seminorm(orbifold.model, field, atlas, 1)
-    if size < 1e-12:
+    if size < 1e-9 * float(np.abs(coeff).sum()):
         return field
     t = c1_bound * rng.uniform(0.4, 0.9) / size
     return lambda y: t * np.asarray(field(y), dtype=float)
@@ -251,16 +251,10 @@ def test_fields_and_lifts_match_reference(name, data):
     model = orbifold.model
     assert_bitwise(sigma.values(pts), per_row(ref_field, pts))
     assert_bitwise(f.global_lift(pts), per_row(ref_lift, pts))
-    ref_inverse = reference_inverse_lift(model, ref_lift)
-    try:
-        want = per_row(ref_inverse, pts)
-    except NotCloseToIdentity:
-        # on S2/Oh the averaged quadratic field vanishes and the rescaled
-        # section is rounding noise, which the iteration cannot invert
-        with pytest.raises(NotCloseToIdentity):
-            f.inverse_lift(pts)
-    else:
-        assert_bitwise(f.inverse_lift(pts), want)
+    # on S2/Oh the averaged quadratic field vanishes; the section stays at
+    # rounding level, unscaled, and its chart map inverts like any other
+    assert_bitwise(f.inverse_lift(pts),
+                   per_row(reference_inverse_lift(model, ref_lift), pts))
     assert_bitwise(back.values(pts), per_row(
         lambda y: reference_lift_log(model, y, ref_lift(y)), pts))
 

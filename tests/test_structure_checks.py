@@ -1,0 +1,573 @@
+"""Strata components, action linearization and identity-lift conjugation
+against the per-point code they replaced.
+
+The reference functions below are the per-point implementations kept as
+oracles: outputs must agree bit for bit, because reports and CSV dumps are
+byte-identical for a fixed (config, seed).  Each batched step also gets a
+planted defect that these comparisons turn red.
+"""
+
+import functools
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+from orbidiff import groups as G
+from orbidiff import maps as P
+from orbidiff import model as M
+from orbidiff import riemann as R
+from orbidiff import tangent as T
+from orbidiff.errors import ChartMismatch
+from orbidiff.groups import rotation_2d, rotation_about_z, row_apply
+from test_kernels import POLYHEDRAL
+
+
+def _sphere(name):
+    return lambda: M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
+                                  G.generate_group(POLYHEDRAL[name]),
+                                  name=f"S2/{name}")
+
+
+ORBIFOLDS = {
+    "S2/T": _sphere("T"),
+    "S2/O": _sphere("O"),
+    "S2/D2h": _sphere("D2h"),
+    "S2/Oh": _sphere("Oh"),
+    "football3": lambda: M.football(3),
+    "football5": lambda: M.football(5),
+    "disk_Z4": lambda: M.disk_mod_rotation(4),
+    "disk_D4": lambda: M.disk_mod_dihedral(4),
+    "disk_D6": lambda: M.disk_mod_dihedral(6),
+    "mirror": M.plane_mod_reflection,
+    "line": M.line_mod_flip,
+    "corner": lambda: M.product(M.line_mod_flip(1.0), M.line_mod_flip(1.0)),
+    "manifold": lambda: M.manifold_disk(2),
+}
+
+
+@functools.cache
+def orbifold(name):
+    return ORBIFOLDS[name]()
+
+
+# -- per-point references --------------------------------------------------------
+
+def reference_first_by_key(pts):
+    first = {}
+    for i, key in enumerate(map(tuple, G._snap(pts).tolist())):
+        first.setdefault(key, i)
+    return list(first.values()), list(first)
+
+
+def reference_strata_input(orb, resolution):
+    """Deduplicated sample points, their keys and signatures, the threshold."""
+    model = orb.model
+    pts = np.concatenate([
+        G.canonical_representatives(orb.group, model.grid(resolution)),
+        orb.singular_points(resolution)])
+    idx, keys = reference_first_by_key(pts)
+    points = pts[idx]
+    sigs = [tuple(np.flatnonzero(row).tolist())
+            for row in G.fixing_mask(orb.group, points)]
+    thresh = 1.6 * model.grid_spacing(resolution)
+    if model.kind == M.SPHERE:
+        thresh = 2.0 * np.sin(min(thresh, np.pi) / 2.0)
+    return points, keys, sigs, thresh
+
+
+def reference_hits(orb, points, thresh):
+    """Every (moved point, sample) pair within thresh, element by element."""
+    tree = cKDTree(points)
+    for lab in range(orb.group.order):
+        moved = points @ orb.group.matrix(lab).T
+        for i, hits in enumerate(tree.query_ball_point(moved, r=thresh)):
+            for j in hits:
+                yield i, j
+
+
+def reference_strata(orb, resolution):
+    """model.strata with a union-find over every query_ball_point hit."""
+    points, keys, sigs, thresh = reference_strata_input(orb, resolution)
+    parent = list(range(len(points)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in reference_hits(orb, points, thresh):
+        if sigs[i] == sigs[j]:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+
+    components = {}
+    for i in range(len(points)):
+        components.setdefault((sigs[i], find(i)), []).append(i)
+    out = []
+    for cid, ((sig, _), idxs) in enumerate(sorted(
+            components.items(),
+            key=lambda kv: (-len(kv[0][0]), kv[0][0],
+                            min(keys[i] for i in kv[1])))):
+        sample = points[sorted(idxs, key=lambda i: keys[i])]
+        out.append(M.Stratum(orb, sig, cid, sample, resolution))
+    return out
+
+
+def reference_build_atlas(orb, resolution=16, max_charts=128):
+    """model.build_atlas with a dict walk over keys and a sort per pass."""
+    model = orb.model
+
+    def ordered_samples(res):
+        grid = model.verification_domain(model.grid(res))
+        pts = np.concatenate([model.verification_domain(orb.singular_points(res)),
+                              G.canonical_representatives(orb.group, grid)])
+        idx, keys = reference_first_by_key(pts)
+        orders = G.fixing_mask(orb.group, pts[idx]).sum(axis=1)
+        ranked = sorted(range(len(idx)), key=lambda r: (-orders[r], keys[r]))
+        return pts[[idx[r] for r in ranked]]
+
+    charts = []
+    for res in (resolution, 2 * resolution - 1, M.COVERAGE_RESOLUTION):
+        samples = ordered_samples(res)
+        covered = M._covered(orb, charts, samples, 0.999)
+        for i, s in enumerate(samples):
+            if covered[i]:
+                continue
+            charts.append(M.build_chart(orb, orb.point(s)))
+            covered |= M._covered(orb, charts[-1:], samples, 0.999)
+    return tuple(charts)
+
+
+def reference_components(n, edges):
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(n)]
+
+
+def reference_fd_jacobian(f, x, step=G.FD_STEP):
+    x = np.asarray(x, dtype=float)
+    fx = np.asarray(f(x), dtype=float)
+    jac = np.empty((fx.size, x.size))
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = step
+        jac[:, j] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2.0 * step)
+    return jac
+
+
+def reference_linearize(action, samples):
+    """linearize_action one point per map call; returns the chart map on one
+    point and the two residuals."""
+    group = action.group
+
+    def one(f, y):
+        return np.asarray(f(y[None]), dtype=float)[0]
+
+    def chart_map(y):
+        acc = np.zeros_like(y)
+        for lab in range(group.order):
+            acc = acc + action.linearizations[lab] @ one(
+                action.maps[group.inverse(lab)], y)
+        return acc / group.order
+
+    conj = 0.0
+    for lab in range(group.order):
+        for y in samples:
+            lhs = chart_map(one(action.maps[lab], y))
+            rhs = action.linearizations[lab] @ chart_map(y)
+            conj = max(conj, float(np.abs(lhs - rhs).max()))
+    dres = float(np.abs(reference_fd_jacobian(chart_map, np.zeros(group.dimension))
+                        - np.eye(group.dimension)).max())
+    return chart_map, conj, dres
+
+
+def reference_conjugate_identity_lift(id_group, assignment, g, tol=1e-8):
+    """riemann.conjugate_identity_lift redoing the map-only work per call."""
+    orb = id_group.orbifold
+    grp = orb.group
+    out = []
+    for chart in id_group.atlas:
+        z = np.asarray(g.inverse_lift(chart.center[None]), dtype=float)[0]
+        source = None
+        for k, ck in enumerate(id_group.atlas):
+            for lab in range(grp.order):
+                if ck.contains(grp.act(lab, z), slack=0.0):
+                    source = (k, lab)
+                    break
+            if source:
+                break
+        if source is None:
+            return None
+        k, lab = source
+        gk_global = id_group.atlas[k].isotropy.parent_labels[assignment[k]]
+        germ = grp.matrix(grp.conjugate(grp.inverse(lab), gk_global))
+        pts = chart.sample_points(per_axis=4)
+        vals = np.asarray(g.global_lift(row_apply(germ, g.inverse_lift(pts))),
+                          dtype=float)
+        match = None
+        for loc in range(chart.isotropy.order):
+            m = chart.isotropy.matrix(loc)
+            if float(np.abs(vals - pts @ m.T).max()) <= tol:
+                match = loc
+                break
+        if match is None:
+            return None
+        out.append(match)
+    return tuple(out)
+
+
+# -- strata ----------------------------------------------------------------------------
+
+def assert_strata_match(orb, resolution):
+    got = M.strata(orb, resolution)
+    want = reference_strata(orb, resolution)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.signature, g.component_id, g.resolution) == \
+            (w.signature, w.component_id, w.resolution)
+        assert g.sample_points.tobytes() == w.sample_points.tobytes()
+
+
+@given(name=st.sampled_from(sorted(ORBIFOLDS)), resolution=st.integers(3, 32),
+       rows=st.sampled_from([2, 5, 64, M._EDGE_ROWS]))
+@settings(max_examples=40, deadline=None)
+def test_strata_match_union_find(name, resolution, rows):
+    # small blocks split the moved points of each element into many queries
+    with mock.patch.object(M, "_EDGE_ROWS", rows):
+        assert_strata_match(orbifold(name), resolution)
+
+
+@pytest.mark.parametrize("name,resolution", [
+    ("football3", 64), ("football5", 40), ("S2/Oh", 32), ("S2/D2h", 48),
+    ("disk_D6", 33), ("corner", 21), ("line", 64)])
+def test_strata_at_suite_resolutions(name, resolution):
+    assert_strata_match(orbifold(name), resolution)
+
+
+@pytest.mark.parametrize("rows", [7, M._EDGE_ROWS])
+@pytest.mark.parametrize("name,resolution", [
+    ("football3", 64), ("S2/O", 32), ("disk_D4", 25), ("line", 40)])
+def test_edge_set_matches_query_ball_point(name, resolution, rows):
+    orb = orbifold(name)
+    seen = []
+    merge = M._merge
+
+    def recording(labels, codes, heads, tails):
+        seen.append(np.stack([heads, tails]))
+        return merge(labels, codes, heads, tails)
+
+    with mock.patch.object(M, "_EDGE_ROWS", rows), \
+            mock.patch.object(M, "_merge", recording):
+        M.strata(orb, resolution)
+    points, _, _, thresh = reference_strata_input(orb, resolution)
+    got = np.concatenate(seen, axis=1)
+    want = np.array(list(reference_hits(orb, points, thresh))).T
+    # the same pairs as often, whatever order each query returns them in
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, np.lexsort(got[::-1])],
+                          want[:, np.lexsort(want[::-1])])
+
+
+@given(n=st.integers(1, 12), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_merge_matches_union_find(n, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=20))
+    cut = data.draw(st.integers(0, len(pairs)))
+    heads = np.array([i for i, _ in pairs], dtype=int)
+    tails = np.array([j for _, j in pairs], dtype=int)
+    labels = np.arange(n)
+    codes = np.zeros(n, dtype=int)
+    # two batches, as consecutive query blocks arrive
+    first = M._merge(labels, codes, heads[:cut], tails[:cut])
+    out = M._merge(first, codes, heads[cut:], tails[cut:])
+    assert out.tolist() == reference_components(n, pairs)
+    assert labels.tolist() == list(range(n))     # the caller's labels stay
+
+
+def test_merge_keeps_codes_apart():
+    codes = np.array([0, 1, 1, 0])
+    out = M._merge(np.arange(4), codes, np.array([0, 1, 2]), np.array([1, 2, 3]))
+    assert out.tolist() == [0, 1, 1, 3]
+
+
+def one_round_merge(labels, codes, heads, tails):
+    """A planted defect: a single hooking round."""
+    same = codes[heads] == codes[tails]
+    a, b = labels[heads[same]], labels[tails[same]]
+    labels = labels.copy()
+    np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+    while not np.array_equal(labels[labels], labels):
+        labels = labels[labels]
+    return labels
+
+
+def test_planted_one_round_merge_is_caught():
+    # hooking 2 under 0 and under 1 at once keeps 0; node 1 needs a second round
+    heads, tails = np.array([0, 1]), np.array([2, 2])
+    codes = np.zeros(3, dtype=int)
+    want = reference_components(3, [(0, 2), (1, 2)])
+    assert M._merge(np.arange(3), codes, heads, tails).tolist() == want
+    assert one_round_merge(np.arange(3), codes, heads, tails).tolist() != want
+
+
+def test_planted_merge_ignoring_codes_is_caught():
+    merge = M._merge
+
+    def ignoring(labels, codes, heads, tails):
+        return merge(labels, np.zeros_like(codes), heads, tails)
+
+    with mock.patch.object(M, "_merge", ignoring):
+        with pytest.raises(AssertionError):
+            assert_strata_match(orbifold("football3"), 16)
+
+
+def test_strata_memory_is_bounded():
+    fb = orbifold("football3")
+    M.strata(fb, 16)
+    tracemalloc.start()
+    try:
+        M.strata(fb, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unblocked edge list of the 473k kept edges peaks near 37 MB; blocks
+    # of moved points merged as they come stay near 5 MB
+    assert peak < 12 * 2 ** 20
+
+
+# -- keys, singular points and the atlas --------------------------------------------------
+
+KEY_COORD = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+                      st.floats(-1.0, 1.0),
+                      st.floats(-3.0, 3.0).map(lambda x: 0.5 + x * 1e-10))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_by_key_matches_dict_walk(data):
+    n = data.draw(st.integers(1, 3))
+    pts = np.array(data.draw(st.lists(st.lists(KEY_COORD, min_size=n, max_size=n),
+                                      max_size=12)), dtype=float).reshape(-1, n)
+    idx, ranks = M._first_by_key(pts)
+    want_idx, keys = reference_first_by_key(pts)
+    assert idx.tolist() == want_idx
+    assert np.argsort(ranks).tolist() == sorted(range(len(keys)),
+                                                key=lambda r: keys[r])
+
+
+@pytest.mark.parametrize("name", sorted(ORBIFOLDS))
+def test_singular_points_and_atlas_match_reference(name):
+    orb = orbifold(name)
+    for res in (9, M.COVERAGE_RESOLUTION):
+        pts = orb.singular_points(res)
+        reps = np.concatenate([pts, pts[::-1]])
+        assert M._first_by_key(reps)[0].tolist() == \
+            reference_first_by_key(reps)[0]
+        got = M.build_atlas(orb, resolution=res)
+        want = reference_build_atlas(orb, resolution=res)
+        assert [(c.center.tobytes(), c.radius, c.isotropy.parent_labels)
+                for c in got] == \
+            [(c.center.tobytes(), c.radius, c.isotropy.parent_labels)
+             for c in want]
+
+
+def test_atlas_builds_each_sample_set_once(monkeypatch):
+    calls = []
+    singular = M.GoodOrbifold.singular_points
+
+    def counting(self, resolution=16):
+        calls.append(resolution)
+        return singular(self, resolution)
+
+    monkeypatch.setattr(M.GoodOrbifold, "singular_points", counting)
+    M.build_atlas(orbifold("football3"), resolution=M.COVERAGE_RESOLUTION)
+    assert calls == [16, 31]
+    calls.clear()
+    M.build_atlas(orbifold("football3"), resolution=9)
+    assert calls == [9, 17, 16]
+
+
+# -- linearization -----------------------------------------------------------------------
+
+def bent_action(group, bend):
+    """group conjugated by h(x, y) = (x + bend y^2, y), on (k, 2) rows."""
+    def h(pts):
+        return np.stack([pts[:, 0] + bend * pts[:, 1] ** 2, pts[:, 1]], axis=1)
+
+    def h_inv(pts):
+        return np.stack([pts[:, 0] - bend * pts[:, 1] ** 2, pts[:, 1]], axis=1)
+
+    maps = tuple(lambda pts, m=m: h(row_apply(m, h_inv(np.asarray(pts, dtype=float))))
+                 for m in group.matrices)
+    return G.NonlinearActionSample(group, maps, tuple(group.matrices), radius=1.0)
+
+
+def bent_flip():
+    def h(y):
+        return y + 0.1 * y ** 3
+
+    def h_inv(y):
+        out = np.asarray(y, dtype=float).copy()
+        for _ in range(60):
+            out = out - (out + 0.1 * out ** 3 - y) / (1.0 + 0.3 * out ** 2)
+        return out
+
+    return G.NonlinearActionSample(
+        G.sign_flip_group(),
+        (lambda y: np.asarray(y, dtype=float),
+         lambda y: h(-h_inv(np.asarray(y, dtype=float)))),
+        (np.eye(1), -np.eye(1)), radius=1.0)
+
+
+def assert_linearization_matches(action, samples):
+    result = G.linearize_action(action, samples)
+    chart_map, conj, dres = reference_linearize(action, samples)
+    assert result.conjugacy_residual == conj
+    assert result.differential_residual == dres
+    assert result.sample_count == len(samples)
+    assert result.chart_map(samples).tobytes() == \
+        np.stack([chart_map(y) for y in samples]).tobytes()
+
+
+@given(p=st.integers(2, 6), dihedral=st.booleans(),
+       bend=st.floats(-0.3, 0.3), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_linearize_matches_per_point(p, dihedral, bend, data):
+    group = G.dihedral_group(p) if dihedral else G.cyclic_rotation_group(p)
+    radius = st.floats(0.0, 0.6)
+    angle = st.floats(0.0, 2.0 * np.pi)
+    polar = data.draw(st.lists(st.tuples(radius, angle), min_size=1, max_size=9))
+    samples = np.array([[r * np.cos(t), r * np.sin(t)] for r, t in polar])
+    assert_linearization_matches(bent_action(group, bend), samples)
+
+
+def test_linearize_bent_flip_matches_per_point():
+    # the line flip of the group suite, at its 101 samples
+    assert_linearization_matches(bent_flip(), np.linspace(-0.9, 0.9, 101)[:, None])
+
+
+def test_fd_jacobian_matches_per_point():
+    f = bent_action(G.dihedral_group(3), 0.2).maps[1]
+    x = np.array([0.1, -0.2])
+    want = reference_fd_jacobian(lambda y: f(y[None])[0], x)
+    assert G.fd_jacobian(f, x).tobytes() == want.tobytes()
+
+
+# -- identity-lift conjugation ---------------------------------------------------------------
+
+@functools.cache
+def conjugation_case(name):
+    # rotations that normalize the group, so they are orbifold maps
+    orb, resolution, angles = {
+        "football3": (orbifold("football3"), 20, (0.8, 2.1)),
+        "disk_Z4": (orbifold("disk_Z4"), 13, (0.8, 2.1)),
+        "disk_D4": (orbifold("disk_D4"), 13, (np.pi / 4, 3 * np.pi / 4)),
+        # in D3, unlike D4, conjugating by r and by r^-1 differ
+        "disk_D3": (M.disk_mod_dihedral(3), 13, (np.pi / 3, 2 * np.pi / 3))}[name]
+    atlas = M.build_atlas(orb, resolution=resolution)
+    ids = P.enumerate_identity_lifts(orb, atlas)
+    exp_map = R.ExpMap.closed_form(orb)
+    gen = np.random.default_rng(50)
+    rotate = rotation_about_z if orb.model.kind == M.SPHERE else rotation_2d
+    flip = np.diag([1.0, -1.0, -1.0]) if orb.model.kind == M.SPHERE else \
+        np.diag([1.0, -1.0])
+    maps = [P.map_from_global(
+        orb, orb, lambda pts, a=a: row_apply(rotate(a), pts), atlas,
+        inverse=lambda pts, a=a: row_apply(rotate(-a), pts))
+        for a in angles]
+    maps.append(P.map_from_global(orb, orb, lambda pts: row_apply(flip, pts),
+                                  atlas, inverse=lambda pts: row_apply(flip, pts)))
+    for _ in range(2):
+        sigma = T.random_orbisection(orb, atlas, gen, 0.04)
+        maps.append(R.E_apply(sigma, exp_map))
+    return ids, maps
+
+
+@pytest.mark.parametrize("name", ["football3", "disk_Z4", "disk_D4", "disk_D3"])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_conjugations_match_per_assignment(name, data):
+    ids, maps = conjugation_case(name)
+    g = data.draw(st.sampled_from(maps))
+    # a tolerance of 0 leaves only exact matches, so some assignments die
+    # part of the way through the atlas
+    tol = data.draw(st.sampled_from([1e-8, 1e-14, 0.0]))
+    # any germ per chart, not only identity lifts, so every deck element
+    # that transports a germ meets a germ it does not commute with
+    any_lift = st.tuples(*(st.integers(0, ch.isotropy.order - 1) for ch in ids.atlas))
+    chosen = data.draw(st.lists(st.sampled_from(ids.assignments) | any_lift,
+                                min_size=1, max_size=12))
+    got = R.conjugate_identity_lifts(ids, chosen, g, tol)
+    assert got == [reference_conjugate_identity_lift(ids, a, g, tol) for a in chosen]
+    assert [R.conjugate_identity_lift(ids, a, g, tol) for a in chosen] == got
+
+
+def test_conjugations_cover_every_outcome():
+    # the cases above see both results: images and failures
+    ids, maps = conjugation_case("football3")
+    images = [R.conjugate_identity_lifts(ids, ids.assignments, g, tol)
+              for g in maps for tol in (1e-8, 0.0)]
+    flat = [im for per_g in images for im in per_g]
+    assert any(im is None for im in flat) and any(im is not None for im in flat)
+
+
+def test_planted_swapped_germ_is_caught():
+    ids, maps = conjugation_case("football3")
+    flip = maps[2]
+    want = [reference_conjugate_identity_lift(ids, a, flip) for a in ids.assignments]
+    assert R.conjugate_identity_lifts(ids, ids.assignments, flip) == want
+
+    def swapped(m, pts):
+        # the stack of germs comes in reversed, so each germ gets another's values
+        return row_apply(m[::-1] if np.ndim(m) == 4 else m, pts)
+
+    with mock.patch.object(R, "row_apply", swapped):
+        assert R.conjugate_identity_lifts(ids, ids.assignments, flip) != want
+
+
+def test_conjugation_needs_both_lifts():
+    ids, maps = conjugation_case("football3")
+    bare = P.map_from_global(ids.orbifold, ids.orbifold, lambda pts: pts, ids.atlas)
+    with pytest.raises(ChartMismatch):
+        R.conjugate_identity_lifts(ids, ids.assignments, bare)
+
+
+def test_quotient_check_matches_per_assignment_loop():
+    ids, maps = conjugation_case("football3")
+    report = R.reduced_group_quotient_check(ids, maps)
+    want = all(image is not None and ids.contains(image)
+               for g in maps for image in
+               (reference_conjugate_identity_lift(ids, a, g)
+                for a in ids.assignments[:12]))
+    assert report.conjugation_closed == want
+
+
+# -- random sections the averaging cancels ---------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cancelled_random_section_is_not_rescaled(seed):
+    orb = orbifold("S2/Oh")
+    atlas = M.build_atlas(orb, resolution=8)
+    sigma = T.random_orbisection(orb, atlas, np.random.default_rng(seed))
+    # the O_h average of the quadratic raw field is zero: the section stays
+    # at rounding level instead of being blown up to the C^1 bound
+    assert T.seminorm(sigma, 1) < 1e-9
+    f = R.E_apply(sigma, R.ExpMap.closed_form(orb))
+    pole = np.array([[0.0, 0.0, 1.0]])
+    assert np.abs(f.global_lift(f.inverse_lift(pole)) - pole).max() < 1e-12
