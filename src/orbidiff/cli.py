@@ -6,7 +6,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_FOOTBALL3, load_config, parse_config
+from .config import (DEFAULT_FOOTBALL3, at_least, finite_positive, load_config,
+                     parse_config)
 from .errors import ConfigInvalid, OrbidiffError
 from .suites import describe, dump_fields, run_suite
 
@@ -53,9 +54,20 @@ def _load(path: str | None):
     return load_config(path)
 
 
+def _check_numbers(args: argparse.Namespace):
+    """The config file's range rules, applied to the command line overrides."""
+    if getattr(args, "seed", None) is not None:
+        at_least(args.seed, 0, "--seed")
+    if getattr(args, "grid", None) is not None:
+        at_least(args.grid, 1, "--grid")
+    if args.command == "run":
+        finite_positive(args.tol_scale, "--tol-scale")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         config = _load(args.config)
         if args.command == "describe":
             sys.stdout.write(describe(config))

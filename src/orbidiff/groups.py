@@ -67,11 +67,6 @@ class OrthogonalElement:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def approx_equal(self, other: "OrthogonalElement | np.ndarray",
-                     tol: float = EPS_GRP) -> bool:
-        other_m = other.matrix if isinstance(other, OrthogonalElement) else other
-        return float(np.abs(self.matrix - other_m).max()) < tol
-
 
 class FiniteActionGroup:
     """A finite subgroup of O(n) closed under product and inverse.

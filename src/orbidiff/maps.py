@@ -37,10 +37,6 @@ class ChartLift:
     func: Callable[[np.ndarray], np.ndarray]
     theta: GroupHom           # chart.isotropy -> target group
 
-    def sample_values(self, per_axis: int = 5) -> tuple[np.ndarray, np.ndarray]:
-        pts = self.chart.sample_points(per_axis=per_axis)
-        return pts, np.asarray(self.func(pts), dtype=float)
-
 
 def _isotropy_values(chart: DerivedChart, func: Callable, pts: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -462,12 +458,14 @@ def _lift_jet(model, func, pts: np.ndarray, s: int,
     if s == 0:
         return jets
 
-    def shift(p, i, t):
+    def shift(p, i, t, frame=None):
+        """p moved by t along axis i of its frame, built here when not given."""
         if model.kind == FLAT:
             e = np.zeros(model.dimension)
             e[i] = t
             return p + e
-        frame = model.tangent_basis(p)
+        if frame is None:
+            frame = model.tangent_basis(p)
         return model.geo_exp(p, t * frame[i])
 
     def at(stencil: list) -> np.ndarray:
@@ -477,9 +475,11 @@ def _lift_jet(model, func, pts: np.ndarray, s: int,
         return out.reshape(*arr.shape[:2], -1)
 
     dim = model.dimension
-    # per point and axis: the +step and the -step point
-    pm = at([[shift(p, i, t) for i in range(dim) for t in (step, -step)]
-             for p in pts]).reshape(len(pts), dim, 2, -1)
+    # per point and axis: the +step and the -step point, from one frame
+    frames = ([None] * len(pts) if model.kind == FLAT
+              else [model.tangent_basis(p) for p in pts])
+    pm = at([[shift(p, i, t, frame) for i in range(dim) for t in (step, -step)]
+             for p, frame in zip(pts, frames)]).reshape(len(pts), dim, 2, -1)
     jets.append((pm[:, :, 0] - pm[:, :, 1]) / (2 * step))
     if s >= 2:
         mixed = [(i, j) for i in range(dim) for j in range(i + 1, dim)]

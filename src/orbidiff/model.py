@@ -346,10 +346,6 @@ class QuotientPoint:
     def __hash__(self) -> int:
         return hash(_snap_key(self.canonical))
 
-    def with_representative(self, rep: np.ndarray) -> "QuotientPoint":
-        return QuotientPoint(self.orbifold, np.asarray(rep, dtype=float),
-                             self.canonical)
-
     @property
     def isotropy_order(self) -> int:
         return stabilizer(self.orbifold.group, self.representative).order

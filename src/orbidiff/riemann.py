@@ -1,8 +1,8 @@
 """Equivariant Riemannian structure and the diffeomorphism-group chart map.
 
-The exponential map is closed form on flat and round models and a geodesic
-integrator on metric charts.  Composing it with orbisections gives the chart
-map into the diffeomorphism group; inverting it recovers the section.
+The exponential map is closed form on flat and round models.  Composing it
+with orbisections gives the chart map into the diffeomorphism group;
+inverting it recovers the section.
 """
 
 from __future__ import annotations
@@ -125,20 +125,6 @@ def equivariant_partition_of_unity(orbifold: GoodOrbifold,
 
 # -- metric fields ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricField:
-    """Per-chart symmetric positive-definite matrix fields."""
-
-    charts: tuple[DerivedChart, ...]
-    entries: tuple[Callable[[np.ndarray], np.ndarray], ...]
-
-    def entry(self, chart: DerivedChart) -> Callable:
-        for ch, e in zip(self.charts, self.entries):
-            if ch is chart:
-                return e
-        raise ChartMismatch("metric has no entry for the requested chart")
-
-
 def _check_spd(mat: np.ndarray, where: str):
     if float(np.abs(mat - mat.T).max()) > 1e-12:
         raise NotSPD(f"metric is not symmetric at {where}")
@@ -196,69 +182,28 @@ def metric_invariance_residual(chart: DerivedChart, entry: Callable,
 
 # -- exponential maps --------------------------------------------------------------
 
-def _christoffel(metric: Callable, y: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """Gamma^k_ij by central differences of the metric."""
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    g0 = np.asarray(metric(y), dtype=float)
-    ginv = np.linalg.inv(g0)
-    dg = np.empty((n, n, n))
-    for l in range(n):
-        e = np.zeros(n)
-        e[l] = step
-        dg[l] = (np.asarray(metric(y + e)) - np.asarray(metric(y - e))) / (2 * step)
-    gamma = np.empty((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for l in range(n):
-                    s += ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                gamma[k, i, j] = 0.5 * s
-    return gamma
-
-
 @dataclass(frozen=True)
 class ExpMap:
-    """Riemannian exponential on the model, in one of three modes."""
+    """Closed-form Riemannian exponential of the orbifold's model: straight
+    lines on a flat ball, great circles on the round sphere."""
 
     orbifold: GoodOrbifold
-    mode: str                                    # closed-form-flat|closed-form-sphere|ode
-    metric: Callable[[np.ndarray], np.ndarray] | None = None
-    chart: DerivedChart | None = None
-    step_fraction: float = 1.0 / 256.0
 
     @staticmethod
     def closed_form(orbifold: GoodOrbifold) -> "ExpMap":
-        mode = "closed-form-flat" if orbifold.model.kind == FLAT \
-            else "closed-form-sphere"
-        return ExpMap(orbifold, mode)
-
-    @staticmethod
-    def ode(orbifold: GoodOrbifold, chart: DerivedChart,
-            metric: Callable[[np.ndarray], np.ndarray]) -> "ExpMap":
-        if orbifold.model.kind != FLAT:
-            raise ChartMismatch("ode mode integrates on flat charts")
-        return ExpMap(orbifold, "ode", metric, chart)
+        return ExpMap(orbifold)
 
     @property
     def domain_bound(self) -> float:
-        if self.mode == "closed-form-sphere":
-            return np.pi
-        if self.mode == "ode":
-            return self.chart.radius
-        return np.inf
+        return np.pi if self.orbifold.model.kind == SPHERE else np.inf
 
     def lift_exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(k, n) base points and (k, n) vectors -> (k, n) endpoints."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self.mode == "ode":
-            return np.array([self._ode_exp(a, b) for a, b in zip(x, v)]
-                            ).reshape(x.shape)
         speed = np.sqrt(row_dot(v, v))
         moving = speed != 0.0
-        if self.mode == "closed-form-flat":
+        if self.orbifold.model.kind == FLAT:
             return np.where(moving[:, None], x + v, x)
         past = np.flatnonzero(moving & (speed >= np.pi))
         if past.size:
@@ -266,50 +211,9 @@ class ExpMap:
         v = v - row_dot(v, x)[:, None] * x
         return np.where(moving[:, None], self.orbifold.model.geo_exp(x, v), x)
 
-    def _ode_exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """RK4 geodesic from one point; the metric is evaluated per point."""
-        speed = float(np.linalg.norm(v))
-        if speed == 0.0:
-            return x.copy()
-        h = self.chart.radius * self.step_fraction
-        steps = max(int(np.ceil(speed / h)), 1)
-        dt = 1.0 / steps
-
-        def acc(state):
-            p, u = state
-            gamma = _christoffel(self.metric, p)
-            return np.array([u, -np.einsum("kij,i,j->k", gamma, u, u)])
-
-        state = np.array([x, v])
-        for _ in range(steps):
-            k1 = acc(state)
-            k2 = acc(state + 0.5 * dt * k1)
-            k3 = acc(state + 0.5 * dt * k2)
-            k4 = acc(state + dt * k3)
-            state = state + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        out = state[0]
-        if not self.chart.contains(out, slack=0.2):
-            raise OutOfDomain("geodesic left the integration chart")
-        return out
-
     def lift_log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(k, n) base points and (k, n) targets -> (k, n) vectors."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if self.mode == "closed-form-flat":
-            return y - x
-        if self.mode == "closed-form-sphere":
-            return self.orbifold.model.geo_log(x, y)
-        return np.array([self._ode_log(a, b) for a, b in zip(x, y)]).reshape(x.shape)
-
-    def _ode_log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        v = y - x
-        for _ in range(200):
-            residual = y - self._ode_exp(x, v)
-            if float(np.abs(residual).max()) < 1e-12:
-                return v
-            v = v + 0.8 * residual
-        raise OutOfDomain("log iteration did not converge on the metric chart")
+        return self.orbifold.model.geo_log(x, y)
 
     def exp(self, p: QuotientPoint, v: np.ndarray | TangentVectorAt
             ) -> QuotientPoint:

@@ -49,12 +49,6 @@ class TangentVectorAt:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
-    def same_class(self, other: "TangentVectorAt", tol: float = 1e-8) -> bool:
-        if self.base != other.base:
-            return False
-        return bool(np.linalg.norm(self.orbit_class - other.vector,
-                                   axis=1).min() < tol)
-
 
 def tangent_vector(orbifold: GoodOrbifold, base: QuotientPoint,
                    vector: np.ndarray) -> TangentVectorAt:

@@ -20,7 +20,7 @@ from orbidiff import maps as P
 from orbidiff import model as M
 from orbidiff import riemann as R
 from orbidiff import tangent as T
-from orbidiff.config import DEFAULT_FOOTBALL3, build_map, parse_config
+from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
 from orbidiff.errors import NotCloseToIdentity, OutOfDomain
 from orbidiff.groups import row_apply
 from test_field_kernels import CASES, assert_bitwise, case, draw_points
@@ -337,18 +337,20 @@ def test_inverse_lift_rows_take_the_steps_they_take_alone():
 
 # -- the calling convention ---------------------------------------------------------------
 
-def _football_config_maps():
-    cfg = parse_config(DEFAULT_FOOTBALL3 + "\n[map rot]\ntype = rotation\n"
-                       "angle = 0.3\n")
+def _football_rotation():
+    cfg = parse_config(DEFAULT_FOOTBALL3)
     orbifold = cfg.build_orbifold()
     atlas = M.build_atlas(orbifold, resolution=cfg.atlas_resolution)
-    return orbifold, atlas, build_map(cfg.maps["rot"], orbifold, atlas)
+    mat, inv = G.rotation_about_z(0.3), G.rotation_about_z(-0.3)
+    return orbifold, atlas, P.map_from_global(
+        orbifold, orbifold, lambda pts: row_apply(mat, pts), atlas=atlas,
+        name="rot", inverse=lambda pts: row_apply(inv, pts))
 
 
 def _callables():
     """(name, callable, (k, n) points it accepts) for every field and lift
     the library builds."""
-    fb, fb_atlas, rot = _football_config_maps()
+    fb, fb_atlas, rot = _football_rotation()
     pts_fb = np.concatenate([ch.sample_points(per_axis=4) for ch in fb_atlas[:3]])
     exp_map = R.ExpMap.closed_form(fb)
     rng = np.random.default_rng(4)
@@ -393,24 +395,24 @@ def _callables():
         ("zero_orbisection", T.zero_orbisection(fb, fb_atlas).field, pts_fb),
     ]
 
-    line_cfg = parse_config("[orbifold]\nname = line\nmodel = flat\n"
-                            "dimension = 1\nradius = 2.0\ngenerator = -1\n"
-                            "[map sq]\ntype = power\nexponent = 3\n")
-    line = line_cfg.build_orbifold()
+    line = parse_config("[orbifold]\nname = line\nmodel = flat\n"
+                        "dimension = 1\nradius = 2.0\ngenerator = -1\n"
+                        ).build_orbifold()
     line_atlas = M.build_atlas(line, resolution=15)
-    power = build_map(line_cfg.maps["sq"], line, line_atlas)
+    power = P.map_from_global(line, line, lambda pts: np.asarray(pts) ** 3,
+                              atlas=line_atlas, name="sq")
     out.append(("config power", power.global_lift,
                 np.linspace(-1.0, 1.0, 11)[:, None]))
 
-    mirror_cfg = parse_config("[orbifold]\nname = mirror\nmodel = flat\n"
-                              "dimension = 2\nradius = 2.0\n"
-                              "generator = 1 0 0 -1\n[map sq]\n"
-                              "type = polynomial\ncoefficient = 2 0 0.3 0\n"
-                              "coefficient = 0 2 0.3 0\n"
-                              "coefficient = 1 1 0 0.2\n")
-    mirror = mirror_cfg.build_orbifold()
+    mirror = parse_config("[orbifold]\nname = mirror\nmodel = flat\n"
+                          "dimension = 2\nradius = 2.0\n"
+                          "generator = 1 0 0 -1\n").build_orbifold()
     mirror_atlas = M.build_atlas(mirror, resolution=13)
-    poly = build_map(mirror_cfg.maps["sq"], mirror, mirror_atlas)
+    poly = P.map_from_global(
+        mirror, mirror,
+        lambda pts: np.stack([0.3 * (pts[:, 0] ** 2 + pts[:, 1] ** 2),
+                              0.2 * pts[:, 0] * pts[:, 1]], axis=1),
+        atlas=mirror_atlas, name="sq")
     out.append(("config polynomial", poly.global_lift,
                 mirror_atlas[0].sample_points(per_axis=7)))
     return out
@@ -464,18 +466,3 @@ def test_one_non_convergent_row_fails_the_inverse_lift(manifold):
     assert_bitwise(inverse(good), good)
     with pytest.raises(NotCloseToIdentity):
         inverse(np.insert(good, 1, [0.65, 0.0], axis=0))
-
-
-def test_one_non_convergent_row_fails_the_ode_log(manifold):
-    # the metric grows fast away from the origin, so geodesics aimed far out
-    # cover little ground and the damped log iteration is still short of a
-    # target at 0.6 after its 200 steps
-    chart = M.build_chart(manifold, manifold.point([0.0, 0.0]), radius=0.9)
-    ode = R.ExpMap(manifold, "ode",
-                   lambda y: (1.0 + 200.0 * float(y @ y)) * np.eye(2), chart,
-                   step_fraction=1.0 / 8.0)
-    x = np.zeros((3, 2))
-    y = np.array([[0.05, 0.0], [0.0, -0.03], [0.02, 0.02]])
-    assert np.abs(ode.lift_exp(x, ode.lift_log(x, y)) - y).max() < 1e-12
-    with pytest.raises(OutOfDomain, match="did not converge"):
-        ode.lift_log(np.zeros((4, 2)), np.insert(y, 1, [0.6, 0.0], axis=0))

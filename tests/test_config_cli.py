@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from orbidiff import cli
-from orbidiff.config import (DEFAULT_FOOTBALL3, build_curve, build_map,
-                             parse_config)
-from orbidiff.errors import ConfigInvalid, NotDifferentiable
+from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
+from orbidiff.errors import (ConfigInvalid, EquivarianceViolation,
+                             NotDifferentiable)
+from orbidiff.groups import rotation_2d, row_apply
+from orbidiff.maps import check_equivariance, map_from_global
 from orbidiff.model import build_atlas
 from orbidiff.suites import describe, dump_fields, run_suite
-from orbidiff.tangent import curve_tangent, enumerate_curve_lifts
+from orbidiff.tangent import (CurveInOrbifold, CurveSegment, curve_tangent,
+                              enumerate_curve_lifts)
 
 FLAT_Z2 = """\
 [orbifold]
@@ -27,7 +30,7 @@ sections = 4
 diffeos = 2
 """
 
-MIRROR_WITH_EXTRAS = """\
+WIDE_MIRROR = """\
 [orbifold]
 name = widemirror
 model = flat
@@ -37,23 +40,6 @@ generator = 1 0 0 -1
 
 [atlas]
 resolution = 13
-
-[map sq]
-type = polynomial
-coefficient = 2 0 0.3 0
-coefficient = 0 2 0.3 0
-
-[curve kinked]
-interval = -1 1
-crossings = 0
-segment = t, -t
-segment = t, t
-
-[curve bent]
-interval = -1 1
-crossings = 0
-segment = t, t*t
-segment = t, t*t
 """
 
 
@@ -89,7 +75,7 @@ class TestParsing:
             parse_config(text)
 
     def test_repeated_scalar_key(self):
-        text = FLAT_Z2 + "\n[grids]\nchart_per_axis = 3\nchart_per_axis = 5\n"
+        text = FLAT_Z2 + "\n[grids]\nstrata_resolution = 3\nstrata_resolution = 5\n"
         with pytest.raises(ConfigInvalid, match="more than once"):
             parse_config(text)
 
@@ -104,7 +90,16 @@ class TestParsing:
         assert "seed: 3" in report.render()
 
 
+def _rotation(orbifold, atlas, angle):
+    mat, inv = rotation_2d(angle), rotation_2d(-angle)
+    return map_from_global(orbifold, orbifold, lambda pts: row_apply(mat, pts),
+                           atlas=atlas, name="rot",
+                           inverse=lambda pts: row_apply(inv, pts))
+
+
 class TestMapAndCurveSchemas:
+    """Builtin maps and piecewise curves on configured orbifolds."""
+
     def test_builtin_rotation_map(self):
         # rotations are equivariant self-maps of rotation quotients
         cfg = parse_config("""[orbifold]
@@ -115,77 +110,33 @@ generator = 0 -1 1 0
 
 [atlas]
 resolution = 13
-
-[map rot]
-type = rotation
-angle = 0.4
 """)
         orbifold = cfg.build_orbifold()
         atlas = build_atlas(orbifold, resolution=cfg.atlas_resolution)
-        rot = build_map(cfg.maps["rot"], orbifold, atlas)
-        from orbidiff.maps import check_equivariance
+        rot = _rotation(orbifold, atlas, 0.4)
         assert check_equivariance(rot, per_axis=3).max_residual < 1e-9
 
     def test_rotation_rejected_on_mirror_quotient(self):
-        cfg = parse_config(MIRROR_WITH_EXTRAS + """
-[map rot]
-type = rotation
-angle = 0.4
-""")
+        cfg = parse_config(WIDE_MIRROR)
         orbifold = cfg.build_orbifold()
         atlas = build_atlas(orbifold, resolution=cfg.atlas_resolution)
-        from orbidiff.errors import EquivarianceViolation
         with pytest.raises(EquivarianceViolation):
-            build_map(cfg.maps["rot"], orbifold, atlas)
-
-    def test_polynomial_map_from_coefficients(self):
-        cfg = parse_config(MIRROR_WITH_EXTRAS)
-        orbifold = cfg.build_orbifold()
-        atlas = build_atlas(orbifold, resolution=cfg.atlas_resolution)
-        sq = build_map(cfg.maps["sq"], orbifold, atlas)
-        y = np.array([0.3, 0.4])
-        assert np.abs(np.asarray(sq.global_lift(y[None]))[0]
-                      - np.array([0.3 * (0.09 + 0.16), 0.0])).max() < 1e-12
-
-    def test_power_map_on_line(self):
-        cfg = parse_config(FLAT_Z2 + "\n[map sq]\ntype = power\nexponent = 2\n")
-        orbifold = cfg.build_orbifold()
-        atlas = build_atlas(orbifold, resolution=15)
-        sq = build_map(cfg.maps["sq"], orbifold, atlas)
-        assert float(np.asarray(sq.global_lift(np.array([[0.5]])))[0, 0]) == 0.25
-
-    def test_constant_map_rejects_bad_point(self):
-        cfg = parse_config(
-            FLAT_Z2 + "\n[map c]\ntype = constant\npoint = 0 0\n")
-        orbifold = cfg.build_orbifold()
-        atlas = build_atlas(orbifold, resolution=15)
-        with pytest.raises(ConfigInvalid, match="coordinates"):
-            build_map(cfg.maps["c"], orbifold, atlas)
+            _rotation(orbifold, atlas, 0.4)
 
     def test_curves_reproduce_lift_counts(self):
-        cfg = parse_config(MIRROR_WITH_EXTRAS)
-        orbifold = cfg.build_orbifold()
-        kinked = build_curve(cfg.curves["kinked"], orbifold)
-        bent = build_curve(cfg.curves["bent"], orbifold)
+        orbifold = parse_config(WIDE_MIRROR).build_orbifold()
+        kinked = CurveInOrbifold(orbifold, [
+            CurveSegment(-1.0, 0.0, lambda t: np.array([t, -t])),
+            CurveSegment(0.0, 1.0, lambda t: np.array([t, t]))])
+        bent = CurveInOrbifold(orbifold, [
+            CurveSegment(-1.0, 0.0, lambda t: np.array([t, t * t])),
+            CurveSegment(0.0, 1.0, lambda t: np.array([t, t * t]))])
         kl = enumerate_curve_lifts(kinked, 0.0, k=2)
         bl = enumerate_curve_lifts(bent, 0.0, k=2)
         assert (len(kl), sum(1 for l in kl if l.smooth_order >= 1)) == (4, 2)
         assert (len(bl), sum(1 for l in bl if l.smooth_order >= 2)) == (4, 2)
         with pytest.raises(NotDifferentiable):
             curve_tangent(kinked, 0.0)
-
-    def test_curve_expression_whitelist(self):
-        bad = MIRROR_WITH_EXTRAS.replace("segment = t, -t",
-                                         "segment = __import__, -t")
-        with pytest.raises(ConfigInvalid, match="builtin set"):
-            cfg = parse_config(bad)
-            build_curve(cfg.curves["kinked"], cfg.build_orbifold())
-
-    def test_curve_segment_count_checked(self):
-        bad = MIRROR_WITH_EXTRAS.replace("segment = t, t*t\nsegment = t, t*t",
-                                         "segment = t, t*t")
-        with pytest.raises(ConfigInvalid, match="segment rows"):
-            parse_config(bad)
 
 
 class TestSuitesAndReports:
@@ -271,7 +222,7 @@ class TestDumps:
         assert text.splitlines()[0] == "x0,s_x0"
 
     def test_metric_dump_min_eigenvalue_positive(self):
-        cfg = parse_config(MIRROR_WITH_EXTRAS)
+        cfg = parse_config(WIDE_MIRROR)
         _, text = dump_fields(cfg, "metric", grid=4)
         rows = text.strip().splitlines()
         assert rows[0].split(",")[-1] == "min_eigenvalue"
@@ -362,3 +313,46 @@ class TestCli:
         text = (tmp_path / "o" / "report_halfline.txt").read_text()
         assert "suite group" in text and "suite maps" in text
         assert "suite riemann" not in text
+
+
+# (config text, extra ``run`` arguments) that the parser or the CLI must refuse
+BAD_INPUT = {
+    "radius nan": (FLAT_Z2.replace("radius = 2.0", "radius = nan"), []),
+    "radius inf": (FLAT_Z2.replace("radius = 2.0", "radius = inf"), []),
+    "atlas resolution -5": (FLAT_Z2.replace("resolution = 15",
+                                            "resolution = -5"), []),
+    "max_charts 0": (FLAT_Z2.replace("resolution = 15",
+                                     "resolution = 15\nmax_charts = 0"), []),
+    "max_order 0": (FLAT_Z2.replace("generator = -1",
+                                    "generator = -1\nmax_order = 0"), []),
+    "seed -1": (FLAT_Z2.replace("seed = 3", "seed = -1"), []),
+    "verify_resolution 0": (FLAT_Z2 + "\n[grids]\nverify_resolution = 0\n", []),
+    "strata_resolution 0": (FLAT_Z2 + "\n[grids]\nstrata_resolution = 0\n", []),
+    "roundtrip nan": (FLAT_Z2 + "\n[tolerances]\nroundtrip = nan\n", []),
+    "composition tolerance": (FLAT_Z2 + "\n[tolerances]\ncomposition = 1e-8\n",
+                              []),
+    "chart_per_axis": (FLAT_Z2 + "\n[grids]\nchart_per_axis = 5\n", []),
+    "misspelt key": (FLAT_Z2 + "\n[grids]\nverify_resolutoin = 3\n", []),
+    "grid section": (FLAT_Z2 + "\n[grid]\nverify_resolution = 3\n", []),
+    "map section": (FLAT_Z2 + "\n[map rot]\ntype = rotation\nangle = 0.4\n", []),
+    "curve section": (FLAT_Z2 + "\n[curve c]\ninterval = -1 1\n"
+                      "segment = t\n", []),
+    "--grid 0": (FLAT_Z2, ["--grid", "0"]),
+    "--seed -1": (FLAT_Z2, ["--seed", "-1"]),
+    "--tol-scale 0": (FLAT_Z2, ["--tol-scale", "0"]),
+    "--tol-scale nan": (FLAT_Z2, ["--tol-scale", "nan"]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
+    text, extra = BAD_INPUT[case]
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    code = cli.main(["run", "--config", str(cfg_file), "--suite", "group",
+                     "--out", str(tmp_path / "out"), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -144,43 +144,6 @@ class TestExpMap:
             image = football3_exp.exp(p, back.vector)
             assert football3.quotient_distance(q, image) < 1e-12
 
-    def test_ode_mode_matches_flat_closed_form(self, manifold):
-        chart = M.build_chart(manifold, manifold.point([0.0, 0.0]),
-                              radius=0.9)
-        ode = R.ExpMap.ode(manifold, chart, lambda y: np.eye(2))
-        flat = R.ExpMap.closed_form(manifold)
-        p = manifold.point([0.1, -0.2])
-        for v in (np.array([0.3, 0.1]), np.array([-0.2, 0.4])):
-            a = ode.exp(p, v)
-            b = flat.exp(p, v)
-            assert manifold.quotient_distance(a, b) < 1e-9
-
-    def test_ode_mode_log_roundtrip(self, manifold):
-        chart = M.build_chart(manifold, manifold.point([0.0, 0.0]),
-                              radius=0.9)
-
-        def metric(y):
-            return (1.0 + 0.1 * float(y @ y)) * np.eye(2)
-
-        ode = R.ExpMap.ode(manifold, chart, metric)
-        x = np.array([0.05, 0.1])
-        v = np.array([0.2, -0.1])
-        y = ode.lift_exp(x[None], v[None])[0]
-        back = ode.lift_log(x[None], y[None])[0]
-        assert np.abs(back - v).max() < 1e-9
-
-    def test_ode_equivariance_on_quotient(self, disk_z4, disk_z4_atlas):
-        chart = next(c for c in disk_z4_atlas if c.isotropy.order > 1)
-        metric = R.average_metric(
-            chart, lambda y: (1.0 + 0.2 * float(y @ y)) * np.eye(2))
-        ode = R.ExpMap.ode(disk_z4, chart, metric)
-        g = chart.isotropy.matrix(1)
-        x = np.array([0.05, 0.02])
-        v = np.array([0.06, -0.03])
-        a = ode.lift_exp((g @ x)[None], (g @ v)[None])[0]
-        b = g @ ode.lift_exp(x[None], v[None])[0]
-        assert np.abs(a - b).max() < 1e-9
-
 
 class TestHomeoAndStrata:
     def test_flat_regular_point_passes(self, manifold):
