@@ -40,12 +40,24 @@ class ChartLift:
 
 def _isotropy_values(chart: DerivedChart, func: Callable, pts: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """func on the points, (k, m), and on their isotropy translates,
-    (k, isotropy order, m): entry [:, a] is func at matrix(a) @ pts."""
+    """func on the points, (k, ...), and on their isotropy translates,
+    (k, isotropy order, ...): entry [:, a] is func at matrix(a) @ pts."""
     trans = translates(chart.isotropy, pts)
     k, order, n = trans.shape
     moved = np.asarray(func(trans.reshape(-1, n)), dtype=float)
-    return np.asarray(func(pts), dtype=float), moved.reshape(k, order, -1)
+    return (np.asarray(func(pts), dtype=float),
+            moved.reshape(k, order, *moved.shape[1:]))
+
+
+def _theta_residuals(chart: DerivedChart, func: Callable,
+                     target_group: FiniteActionGroup, per_axis: int) -> np.ndarray:
+    """(isotropy order, target order): entry [a, m] is the largest
+    |func(g_a y) - T_m func(y)| over the chart samples y."""
+    vals, moved = _isotropy_values(chart, func,
+                                   chart.sample_points(per_axis=per_axis))
+    image = vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
+    return np.stack([np.abs(image - moved[None, :, a]).max(axis=(1, 2))
+                     for a in range(chart.isotropy.order)])
 
 
 def derive_theta(chart: DerivedChart, func: Callable, target_group: FiniteActionGroup,
@@ -55,21 +67,15 @@ def derive_theta(chart: DerivedChart, func: Callable, target_group: FiniteAction
     For every isotropy element g the target element T(g) is the unique group
     element with func(g y) == T(g) func(y) on chart samples.
     """
-    vals, moved = _isotropy_values(chart, func,
-                                   chart.sample_points(per_axis=per_axis))
-    table = []
-    for a in range(chart.isotropy.order):
-        residuals = np.abs(
-            vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
-            - moved[None, :, a]).max(axis=(1, 2))
-        best = int(np.argmin(residuals))
-        if residuals[best] > tol:
+    residuals = _theta_residuals(chart, func, target_group, per_axis)
+    table = residuals.argmin(axis=1)
+    for a, best in enumerate(table):
+        if residuals[a, best] > tol:
             raise EquivarianceViolation(
                 f"no target element matches the lift under isotropy element {a}: "
-                f"best residual {residuals[best]:.3e}")
-        table.append(best)
+                f"best residual {residuals[a, best]:.3e}")
     try:
-        return GroupHom(chart.isotropy, target_group, tuple(table))
+        return GroupHom(chart.isotropy, target_group, tuple(table.tolist()))
     except ValueError as exc:
         raise EquivarianceViolation(str(exc)) from exc
 
@@ -81,14 +87,8 @@ def compatible_thetas(chart: DerivedChart, func: Callable,
 
     Constant lifts into fixed points admit several; none of them is preferred.
     """
-    vals, moved = _isotropy_values(chart, func,
-                                   chart.sample_points(per_axis=per_axis))
-    options: list[list[int]] = []
-    for a in range(chart.isotropy.order):
-        residuals = np.abs(
-            vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
-            - moved[None, :, a]).max(axis=(1, 2))
-        options.append([int(m) for m in np.nonzero(residuals <= tol)[0]])
+    options = [np.flatnonzero(row <= tol).tolist()
+               for row in _theta_residuals(chart, func, target_group, per_axis)]
     out = []
     for combo in itertools.product(*options):
         try:

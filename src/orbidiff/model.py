@@ -20,10 +20,10 @@ from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
 from . import groups
 from .groups import (EPS_GRP, FiniteActionGroup, _snap, _snap_key,
                      canonical_orbit_representative, canonical_representatives,
-                     fixing_mask, football_rotation_group, generate_group,
-                     group_from_elements, orbit, reflection_2d, rotation_2d,
-                     row_apply, row_dot, sign_flip_group, stabilizer, translates,
-                     trivial_group)
+                     cyclic_rotation_group, dihedral_group, fixing_mask,
+                     football_rotation_group, generate_group,
+                     group_from_elements, orbit, row_apply, row_dot,
+                     sign_flip_group, stabilizer, translates, trivial_group)
 
 FLAT = "flat"
 SPHERE = "sphere"
@@ -78,31 +78,27 @@ class ModelSpace:
         return float(self.row_distances(a, b))
 
     def row_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(..., n), (..., n) -> (...): distance from each row of a to the
-        same row of b."""
+        """(..., n), (..., n) -> (...), broadcasting: distance from each row
+        of a to the matching row of b.
+
+        This is the library's one distance kernel.  Each entry is the same
+        bits whatever rows share the call: ``np.linalg.norm`` sums each row's
+        squares on their own, and ``row_dot`` takes each sign as ``np.dot``.
+        """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind == FLAT:
-            return np.sqrt(row_dot(a - b, a - b))
+            return np.linalg.norm(a - b, axis=-1)
         # chord-based great-circle distance: full precision at both ends,
         # unlike arccos of the dot product which loses ~1e-8 near zero
         near = row_dot(a, b) >= 0.0
-        chord = np.where(near[..., None], a - b, a + b)
-        angle = 2.0 * np.arcsin(np.clip(np.sqrt(row_dot(chord, chord)) / 2.0, 0.0, 1.0))
+        chord = np.linalg.norm(np.where(near[..., None], a - b, a + b), axis=-1)
+        angle = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
         return np.where(near, angle, np.pi - angle)
 
     def distances(self, pts: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Distances from each row of pts to q."""
-        pts = np.atleast_2d(pts)
-        if self.kind == FLAT:
-            return np.linalg.norm(pts - q, axis=1)
-        near = 2.0 * np.arcsin(np.clip(np.linalg.norm(pts - q, axis=1) / 2.0,
-                                       0.0, 1.0))
-        far = np.pi - 2.0 * np.arcsin(np.clip(np.linalg.norm(pts + q, axis=1) / 2.0,
-                                              0.0, 1.0))
-        # row_dot, unlike the matrix-vector product pts @ q, gives each row
-        # the sign ModelSpace.distance takes, whatever rows share the call
-        return np.where(row_dot(pts, q) >= 0.0, near, far)
+        return self.row_distances(np.atleast_2d(pts), q)
 
     def verification_domain(self, pts: np.ndarray) -> np.ndarray:
         """Rows of pts on the whole sphere, or in the closed 0.75R sub-ball."""
@@ -265,13 +261,14 @@ class GoodOrbifold:
         order = self.group.order
         cols = max(1, min(len(b), groups._BLOCK // order))
         rows = max(1, groups._BLOCK // (order * cols))
+        dist = self.model.row_distances
         out = np.empty((len(a), len(b)))
         for co in range(0, len(b), cols):
             tb = translates(self.group, b[co:co + cols])
             for lo in range(0, len(a), rows):
                 ta = translates(self.group, a[lo:lo + rows])
-                d_ab = _pair_distances(self.model, ta, b[co:co + cols]).min(axis=1)
-                d_ba = _pair_distances(self.model, tb, a[lo:lo + rows]).min(axis=1)
+                d_ab = dist(ta[..., None, :], b[co:co + cols]).min(axis=1)
+                d_ba = dist(tb[..., None, :], a[lo:lo + rows]).min(axis=1)
                 out[lo:lo + rows, co:co + cols] = np.minimum(d_ab, d_ba.T)
         return out
 
@@ -383,33 +380,6 @@ class DerivedChart:
     def __repr__(self) -> str:
         return (f"DerivedChart(center={np.round(self.center, 4)}, "
                 f"radius={self.radius:.4f}, isotropy={self.isotropy.order})")
-
-
-def _pair_distances(model: ModelSpace, pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(k, order, n), (m, n) -> (k, order, m): ``model.distances(pts[i], q[j])``
-    for every i and j, with the same arithmetic entry by entry."""
-    if model.kind == FLAT:
-        return _chord_lengths(pts, q, 1.0)
-    sign = np.where(row_dot(pts[..., None, :], q) >= 0.0, 1.0, -1.0)
-    angle = 2.0 * np.arcsin(np.clip(_chord_lengths(pts, q, sign) / 2.0, 0.0, 1.0))
-    return np.where(sign > 0.0, angle, np.pi - angle)
-
-
-def _chord_lengths(pts: np.ndarray, q: np.ndarray, sign) -> np.ndarray:
-    """|pts[i, g] - sign[i, g, j] q[j]| for every i, g and j.
-
-    np.linalg.norm adds fewer than 8 squares in order, so one coordinate at
-    a time gives its bits without a (k, order, m, n) array; from 8 on it adds
-    pairwise, and the norm itself is taken.
-    """
-    if q.shape[1] >= 8:
-        return np.linalg.norm(pts[..., None, :] - np.expand_dims(sign, -1) * q,
-                              axis=-1)
-    squares = 0.0
-    for pk, qk in zip(np.moveaxis(pts, -1, 0), q.T.copy()):
-        chord = pk[..., None] - sign * qk
-        squares = squares + chord * chord
-    return np.sqrt(squares)
 
 
 def _first_by_key(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -684,7 +654,7 @@ def diagonal_suborbifold(orbifold: GoodOrbifold,
             amb_d = amb.quotient_distance(amb.point(samples[i]),
                                           amb.point(samples[j]))
             lam_pts = lam.matrices @ samples[i]
-            lam_d = float(np.linalg.norm(lam_pts - samples[j], axis=1).min())
+            lam_d = float(amb.model.distances(lam_pts, samples[j]).min())
             if (amb_d < EPS_GRP) != (lam_d < EPS_GRP):
                 chart_res = max(chart_res, abs(amb_d - lam_d))
     return SuborbifoldData(amb, lam, samples, basis, inv_res, chart_res)
@@ -743,8 +713,7 @@ def line_mod_flip(radius: float = 2.0) -> GoodOrbifold:
 
 def disk_mod_rotation(p: int, radius: float = 1.0) -> GoodOrbifold:
     """Flat disk mod Z_p rotation; a single cone point at the origin."""
-    group = generate_group([rotation_2d(2.0 * np.pi / p)], max_order=p)
-    return GoodOrbifold(ModelSpace(FLAT, 2, radius), group,
+    return GoodOrbifold(ModelSpace(FLAT, 2, radius), cyclic_rotation_group(p),
                         name=f"disk_mod_Z{p}")
 
 
@@ -756,9 +725,7 @@ def plane_mod_reflection(radius: float = 1.0) -> GoodOrbifold:
 
 
 def disk_mod_dihedral(p: int, radius: float = 1.0) -> GoodOrbifold:
-    group = generate_group([rotation_2d(2.0 * np.pi / p), reflection_2d(0.0)],
-                           max_order=2 * p)
-    return GoodOrbifold(ModelSpace(FLAT, 2, radius), group,
+    return GoodOrbifold(ModelSpace(FLAT, 2, radius), dihedral_group(p),
                         name=f"disk_mod_D{p}")
 
 

@@ -8,6 +8,7 @@ inverting it recovers the section.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,10 +20,12 @@ from . import groups
 from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, canonical_representatives,
                      row_apply, row_dot, stabilizer, translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
-                   cs_distance, derive_theta, identity_map)
+                   _isotropy_values, compose, cs_distance, derive_theta,
+                   identity_map)
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
                     signature_at)
-from .tangent import Orbisection, TangentVectorAt, seminorm, tangent_vector
+from .tangent import (Orbisection, TangentVectorAt, random_orbisection,
+                      scale as scale_section, seminorm, tangent_vector)
 
 POU_SUM_TOL = 1e-9
 METRIC_INV_TOL = 1e-10
@@ -125,11 +128,15 @@ def equivariant_partition_of_unity(orbifold: GoodOrbifold,
 
 # -- metric fields ----------------------------------------------------------------
 
-def _check_spd(mat: np.ndarray, where: str):
-    if float(np.abs(mat - mat.T).max()) > 1e-12:
-        raise NotSPD(f"metric is not symmetric at {where}")
-    if float(np.linalg.eigvalsh(mat).min()) <= 0.0:
-        raise NotSPD(f"metric is not positive definite at {where}")
+def _check_spd(mats: np.ndarray, pts: np.ndarray):
+    """NotSPD naming the first of the (k, n) points whose (k, n, n) matrix is
+    not symmetric positive definite."""
+    asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max(axis=(1, 2)) > 1e-12
+    bad = np.flatnonzero(asym | (np.linalg.eigvalsh(mats).min(axis=1) <= 0.0))
+    if bad.size:
+        k = bad[0]
+        what = "symmetric" if asym[k] else "positive definite"
+        raise NotSPD(f"metric is not {what} at {np.round(pts[k], 4)}")
 
 
 def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
@@ -137,32 +144,36 @@ def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
                    per_axis: int = 4) -> Callable[[np.ndarray], np.ndarray]:
     """Isotropy average of a raw metric over a chart.
 
-    The default diagonal average (1/|G|) sum_g g^T raw(g y) g is invariant and
-    keeps positive definiteness (min eigenvalue at least 1/|G| of the input
-    minimum).  ``printed_double_sum`` instead averages the two slots
-    independently, which factors through the fixed-subspace projector and is
-    degenerate off that subspace; it is provided only for demonstration.
+    Metric entries map (k, n) rows to (k, n, n) matrices, ``raw`` and the
+    returned entry alike.  The default diagonal average (1/|G|) sum_g
+    g^T raw(g y) g is invariant and keeps positive definiteness (min
+    eigenvalue at least 1/|G| of the input minimum).  ``printed_double_sum``
+    instead averages the two slots independently, which factors through the
+    fixed-subspace projector and is degenerate off that subspace; it is
+    provided only for demonstration.
     """
     group = chart.isotropy
-    for p in chart.sample_points(per_axis=per_axis):
-        _check_spd(np.asarray(raw(p), dtype=float), f"{np.round(p, 4)}")
+    pts = chart.sample_points(per_axis=per_axis)
+    _check_spd(np.asarray(raw(pts), dtype=float), pts)
 
     if printed_double_sum:
         proj = group.matrices.mean(axis=0)
 
-        def degenerate(y: np.ndarray) -> np.ndarray:
-            return proj.T @ np.asarray(raw(y), dtype=float) @ proj
+        def degenerate(pts: np.ndarray) -> np.ndarray:
+            return proj.T @ np.asarray(raw(pts), dtype=float) @ proj
 
         return degenerate
 
-    def averaged(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
+    def averaged(pts: np.ndarray) -> np.ndarray:
+        trans = translates(group, pts)
+        k, order, n = trans.shape
+        vals = np.asarray(raw(trans.reshape(-1, n)), dtype=float)
+        vals = vals.reshape(k, order, n, n)
         acc = None
-        for lab in range(group.order):
-            g = group.matrix(lab)
-            term = g.T @ np.asarray(raw(g @ y), dtype=float) @ g
+        for lab, g in enumerate(group.matrices):
+            term = g.T @ vals[:, lab] @ g
             acc = term if acc is None else acc + term
-        return acc / group.order
+        return acc / order
 
     return averaged
 
@@ -170,13 +181,11 @@ def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
 def metric_invariance_residual(chart: DerivedChart, entry: Callable,
                                per_axis: int = 4) -> float:
     """max |g^T entry(g y) g - entry(y)| over the chart grid and isotropy."""
+    base, moved = _isotropy_values(chart, entry,
+                                   chart.sample_points(per_axis=per_axis))
     worst = 0.0
-    for p in chart.sample_points(per_axis=per_axis):
-        base = np.asarray(entry(p), dtype=float)
-        for a in range(chart.isotropy.order):
-            g = chart.isotropy.matrix(a)
-            moved = g.T @ np.asarray(entry(g @ p), dtype=float) @ g
-            worst = max(worst, float(np.abs(moved - base).max()))
+    for a, g in enumerate(chart.isotropy.matrices):
+        worst = max(worst, float(np.abs(g.T @ moved[:, a] @ g - base).max()))
     return worst
 
 
@@ -237,20 +246,30 @@ def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator,
                               count: int = 50, scale: float = 0.4) -> float:
     """Representative independence: exp((g x, g v)) equals exp((x, v)).
 
-    Returns the worst quotient distance over seeded random (g, x, v) triples.
+    Returns the worst quotient distance over ``count`` seeded random
+    (g, x, v) triples.  A triple whose image leaves a flat model is redrawn
+    with |v| below 0.1 R, which keeps it inside: base points lie within 0.9 R.
     """
     orbifold = exp_map.orbifold
     grp = orbifold.group
     worst = 0.0
-    for _ in range(count):
+    limit = scale
+    checked = 0
+    while checked < count:
         p = orbifold.random_point(rng)
         frame = orbifold.model.tangent_basis(p.representative)
         v = rng.normal(size=frame.shape[0]) @ frame
-        v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, scale)
+        v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, limit)
         lab = int(rng.integers(0, grp.order))
-        q1 = exp_map.exp(p, v)
-        moved = orbifold.point(grp.act(lab, p.representative))
-        q2 = exp_map.exp(moved, grp.act(lab, v))
+        try:
+            q1 = exp_map.exp(p, v)
+            moved = orbifold.point(grp.act(lab, p.representative))
+            q2 = exp_map.exp(moved, grp.act(lab, v))
+        except OutOfDomain:
+            limit = min(scale, 0.1 * orbifold.model.radius)
+            continue
+        limit = scale
+        checked += 1
         worst = max(worst, orbifold.quotient_distance(q1, q2))
     return worst
 
@@ -306,8 +325,8 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
             break
 
     axis = np.linspace(-1.0, 1.0, image_per_axis)
-    disc = np.array([[a, b] for a in axis for b in axis
-                     if np.hypot(a, b) <= 1.0]) * eps
+    cube = np.array(list(itertools.product(axis, repeat=frame.shape[0])))
+    disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
     images = _canonicals([the_exp(p, c @ frame) for c in disc])
     spacing = 2.0 * eps / (image_per_axis - 1)
     tol = 2.5 * spacing
@@ -549,7 +568,6 @@ class DiffeoChart:
         return DiffeoChart(base, radius, exp_map)
 
     def chart(self, sigma: Orbisection) -> OrbifoldMapData:
-        from .maps import compose
         if seminorm(sigma, 1) >= self.radius:
             raise OutOfDomain("section leaves the chart ball")
         return compose(E_apply(sigma, self.exp_map), self.base)
@@ -564,8 +582,6 @@ def calibrate_chart_radius(orbifold: GoodOrbifold, exp_map: ExpMap,
     Bisection (the given number of steps) on the C^1 bound; each candidate is
     probed with seeded random sections at that size.
     """
-    from .tangent import random_orbisection, scale as scale_section
-
     if upper is None:
         upper = 0.5 * min(ch.radius for ch in atlas)
 

@@ -158,6 +158,20 @@ def _record_exact(records, suite, name, claim, mismatches, witness="-"):
                                        mismatches == 0, witness)))
 
 
+def _raw_metric(rng: np.random.Generator, n: int):
+    """(k, n) -> (k, n, n): the identity plus a sine-modulated symmetric
+    square, seeded by rng; the metric the riemann suite and the metric dump
+    average."""
+    bump = rng.normal(size=(n, n)) * 0.1
+    sym = bump + bump.T
+
+    def raw(pts: np.ndarray) -> np.ndarray:
+        wave = 0.2 * np.sin(np.sum(pts, axis=1))
+        return np.eye(n) + wave[:, None, None] * sym @ sym.T
+
+    return raw
+
+
 # -- individual suites --------------------------------------------------------------
 
 def _suite_group(ctx: _Context, records):
@@ -451,14 +465,8 @@ def _suite_riemann(ctx: _Context, records):
         _record_exact(records, "riemann", "partition_sum", str(exc), 1)
 
     chart = max(ctx.atlas, key=lambda c: c.isotropy.order)
-    rng = ctx.rng(5)
     n = orbifold.model.ambient_dim
-    bump = rng.normal(size=(n, n)) * 0.1
-
-    def raw_metric(y):
-        sym = bump + bump.T
-        return np.eye(n) + 0.2 * np.sin(float(np.sum(y))) * sym @ sym.T
-
+    raw_metric = _raw_metric(ctx.rng(5), n)
     entry = average_metric(chart, raw_metric)
     _record(records, "riemann", "metric_invariance",
             "the averaged metric is isotropy invariant on the chart",
@@ -466,22 +474,20 @@ def _suite_riemann(ctx: _Context, records):
             ctx.tol("metric_invariance"))
     twice = average_metric(chart, entry)
     pts = chart.sample_points(per_axis=3)
-    idem = max(float(np.abs(np.asarray(twice(p)) - np.asarray(entry(p))).max())
-               for p in pts)
+    vals = entry(pts)
+    idem = float(np.abs(twice(pts) - vals).max())
     _record(records, "riemann", "metric_idempotence",
             "averaging an invariant metric changes nothing", idem,
             ctx.tol("idempotence"))
-    mineig = min(float(np.linalg.eigvalsh(np.asarray(entry(p))).min())
-                 for p in pts)
+    mineig = float(np.linalg.eigvalsh(vals).min())
     _record_exact(records, "riemann", "metric_positive",
                   f"averaged metric stays positive definite (min eigenvalue "
                   f"{mineig:.3e})", 0 if mineig > 0 else 1)
     if chart.isotropy.order > 1 and \
             fixed_subspace(chart.isotropy).shape[0] < n:
-        degen = average_metric(chart, raw_metric, printed_double_sum=True)
-        deg_eig = min(float(np.linalg.eigvalsh(
-            0.5 * (np.asarray(degen(p)) + np.asarray(degen(p)).T)).min())
-            for p in pts)
+        degen = average_metric(chart, raw_metric, printed_double_sum=True)(pts)
+        deg_eig = float(np.linalg.eigvalsh(
+            0.5 * (degen + np.swapaxes(degen, 1, 2))).min())
         _record_exact(records, "riemann", "metric_double_sum_degenerate",
                       "the two-slot averaged form is degenerate off the fixed "
                       f"subspace (min eigenvalue {deg_eig:.3e})",
@@ -703,18 +709,13 @@ def dump_fields(config: SuiteConfig, which: str, grid: int | None = None,
     else:
         chart = max(atlas, key=lambda c: c.isotropy.order)
         n = orbifold.model.ambient_dim
-        bump = rng.normal(size=(n, n)) * 0.1
-
-        def raw_metric(y):
-            sym = bump + bump.T
-            return np.eye(n) + 0.2 * np.sin(float(np.sum(y))) * sym @ sym.T
-
-        entry = average_metric(chart, raw_metric)
+        entry = average_metric(chart, _raw_metric(rng, n))
         writer.writerow(coords + [f"g_{i}{j}" for i in range(n)
                                   for j in range(n)] + ["min_eigenvalue"])
-        for y in chart.sample_points(per_axis=grid or 5):
-            m = np.asarray(entry(y))
+        pts = chart.sample_points(per_axis=grid or 5)
+        vals = entry(pts)
+        for y, m, low in zip(pts, vals, np.linalg.eigvalsh(vals).min(axis=1)):
             writer.writerow([f"{c:.12g}" for c in y]
                             + [f"{c:.12g}" for c in m.ravel()]
-                            + [f"{float(np.linalg.eigvalsh(m).min()):.12g}"])
+                            + [f"{float(low):.12g}"])
     return f"{which}_{orbifold.name}.csv", out.getvalue()

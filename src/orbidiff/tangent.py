@@ -29,21 +29,16 @@ MAX_CURVE_ORDER = 2        # FD above order 2 cannot hold the tolerance
 class TangentVectorAt:
     """A tangent vector class at a quotient point.
 
-    ``vector`` is the representative aligned with base.representative;
-    ``orbit_class`` collects its images under the isotropy action.
+    ``vector`` is the representative aligned with base.representative.
     """
 
     base: QuotientPoint
     vector: np.ndarray
-    orbit_class: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=float)
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
-        oc = np.asarray(self.orbit_class, dtype=float)
-        oc.setflags(write=False)
-        object.__setattr__(self, "orbit_class", oc)
 
     @property
     def norm(self) -> float:
@@ -55,8 +50,7 @@ def tangent_vector(orbifold: GoodOrbifold, base: QuotientPoint,
     v = np.asarray(vector, dtype=float)
     if orbifold.model.kind == SPHERE:
         v = v - np.dot(v, base.representative) * base.representative
-    stab = stabilizer(orbifold.group, base.representative)
-    return TangentVectorAt(base, v, stab.matrices @ v)
+    return TangentVectorAt(base, v)
 
 
 def admissible_space(orbifold: GoodOrbifold, p: QuotientPoint) -> np.ndarray:

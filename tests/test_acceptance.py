@@ -154,14 +154,15 @@ def test_criterion_09_equivariant_averaging_battery():
     rng = np.random.default_rng(40)
     bump = rng.normal(size=(2, 2)) * 0.2
 
-    def raw(y):
+    def raw(pts):
         w = bump + bump.T
-        return np.eye(2) + 0.3 * np.sin(float(y[0] - y[1])) * w @ w.T
+        wave = 0.3 * np.sin(pts[:, 0] - pts[:, 1])
+        return np.eye(2) + wave[:, None, None] * w @ w.T
 
     entry = R.average_metric(chart, raw)
     inv = R.metric_invariance_residual(chart, entry)
-    min_eig = min(float(np.linalg.eigvalsh(entry(p)).min())
-                  for p in chart.sample_points(per_axis=4))
+    min_eig = float(np.linalg.eigvalsh(
+        entry(chart.sample_points(per_axis=4))).min())
 
     fb = M.football(3)
     fatlas = M.build_atlas(fb, resolution=20)

@@ -315,6 +315,30 @@ class TestCli:
         assert "suite riemann" not in text
 
 
+# flat configs whose exp checks once left the model or assumed a 2-D
+# tangent disc
+FLAT_RUNS = {
+    "half-line": FLAT_Z2.replace("suites = group, maps\n", ""),
+    "wide mirror": WIDE_MIRROR,
+    "disk mod Z4 radius 1": "[orbifold]\nname = diskz4\nmodel = flat\n"
+                            "dimension = 2\ngenerator = 0 -1 1 0\n\n"
+                            "[run]\nseed = 5\n",
+}
+
+
+@pytest.mark.parametrize("case", FLAT_RUNS)
+def test_flat_configs_run_every_suite_to_a_report(case, tmp_path, capsys):
+    cfg_file = tmp_path / "flat.cfg"
+    cfg_file.write_text(FLAT_RUNS[case])
+    code = cli.main(["run", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err == ""
+    report = next((tmp_path / "out").glob("report_*.txt")).read_text()
+    assert "suite theorem1" in report and "  failed: 0" in report
+
+
 # (config text, extra ``run`` arguments) that the parser or the CLI must refuse
 BAD_INPUT = {
     "radius nan": (FLAT_Z2.replace("radius = 2.0", "radius = nan"), []),

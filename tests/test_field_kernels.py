@@ -1,5 +1,5 @@
-"""The batched partition-of-unity and quotient-distance kernels against the
-per-point code they replaced.
+"""The batched partition-of-unity, quotient-distance and metric-entry
+kernels against the per-point code they replaced.
 
 The reference functions below are the per-point implementations kept as
 oracles: every entry must agree bit for bit, because reports and CSV dumps
@@ -18,7 +18,8 @@ from orbidiff import groups as G
 from orbidiff import maps as P
 from orbidiff import model as M
 from orbidiff import riemann as R
-from orbidiff.errors import CoverGap
+from orbidiff import suites as S
+from orbidiff.errors import CoverGap, NotSPD
 
 THIRD_TURN = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -115,6 +116,54 @@ def reference_injectivity_witness(orbifold, sources, images):
             if reference_quotient_distance(orbifold, images[i].canonical,
                                            images[j].canonical) < 1e-9:
                 return sources[i], sources[j]
+    return None
+
+
+def reference_raw_metric(bump):
+    n = len(bump)
+
+    def raw(y):
+        sym = bump + bump.T
+        return np.eye(n) + 0.2 * np.sin(float(np.sum(y))) * sym @ sym.T
+
+    return raw
+
+
+def reference_average_metric(chart, raw, printed_double_sum=False):
+    group = chart.isotropy
+    if printed_double_sum:
+        proj = group.matrices.mean(axis=0)
+        return lambda y: proj.T @ np.asarray(raw(y), dtype=float) @ proj
+
+    def averaged(y):
+        acc = None
+        for lab in range(group.order):
+            g = group.matrix(lab)
+            term = g.T @ np.asarray(raw(g @ y), dtype=float) @ g
+            acc = term if acc is None else acc + term
+        return acc / group.order
+
+    return averaged
+
+
+def reference_metric_invariance_residual(chart, entry, per_axis=4):
+    worst = 0.0
+    for p in chart.sample_points(per_axis=per_axis):
+        base = np.asarray(entry(p), dtype=float)
+        for a in range(chart.isotropy.order):
+            g = chart.isotropy.matrix(a)
+            moved = g.T @ np.asarray(entry(g @ p), dtype=float) @ g
+            worst = max(worst, float(np.abs(moved - base).max()))
+    return worst
+
+
+def reference_spd_error(raw, pts):
+    for p in pts:
+        mat = np.asarray(raw(p), dtype=float)
+        if float(np.abs(mat - mat.T).max()) > 1e-12:
+            return f"metric is not symmetric at {np.round(p, 4)}"
+        if float(np.linalg.eigvalsh(mat).min()) <= 0.0:
+            return f"metric is not positive definite at {np.round(p, 4)}"
     return None
 
 
@@ -286,6 +335,74 @@ def test_distances_do_not_depend_on_the_rows_beside():
         assert_bitwise(whole, np.concatenate(
             [model.distances(pts[i:i + 3], q) for i in range(0, 300, 3)]))
         assert_bitwise(whole, reference_sphere_distances(pts, q))
+
+
+def test_distance_is_distances_row_by_row():
+    # near-orthogonal sphere rows, where the two branches differ by an ulp,
+    # and random flat rows, where a 1-D dot product and a row norm add the
+    # squares differently
+    rng = np.random.default_rng(11)
+    sphere = M.ModelSpace(M.SPHERE, 2)
+    q = sphere.project(rng.normal(size=3))
+    e1 = sphere.project(np.cross(q, [0.3, 0.5, 0.8]))
+    e2 = np.cross(q, e1)
+    turns = rng.uniform(0.0, 2.0 * np.pi, 3000)
+    circle = np.cos(turns)[:, None] * e1 + np.sin(turns)[:, None] * e2
+    cases = [(sphere, circle, q)]
+    for n in (2, 3):
+        flat = M.ModelSpace(M.FLAT, n, 2.0)
+        cases.append((flat, rng.uniform(-1.0, 1.0, size=(3000, n)),
+                      rng.uniform(-1.0, 1.0, size=n)))
+    for model, pts, q in cases:
+        assert_bitwise(model.distances(pts, q),
+                       [model.distance(p, q) for p in pts])
+
+
+@pytest.mark.parametrize("name", ["football3", "disk_D4", "mirror", "line"])
+def test_metric_entries_match_reference(name):
+    orbifold, atlas = case(name)
+    chart = max(atlas, key=lambda c: c.isotropy.order)   # a pole on football3
+    n = orbifold.model.ambient_dim
+    raw = S._raw_metric(np.random.default_rng(5), n)
+    ref_raw = reference_raw_metric(np.random.default_rng(5).normal(size=(n, n)) * 0.1)
+    pts = np.concatenate([chart.sample_points(per_axis=5), model_points(
+        orbifold, np.random.default_rng(6).uniform(-1.0, 1.0, size=(40, n)))])
+    assert_bitwise(raw(pts), [ref_raw(y) for y in pts])
+
+    entry = R.average_metric(chart, raw)
+    ref = reference_average_metric(chart, ref_raw)
+    assert_bitwise(entry(pts), [ref(y) for y in pts])
+    twice = R.average_metric(chart, entry)
+    ref_twice = reference_average_metric(chart, ref)
+    assert_bitwise(twice(pts), [ref_twice(y) for y in pts])
+    assert_bitwise(R.metric_invariance_residual(chart, entry),
+                   reference_metric_invariance_residual(chart, ref))
+    degen = R.average_metric(chart, raw, printed_double_sum=True)
+    ref_degen = reference_average_metric(chart, ref_raw, printed_double_sum=True)
+    assert_bitwise(degen(pts), [ref_degen(y) for y in pts])
+
+
+def test_not_spd_names_the_first_bad_sample_point():
+    orbifold, atlas = case("disk_D4")
+    chart = max(atlas, key=lambda c: c.isotropy.order)
+    pts = chart.sample_points(per_axis=4)
+
+    def raw_from(skew, flip):
+        def raw(rows):
+            rows = np.atleast_2d(rows)
+            out = np.repeat(np.eye(2)[None], len(rows), axis=0)
+            out[rows[:, 0] > skew, 0, 1] = 0.5
+            out[rows[:, 1] > flip, 1, 1] = -1.0
+            return out
+        return raw
+
+    for skew, flip in [(0.1, 0.1), (0.1, 9.0), (9.0, 0.1), (0.2, 0.05)]:
+        raw = raw_from(skew, flip)
+        want = reference_spd_error(lambda y: raw(y)[0], pts)
+        assert want is not None
+        with pytest.raises(NotSPD) as exc:
+            R.average_metric(chart, raw)
+        assert str(exc.value) == want
 
 
 def test_quotient_distances_match_reference_from_eight_coordinates():

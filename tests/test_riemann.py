@@ -7,7 +7,7 @@ from orbidiff import riemann as R
 from orbidiff import tangent as T
 from orbidiff.errors import (CoverGap, NotCloseToIdentity, NotSPD,
                              OutOfDomain, ThetaNotIdentity)
-from orbidiff.groups import GroupHom, rotation_about_z, row_apply
+from orbidiff.groups import GroupHom, rotation_about_z, row_apply, row_dot
 
 
 class TestPartitionOfUnity:
@@ -49,68 +49,73 @@ class TestAverageMetric:
     def test_invariant_metric_unchanged(self, disk_z4, disk_z4_atlas):
         chart = next(c for c in disk_z4_atlas if c.isotropy.order > 1)
 
-        def conformal(y):
-            return (1.0 + float(y @ y)) * np.eye(2)
+        def conformal(pts):
+            return (1.0 + row_dot(pts, pts))[:, None, None] * np.eye(2)
 
         averaged = R.average_metric(chart, conformal)
-        for y in chart.sample_points(per_axis=4):
-            assert np.abs(averaged(y) - conformal(y)).max() < 1e-12
+        pts = chart.sample_points(per_axis=4)
+        assert np.abs(averaged(pts) - conformal(pts)).max() < 1e-12
 
     def test_random_perturbation_becomes_invariant(self, disk_z4,
                                                    disk_z4_atlas, rng):
         chart = next(c for c in disk_z4_atlas if c.isotropy.order > 1)
         bump = rng.normal(size=(2, 2)) * 0.2
 
-        def raw(y):
+        def raw(pts):
             w = bump + bump.T
-            return np.eye(2) + 0.3 * np.sin(float(y[0] + 2 * y[1])) * w @ w.T
+            wave = 0.3 * np.sin(pts[:, 0] + 2 * pts[:, 1])
+            return np.eye(2) + wave[:, None, None] * w @ w.T
 
         averaged = R.average_metric(chart, raw)
         assert R.metric_invariance_residual(chart, averaged) < 1e-10
-        min_in = min(float(np.linalg.eigvalsh(raw(p)).min())
-                     for p in chart.sample_points(per_axis=4))
-        min_out = min(float(np.linalg.eigvalsh(averaged(p)).min())
-                      for p in chart.sample_points(per_axis=4))
+        pts = chart.sample_points(per_axis=4)
+        min_in = float(np.linalg.eigvalsh(raw(pts)).min())
+        min_out = float(np.linalg.eigvalsh(averaged(pts)).min())
         assert min_out > 0
         assert min_out >= min_in / chart.isotropy.order - 1e-12
 
     def test_identity_metric_passes_through(self, disk_z4, disk_z4_atlas):
         chart = disk_z4_atlas[0]
-        averaged = R.average_metric(chart, lambda y: np.eye(2))
-        for y in chart.sample_points(per_axis=3):
-            assert np.abs(averaged(y) - np.eye(2)).max() == 0.0
-            assert float(np.linalg.eigvalsh(averaged(y)).min()) == 1.0
+        averaged = R.average_metric(chart, _constant_metric(np.eye(2)))
+        out = averaged(chart.sample_points(per_axis=3))
+        assert np.abs(out - np.eye(2)).max() == 0.0
+        assert float(np.linalg.eigvalsh(out).min()) == 1.0
 
     def test_averaging_idempotent(self, disk_z4, disk_z4_atlas, rng):
         chart = next(c for c in disk_z4_atlas if c.isotropy.order > 1)
         bump = rng.normal(size=(2, 2)) * 0.1
 
-        def raw(y):
+        def raw(pts):
             w = bump + bump.T
-            return np.eye(2) + 0.2 * np.cos(float(y[0])) * w @ w.T
+            wave = 0.2 * np.cos(pts[:, 0])
+            return np.eye(2) + wave[:, None, None] * w @ w.T
 
         once = R.average_metric(chart, raw)
         twice = R.average_metric(chart, once)
-        for y in chart.sample_points(per_axis=4):
-            assert np.abs(once(y) - twice(y)).max() < 1e-12
+        pts = chart.sample_points(per_axis=4)
+        assert np.abs(once(pts) - twice(pts)).max() < 1e-12
 
     def test_not_spd_rejected(self, disk_z4, disk_z4_atlas):
         chart = disk_z4_atlas[0]
         with pytest.raises(NotSPD):
-            R.average_metric(chart, lambda y: -np.eye(2))
+            R.average_metric(chart, _constant_metric(-np.eye(2)))
         with pytest.raises(NotSPD):
-            R.average_metric(chart, lambda y: np.array([[1.0, 0.5],
-                                                        [0.0, 1.0]]))
+            R.average_metric(chart, _constant_metric(np.array([[1.0, 0.5],
+                                                               [0.0, 1.0]])))
 
     def test_printed_double_sum_is_degenerate(self, line_flip,
                                               line_flip_atlas):
         chart = next(c for c in line_flip_atlas if c.isotropy.order > 1)
-        entry = R.average_metric(chart, lambda y: np.eye(1),
+        entry = R.average_metric(chart, _constant_metric(np.eye(1)),
                                  printed_double_sum=True)
         # the two-slot average factors through the fixed-subspace projector,
         # which is zero for the sign flip: no positive definiteness survives
-        for y in chart.sample_points(per_axis=3):
-            assert np.abs(entry(y)).max() < 1e-15
+        assert np.abs(entry(chart.sample_points(per_axis=3))).max() < 1e-15
+
+
+def _constant_metric(mat):
+    """The metric entry (k, n) -> (k, n, n) that is mat at every row."""
+    return lambda pts: np.broadcast_to(mat, (len(pts),) + mat.shape)
 
 
 class TestExpMap:
@@ -129,6 +134,37 @@ class TestExpMap:
     def test_representative_independence(self, football3_exp, rng):
         assert R.exp_well_defined_residual(football3_exp, rng, count=50) < 1e-9
 
+    @pytest.mark.parametrize("build", [lambda: M.football(3),
+                                       lambda: M.disk_mod_rotation(4, 2.0)],
+                             ids=["football3", "disk_Z4 radius 2"])
+    def test_well_defined_residual_keeps_the_stream_where_no_image_leaves(
+            self, build):
+        exp_map = R.ExpMap.closed_form(build())
+        rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        got = R.exp_well_defined_residual(exp_map, rng, count=50)
+        assert got == _reference_well_defined_residual(exp_map, ref_rng, 50)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("radius", [1.0, 1e-6])
+    def test_well_defined_residual_redraws_images_that_leave(self, radius,
+                                                             monkeypatch):
+        # the riemann suite's stream at seed 5: at radius 1 two of the first
+        # 50 triples leave the disk, at radius 1e-6 all of them do
+        disk = M.disk_mod_rotation(4, radius)
+        exp_map = R.ExpMap.closed_form(disk)
+        with pytest.raises(OutOfDomain):
+            _reference_well_defined_residual(
+                exp_map, np.random.default_rng(6005), 50)
+        measured = []
+        distance = M.GoodOrbifold.quotient_distance
+        monkeypatch.setattr(M.GoodOrbifold, "quotient_distance",
+                            lambda self, a, b: measured.append(1)
+                            or distance(self, a, b))
+        got = R.exp_well_defined_residual(exp_map, np.random.default_rng(6005),
+                                          count=50)
+        assert len(measured) == 50
+        assert got < 1e-9
+
     def test_out_of_domain_on_sphere(self, football3, football3_exp):
         pole = football3.point([0, 0, 1.0])
         with pytest.raises(OutOfDomain):
@@ -143,6 +179,24 @@ class TestExpMap:
             back = football3_exp.log(p, q)
             image = football3_exp.exp(p, back.vector)
             assert football3.quotient_distance(q, image) < 1e-12
+
+
+def _reference_well_defined_residual(exp_map, rng, count):
+    """exp_well_defined_residual before it redrew triples leaving the model."""
+    orbifold = exp_map.orbifold
+    grp = orbifold.group
+    worst = 0.0
+    for _ in range(count):
+        p = orbifold.random_point(rng)
+        frame = orbifold.model.tangent_basis(p.representative)
+        v = rng.normal(size=frame.shape[0]) @ frame
+        v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, 0.4)
+        lab = int(rng.integers(0, grp.order))
+        q1 = exp_map.exp(p, v)
+        moved = orbifold.point(grp.act(lab, p.representative))
+        q2 = exp_map.exp(moved, grp.act(lab, v))
+        worst = max(worst, orbifold.quotient_distance(q1, q2))
+    return worst
 
 
 class TestHomeoAndStrata:

@@ -269,4 +269,3 @@ class TestCurveTangent:
     def test_boundary_tangent_returns_class(self):
         tv = T.curve_tangent(_curve_b(), -1.0)
         assert np.abs(tv.vector - np.array([1.0, -1.0])).max() < 1e-6
-        assert tv.orbit_class.shape[0] >= 1
