@@ -188,28 +188,31 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
 
     commutation = 0.0
     grp = f.source.group
+    model = f.source.model
     for i, ei in enumerate(f.lifts):
+        pts = ei.chart.sample_points(per_axis=per_axis)
         for j in range(i + 1, len(f.lifts)):
             ej = f.lifts[j]
             for lab in range(grp.order):
                 moved_center = grp.act(lab, ei.chart.center)
-                if f.source.model.distance(moved_center, ej.chart.center) >= \
+                if model.distance(moved_center, ej.chart.center) >= \
                         ei.chart.radius + ej.chart.radius:
                     continue
-                pts = ei.chart.sample_points(per_axis=per_axis)
                 moved = grp.act(lab, pts)
-                inside = [k for k, p in enumerate(moved)
-                          if ej.chart.contains(p, slack=0.0)][:8]
-                if not inside:
+                inside = np.flatnonzero(model.distances(moved, ej.chart.center)
+                                        <= ej.chart.radius)[:8]
+                if not inside.size:
                     continue
                 try:
-                    ya = np.asarray(ei.func(pts[inside]), dtype=float)
-                    yb = np.asarray(ej.func(moved[inside]), dtype=float)
-                    for a, b in zip(ya, yb):
-                        commutation = max(commutation, f.target.quotient_distance(
-                            f.target.point(a), f.target.point(b)))
+                    qa = f.target.points(ei.func(pts[inside]))
+                    qb = f.target.points(ej.func(moved[inside]))
                 except ValueError as exc:
                     raise ImageEscapesChart(str(exc)) from exc
+                # entry (k, k) compares the two images of sample k
+                gaps = f.target.quotient_distances(
+                    np.stack([q.canonical for q in qa]),
+                    np.stack([q.canonical for q in qb]))
+                commutation = max(commutation, float(np.diagonal(gaps).max()))
     return EquivarianceReport(tuple(per_chart), commutation, per_axis)
 
 
@@ -373,12 +376,6 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
     tgt_grp = target.group
     cache: dict[tuple, np.ndarray] = {}
 
-    def candidates(point: np.ndarray) -> np.ndarray:
-        q = underlying(small.orbifold.point(point))
-        if not target.model.contains(q.representative):
-            raise ImageEscapesChart("underlying image leaves the target model")
-        return tgt_grp.matrices @ q.canonical
-
     def continue_to(point: np.ndarray) -> np.ndarray:
         key = _snap_key(point)
         if key in cache:
@@ -391,16 +388,17 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
             return val
         if model.kind == FLAT:
             direction = (point - big.center) / dist
-            path = [big.center + r * direction
-                    for r in np.linspace(start_r, dist, steps)]
         else:
-            v = model.geo_log(big.center, point)
-            v = v / np.linalg.norm(v)
-            path = [model.geo_exp(big.center, r * v)
-                    for r in np.linspace(start_r, dist, steps)]
+            direction = model.geo_log(big.center, point)
+            direction = direction / np.linalg.norm(direction)
+        path = model.geo_exp(big.center,
+                             np.linspace(start_r, dist, steps)[:, None] * direction)
         prev = one_small(path[0])
-        for p in path[1:]:
-            cand = candidates(p)
+        for p, q in zip(path[1:], small.orbifold.points(path[1:])):
+            image = underlying(q)
+            if not target.model.contains(image.representative):
+                raise ImageEscapesChart("underlying image leaves the target model")
+            cand = tgt_grp.matrices @ image.canonical
             dists = np.linalg.norm(cand - prev, axis=1)
             order = np.argsort(dists)
             best = cand[order[0]]
@@ -445,49 +443,54 @@ class MapDistanceReport:
     step: float
 
 
+def _steps(model, pts: np.ndarray, step: float) -> np.ndarray:
+    """(..., n) points -> (..., dim, 2, n): each point moved by +step and
+    -step along every axis of its tangent frame, in one geo_exp call."""
+    dim = model.dimension
+    if model.kind == FLAT:
+        offsets = np.zeros((dim, 2, dim))
+        axes = np.arange(dim)
+        offsets[axes, 0, axes] = step
+        offsets[axes, 1, axes] = -step
+        return pts[..., None, None, :] + offsets
+    n = pts.shape[-1]
+    frames = model.tangent_frames(pts.reshape(-1, n)).reshape(*pts.shape[:-1], dim, n)
+    return model.geo_exp(pts[..., None, None, :],
+                         np.array([step, -step])[:, None] * frames[..., None, :])
+
+
 def _lift_jet(model, func, pts: np.ndarray, s: int,
               step: float) -> list[np.ndarray]:
     """Values and directional FD derivatives up to order s along a frame.
 
-    One call of func per order: the values, (k, m); every +-step point,
-    (k, dim, m) differences; and the order-2 stencil, (k, dim (dim + 1) / 2, m)
-    with the pairs i <= j in row-major order.
+    func runs once, on the points and their whole stencil, and the jets are
+    the values, (k, m); the central differences of the +-step points, (k,
+    dim, m); and at order 2 the second differences, (k, dim (dim + 1) / 2, m)
+    with the pairs i <= j in row-major order.  A mixed pair (i, j) moves
+    each +-step point along axis i by +-step along axis j of its own frame.
     """
-    vals = np.asarray(func(pts), dtype=float)
+    pts = np.asarray(pts, dtype=float)
+    k, n = pts.shape
+    dim = model.dimension
+    mixed = [(i, j) for i in range(dim) for j in range(i + 1, dim)] if s >= 2 else []
+    stencil = [pts]
+    if s >= 1:
+        moved = _steps(model, pts, step)            # (k, dim, 2, n)
+        stencil.append(moved.reshape(-1, n))
+    if mixed:
+        twice = _steps(model, moved, step)          # (k, dim, 2, dim, 2, n)
+        stencil.append(np.stack([twice[:, i, :, j] for i, j in mixed], axis=1)
+                       .reshape(-1, n))
+    out = np.asarray(func(np.concatenate(stencil)), dtype=float)
+    vals = out[:k]
     jets = [vals]
     if s == 0:
         return jets
-
-    def shift(p, i, t, frame=None):
-        """p moved by t along axis i of its frame, built here when not given."""
-        if model.kind == FLAT:
-            e = np.zeros(model.dimension)
-            e[i] = t
-            return p + e
-        if frame is None:
-            frame = model.tangent_basis(p)
-        return model.geo_exp(p, t * frame[i])
-
-    def at(stencil: list) -> np.ndarray:
-        """func on (k, points per row, n) stencil rows, shaped alike."""
-        arr = np.asarray(stencil, dtype=float)
-        out = np.asarray(func(arr.reshape(-1, arr.shape[-1])), dtype=float)
-        return out.reshape(*arr.shape[:2], -1)
-
-    dim = model.dimension
-    # per point and axis: the +step and the -step point, from one frame
-    frames = ([None] * len(pts) if model.kind == FLAT
-              else [model.tangent_basis(p) for p in pts])
-    pm = at([[shift(p, i, t, frame) for i in range(dim) for t in (step, -step)]
-             for p, frame in zip(pts, frames)]).reshape(len(pts), dim, 2, -1)
+    pm = out[k:k * (1 + 2 * dim)].reshape(k, dim, 2, -1)
     jets.append((pm[:, :, 0] - pm[:, :, 1]) / (2 * step))
     if s >= 2:
-        mixed = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
         if mixed:
-            corners = at([[shift(shift(p, i, a), j, b) for i, j in mixed
-                           for a, b in ((step, step), (step, -step),
-                                        (-step, step), (-step, -step))]
-                          for p in pts]).reshape(len(pts), len(mixed), 4, -1)
+            corners = out[k * (1 + 2 * dim):].reshape(k, len(mixed), 4, -1)
         rows = []
         for i in range(dim):
             for j in range(i, dim):

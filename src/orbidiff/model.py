@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,11 +19,11 @@ from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
                      UnsupportedModel)
 from . import groups
 from .groups import (EPS_GRP, FiniteActionGroup, _snap, _snap_key,
-                     canonical_orbit_representative, canonical_representatives,
-                     cyclic_rotation_group, dihedral_group, fixing_mask,
-                     football_rotation_group, generate_group,
-                     group_from_elements, orbit, row_apply, row_dot,
-                     sign_flip_group, stabilizer, translates, trivial_group)
+                     canonical_representatives, cyclic_rotation_group,
+                     dihedral_group, fixing_mask, football_rotation_group,
+                     generate_group, group_from_elements, orbit, row_apply,
+                     row_dot, sign_flip_group, stabilizer, translates,
+                     trivial_group)
 
 FLAT = "flat"
 SPHERE = "sphere"
@@ -142,23 +142,33 @@ class ModelSpace:
 
     def tangent_basis(self, x: np.ndarray) -> np.ndarray:
         """Orthonormal rows spanning the tangent space at x."""
-        if self.kind == FLAT:
-            return np.eye(self.dimension)
+        return self.tangent_frames(np.asarray(x, dtype=float)[None])[0]
+
+    def tangent_frames(self, x: np.ndarray) -> np.ndarray:
+        """(k, n) points -> (k, dim, n): orthonormal rows spanning the tangent
+        space at each point.
+
+        On the sphere this is Gram-Schmidt of the coordinate axes projected
+        to the tangent plane, in axis order, skipping an axis whose remainder
+        is shorter than 1e-8; all rows take each step at once, and a row that
+        skips an axis or already holds dim vectors keeps its state.
+        """
         x = np.asarray(x, dtype=float)
-        n = self.ambient_dim
-        basis = []
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            v = e - np.dot(e, x) * x
-            for b in basis:
-                v = v - np.dot(v, b) * b
-            nv = float(np.linalg.norm(v))
-            if nv > 1e-8:
-                basis.append(v / nv)
-            if len(basis) == self.dimension:
-                break
-        return np.stack(basis)
+        if self.kind == FLAT:
+            return np.tile(np.eye(self.dimension), (len(x), 1, 1))
+        dim = self.dimension
+        frames = np.zeros((len(x), dim, self.ambient_dim))
+        filled = np.zeros(len(x), dtype=int)
+        for e in np.eye(self.ambient_dim):
+            v = e - row_dot(e, x)[:, None] * x
+            for j in range(dim):
+                b = frames[:, j]
+                v = np.where((j < filled)[:, None], v - row_dot(v, b)[:, None] * b, v)
+            nv = np.sqrt(row_dot(v, v))
+            take = np.flatnonzero((filled < dim) & (nv > 1e-8))
+            frames[take, filled[take]] = v[take] / nv[take, None]
+            filled[take] += 1
+        return frames
 
     # -- deterministic sample sets -------------------------------------------
 
@@ -227,14 +237,17 @@ class GoodOrbifold:
 
     # -- quotient points -----------------------------------------------------
 
-    def canonical_representative(self, point: np.ndarray) -> np.ndarray:
-        return canonical_orbit_representative(self.group, point)
-
     def point(self, representative: np.ndarray) -> "QuotientPoint":
-        rep = self.model.project(np.asarray(representative, dtype=float))
-        if not self.model.contains(rep):
-            raise ValueError(f"point {rep} is not in the model space")
-        return QuotientPoint(self, rep, self.canonical_representative(rep))
+        return self.points(np.asarray(representative, dtype=float)[None])[0]
+
+    def points(self, representatives: np.ndarray) -> list["QuotientPoint"]:
+        """The quotient point of each (k, n) row, canonicalised in one call."""
+        reps = self.model.project(np.asarray(representatives, dtype=float))
+        for rep in reps:
+            if not self.model.contains(rep):
+                raise ValueError(f"point {rep} is not in the model space")
+        return [QuotientPoint(self, rep, canon) for rep, canon in
+                zip(reps, canonical_representatives(self.group, reps))]
 
     def random_point(self, rng: np.random.Generator) -> "QuotientPoint":
         if self.model.kind == FLAT:
@@ -359,6 +372,8 @@ class DerivedChart:
     center: np.ndarray
     radius: float
     isotropy: FiniteActionGroup   # subgroup of the global group, parent labels kept
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float)
@@ -370,8 +385,15 @@ class DerivedChart:
             self.radius * (1.0 + slack)
 
     def sample_points(self, per_axis: int = 5, shrink: float = 0.95) -> np.ndarray:
-        return self.orbifold.model.ball_grid(self.center, self.radius,
-                                             per_axis=per_axis, shrink=shrink)
+        """The chart's ball grid, built on the first call for each
+        (per_axis, shrink) and returned read-only from then on."""
+        key = (per_axis, shrink)
+        if key not in self._grids:
+            pts = self.orbifold.model.ball_grid(self.center, self.radius,
+                                                per_axis=per_axis, shrink=shrink)
+            pts.setflags(write=False)
+            self._grids[key] = pts
+        return self._grids[key]
 
     @property
     def isotropy_order(self) -> int:
@@ -380,6 +402,11 @@ class DerivedChart:
     def __repr__(self) -> str:
         return (f"DerivedChart(center={np.round(self.center, 4)}, "
                 f"radius={self.radius:.4f}, isotropy={self.isotropy.order})")
+
+
+def atlas_grid(atlas: Sequence[DerivedChart], per_axis: int = 5) -> np.ndarray:
+    """The charts' sample grids stacked in atlas order, shape (k, n)."""
+    return np.concatenate([ch.sample_points(per_axis=per_axis) for ch in atlas])
 
 
 def _first_by_key(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,8 +27,8 @@ from .maps import (OrbifoldMapData, VectorPolynomial, average_polynomial,
                    check_equivariance, count_theta_choices, cs_distance,
                    enumerate_identity_lifts, extend_lift, identity_map,
                    monomial_exponents)
-from .model import (FLAT, build_atlas, build_chart, plane_mod_reflection,
-                    signature_at, strata)
+from .model import (FLAT, atlas_grid, build_atlas, build_chart,
+                    plane_mod_reflection, signature_at, strata)
 from .riemann import (E_apply, E_inverse, ExpMap, average_metric,
                       equivariant_partition_of_unity, exp_local_homeo_check,
                       exp_stratum_check, exp_well_defined_residual,
@@ -387,7 +387,7 @@ def _suite_tangent(ctx: _Context, records):
 
     once = project_equivariant(orbifold.group, raw, model=orbifold.model)
     twice = project_equivariant(orbifold.group, once, model=orbifold.model)
-    pts = np.concatenate([ch.sample_points(per_axis=3) for ch in ctx.atlas])
+    pts = atlas_grid(ctx.atlas, 3)
     idem = float(np.abs(once(pts) - twice(pts)).max())
     _record(records, "tangent", "projection_idempotent",
             "equivariant averaging of vector fields is idempotent", idem,

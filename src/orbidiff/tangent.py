@@ -18,7 +18,7 @@ from .groups import (EPS_GRP, FiniteActionGroup, fixed_subspace, row_apply,
                      row_dot, stabilizer, translates)
 from .maps import _lift_jet
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
-                    _snap_key)
+                    _snap_key, atlas_grid)
 
 CURVE_FD_STEP = 1e-4       # one-sided differencing step for lift classification
 CURVE_FD_TOL = 1e-6        # derivative agreement tolerance
@@ -112,7 +112,7 @@ class Orbisection:
         self.atlas = tuple(atlas)
         self.field = field
         self.name = name
-        self._grid_cache: dict[tuple, np.ndarray] = {}
+        self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.values(np.asarray(y, dtype=float)[None])[0]
@@ -123,25 +123,30 @@ class Orbisection:
     def at(self, p: QuotientPoint) -> TangentVectorAt:
         return tangent_vector(self.orbifold, p, self.value(p.representative))
 
-    def chart_values(self, chart: DerivedChart,
-                     per_axis: int = 5) -> tuple[np.ndarray, np.ndarray]:
-        key = (_snap_key(chart.center), chart.radius, per_axis)
-        if key not in self._grid_cache:
-            pts = chart.sample_points(per_axis=per_axis)
-            self._grid_cache[key] = (pts, self.values(pts))
-        return self._grid_cache[key]
+    def grid_values(self, per_axis: int = 5) -> tuple[np.ndarray, np.ndarray]:
+        """The chart grids of the atlas stacked in chart order, (k, n), and
+        the field on them, (k, n), from one call; kept per per_axis."""
+        if per_axis not in self._grid_cache:
+            pts = atlas_grid(self.atlas, per_axis)
+            self._grid_cache[per_axis] = (pts, self.values(pts))
+        return self._grid_cache[per_axis]
 
     def equivariance_residual(self, per_axis: int = 5) -> float:
         """max |s(g y) - g s(y)| over charts, group elements, and samples."""
         grp = self.orbifold.group
+        pts, vals = self.grid_values(per_axis)
+        trans = translates(grp, pts)
+        moved = self.values(trans.reshape(-1, trans.shape[2])).reshape(trans.shape)
+        # g s(y) is a matrix product, whose bits depend on its row count: one
+        # product per chart grid
+        cuts = np.cumsum([len(ch.sample_points(per_axis=per_axis))
+                          for ch in self.atlas])[:-1]
         worst = 0.0
-        for chart in self.atlas:
-            pts, vals = self.chart_values(chart, per_axis)
-            trans = translates(grp, pts)
-            moved = self.values(trans.reshape(-1, trans.shape[2])).reshape(trans.shape)
+        for chart_moved, chart_vals in zip(np.split(moved, cuts), np.split(vals, cuts)):
             for lab in range(grp.order):
                 g = grp.matrix(lab)
-                worst = max(worst, float(np.abs(moved[:, lab] - vals @ g.T).max()))
+                worst = max(worst, float(np.abs(chart_moved[:, lab]
+                                                - chart_vals @ g.T).max()))
         return worst
 
     def center_fixed_residual(self) -> float:
@@ -194,18 +199,15 @@ def scale(sigma: Orbisection, t: float) -> Orbisection:
 
 def seminorm(sigma: Orbisection, order: int = 0, per_axis: int = 5,
              step: float = 1e-5) -> float:
-    """Chartwise sup of |s| and, at order 1, FD first derivatives."""
+    """Sup of |s| and, at order 1, of FD first derivatives over the chart
+    grids of the atlas, each order evaluated on all the grids at once."""
     if order not in (0, 1):
         raise ValueError("seminorm order must be 0 or 1")
-    model = sigma.orbifold.model
-    worst = 0.0
-    for chart in sigma.atlas:
-        pts, vals = sigma.chart_values(chart, per_axis)
-        worst = max(worst, float(np.abs(vals).max(initial=0.0)))
-        if order >= 1:
-            dpts = chart.sample_points(per_axis=3)
-            jets = _lift_jet(model, sigma.field, dpts, 1, step)
-            worst = max(worst, float(np.abs(jets[1]).max(initial=0.0)))
+    worst = float(np.abs(sigma.grid_values(per_axis)[1]).max(initial=0.0))
+    if order >= 1:
+        jets = _lift_jet(sigma.orbifold.model, sigma.field,
+                         atlas_grid(sigma.atlas, 3), 1, step)
+        worst = max(worst, float(np.abs(jets[1]).max(initial=0.0)))
     return worst
 
 

@@ -54,13 +54,34 @@ def reference_geo_log(model, x, y):
     return float(np.arctan2(norm, dot)) * perp / norm
 
 
+def reference_tangent_basis(model, x):
+    """ModelSpace.tangent_basis as a Gram-Schmidt walk over one point."""
+    if model.kind == M.FLAT:
+        return np.eye(model.dimension)
+    x = np.asarray(x, dtype=float)
+    n = model.ambient_dim
+    basis = []
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        v = e - np.dot(e, x) * x
+        for b in basis:
+            v = v - np.dot(v, b) * b
+        nv = float(np.linalg.norm(v))
+        if nv > 1e-8:
+            basis.append(v / nv)
+        if len(basis) == model.dimension:
+            break
+    return np.stack(basis)
+
+
 def reference_ball_grid(model, center, radius, per_axis, shrink):
     axis = np.linspace(-1.0, 1.0, per_axis)
     cube = np.array(list(itertools.product(axis, repeat=model.dimension)))
     cube = cube[np.linalg.norm(cube, axis=1) <= 1.0 + 1e-12] * radius * shrink
     if model.kind == M.FLAT:
         return center + cube
-    frame = model.tangent_basis(center)
+    frame = reference_tangent_basis(model, center)
     return np.stack([reference_geo_exp(model, center, c @ frame) for c in cube])
 
 
@@ -148,7 +169,7 @@ def reference_lift_jet(model, func, pts, s, step):
             e = np.zeros(model.dimension)
             e[i] = t
             return p + e
-        frame = model.tangent_basis(p)
+        frame = reference_tangent_basis(model, p)
         return reference_geo_exp(model, p, t * frame[i])
 
     dim = model.dimension
