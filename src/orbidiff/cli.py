@@ -89,8 +89,10 @@ def main(argv: list[str] | None = None) -> int:
         target = out_dir / f"report_{config.name}.txt"
         target.write_text(text, encoding="utf-8")
         for which in ("partition", "orbisection", "metric"):
-            # the report's config carries the --grid resolutions
-            fname, csv_text = dump_fields(report.config, which, seed=args.seed)
+            # the report's config carries the --grid resolutions, and its
+            # atlas is the one the suites ran on
+            fname, csv_text = dump_fields(report.config, which, seed=args.seed,
+                                          atlas=report.atlas)
             (out_dir / fname).write_text(csv_text, encoding="utf-8")
         sys.stdout.write(text)
         sys.stdout.write(f"\nwrote {target} and CSV grid dumps\n")

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
                      EquivarianceViolation, ImageEscapesChart)
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
-                     center, fixing_mask, inner_automorphisms, row_apply,
-                     translates)
+                     canonical_representatives, center, fixing_mask,
+                     inner_automorphisms, row_apply, translates)
 from .model import (FLAT, DerivedChart, GoodOrbifold, QuotientPoint,
                     _covered, build_atlas)
 
@@ -38,46 +38,88 @@ class ChartLift:
     theta: GroupHom           # chart.isotropy -> target group
 
 
-def _isotropy_values(chart: DerivedChart, func: Callable, pts: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """func on the points, (k, ...), and on their isotropy translates,
-    (k, isotropy order, ...): entry [:, a] is func at matrix(a) @ pts."""
-    trans = translates(chart.isotropy, pts)
-    k, order, n = trans.shape
-    moved = np.asarray(func(trans.reshape(-1, n)), dtype=float)
-    return (np.asarray(func(pts), dtype=float),
-            moved.reshape(k, order, *moved.shape[1:]))
+def _func_groups(funcs: Sequence[Callable]) -> list[list[int]]:
+    """Indices of the funcs grouped by function object, each group and the
+    groups in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i, func in enumerate(funcs):
+        groups.setdefault(id(func), []).append(i)
+    return list(groups.values())
 
 
-def _theta_residuals(chart: DerivedChart, func: Callable,
-                     target_group: FiniteActionGroup, per_axis: int) -> np.ndarray:
-    """(isotropy order, target order): entry [a, m] is the largest
-    |func(g_a y) - T_m func(y)| over the chart samples y."""
-    vals, moved = _isotropy_values(chart, func,
-                                   chart.sample_points(per_axis=per_axis))
-    image = vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
-    return np.stack([np.abs(image - moved[None, :, a]).max(axis=(1, 2))
-                     for a in range(chart.isotropy.order)])
+def _by_func(funcs: Sequence[Callable], grids: Sequence[np.ndarray],
+             run: Callable[[Callable, np.ndarray], list[np.ndarray]]
+             ) -> list[list[np.ndarray]]:
+    """run(func, rows) once per distinct func, on the grids paired with it
+    stacked in order; entry i is run's arrays cut back to grids[i]."""
+    out: list[list[np.ndarray]] = [[] for _ in funcs]
+    for idx in _func_groups(funcs):
+        arrays = run(funcs[idx[0]], np.concatenate([grids[i] for i in idx]))
+        cuts = np.cumsum([len(grids[i]) for i in idx])[:-1]
+        for i, *parts in zip(idx, *(np.split(a, cuts) for a in arrays)):
+            out[i] = parts
+    return out
 
 
-def derive_theta(chart: DerivedChart, func: Callable, target_group: FiniteActionGroup,
-                 per_axis: int = 5, tol: float = LIFT_TOL) -> GroupHom:
-    """Match the homomorphism table of an equivariant lift numerically.
+def _isotropy_values(charts: Sequence[DerivedChart], func: Callable,
+                     per_axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per chart, func on its grid, (k, ...), and on the grid's isotropy
+    translates, (k, isotropy order, ...): entry [:, a] is func at
+    matrix(a) @ pts.
+
+    One func call takes every chart's translates and then its grid, in
+    chart order, the order in which a lift that memoises its rows (as
+    extend_lift's does) met them one chart at a time.
+    """
+    rows, shapes = [], []
+    for ch in charts:
+        pts = ch.sample_points(per_axis=per_axis)
+        trans = translates(ch.isotropy, pts)
+        rows += [trans.reshape(-1, trans.shape[2]), pts]
+        shapes.append(trans.shape[:2])
+    out = np.asarray(func(np.concatenate(rows)), dtype=float)
+    parts = np.split(out, np.cumsum([len(r) for r in rows])[:-1])
+    return [(vals, moved.reshape(*shape, *moved.shape[1:]))
+            for moved, vals, shape in zip(parts[0::2], parts[1::2], shapes)]
+
+
+def _theta_residuals(charts: Sequence[DerivedChart], func: Callable,
+                     target_group: FiniteActionGroup, per_axis: int
+                     ) -> list[np.ndarray]:
+    """Per chart, (isotropy order, target order): entry [a, m] is the
+    largest |func(g_a y) - T_m func(y)| over the chart samples y."""
+    out = []
+    for vals, moved in _isotropy_values(charts, func, per_axis):
+        # one product per chart grid: its bits depend on the row count
+        image = vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
+        out.append(np.stack([np.abs(image - moved[None, :, a]).max(axis=(1, 2))
+                             for a in range(moved.shape[1])]))
+    return out
+
+
+def derive_theta(charts: Sequence[DerivedChart], func: Callable,
+                 target_group: FiniteActionGroup, per_axis: int = 5,
+                 tol: float = LIFT_TOL) -> tuple[GroupHom, ...]:
+    """Match the homomorphism table of an equivariant lift numerically, on
+    each of the charts.
 
     For every isotropy element g the target element T(g) is the unique group
     element with func(g y) == T(g) func(y) on chart samples.
     """
-    residuals = _theta_residuals(chart, func, target_group, per_axis)
-    table = residuals.argmin(axis=1)
-    for a, best in enumerate(table):
-        if residuals[a, best] > tol:
-            raise EquivarianceViolation(
-                f"no target element matches the lift under isotropy element {a}: "
-                f"best residual {residuals[a, best]:.3e}")
-    try:
-        return GroupHom(chart.isotropy, target_group, tuple(table.tolist()))
-    except ValueError as exc:
-        raise EquivarianceViolation(str(exc)) from exc
+    out = []
+    for chart, residuals in zip(charts, _theta_residuals(charts, func,
+                                                         target_group, per_axis)):
+        table = residuals.argmin(axis=1)
+        for a, best in enumerate(table):
+            if residuals[a, best] > tol:
+                raise EquivarianceViolation(
+                    f"no target element matches the lift under isotropy element {a}: "
+                    f"best residual {residuals[a, best]:.3e}")
+        try:
+            out.append(GroupHom(chart.isotropy, target_group, tuple(table.tolist())))
+        except ValueError as exc:
+            raise EquivarianceViolation(str(exc)) from exc
+    return tuple(out)
 
 
 def compatible_thetas(chart: DerivedChart, func: Callable,
@@ -88,7 +130,7 @@ def compatible_thetas(chart: DerivedChart, func: Callable,
     Constant lifts into fixed points admit several; none of them is preferred.
     """
     options = [np.flatnonzero(row <= tol).tolist()
-               for row in _theta_residuals(chart, func, target_group, per_axis)]
+               for row in _theta_residuals([chart], func, target_group, per_axis)[0]]
     out = []
     for combo in itertools.product(*options):
         try:
@@ -127,28 +169,50 @@ class OrbifoldMapData:
         return tuple(entry.chart for entry in self.lifts)
 
     def lift_at(self, chart: DerivedChart) -> ChartLift:
+        """The lift on this chart object, else on a chart with the same
+        centre and radius."""
         for entry in self.lifts:
-            if entry.chart is chart or (
-                    _snap_key(entry.chart.center) == _snap_key(chart.center)
+            if entry.chart is chart:
+                return entry
+        key = _snap_key(chart.center)
+        for entry in self.lifts:
+            if (_snap_key(entry.chart.center) == key
                     and abs(entry.chart.radius - chart.radius) < 1e-12):
                 return entry
         raise ChartMismatch("map has no lift on the requested chart")
 
-    def underlying(self, q: QuotientPoint) -> QuotientPoint:
-        """Induced map of underlying spaces, evaluated through any chart."""
+    def underlying_rows(self, pts: np.ndarray) -> np.ndarray:
+        """(k, n) model rows -> (k, m) rows over their images under the
+        induced map of underlying spaces.
+
+        With a global lift this is that lift.  Otherwise each row's
+        canonical member is moved by the first deck element, in label order,
+        that takes it into a chart, in atlas order, and that chart's lift
+        runs on it; each chart's lift runs once, on all its rows.
+        """
+        pts = np.asarray(pts, dtype=float)
         try:
             if self.global_lift is not None:
-                return self.target.point(self.global_lift(q.representative[None])[0])
+                return np.asarray(self.global_lift(pts), dtype=float)
             grp = self.source.group
+            canon = canonical_representatives(grp, pts)
+            trans = translates(grp, canon)
+            out = np.empty((len(pts), self.target.model.ambient_dim))
+            todo = np.ones(len(pts), dtype=bool)
             for entry in self.lifts:
-                for lab in range(grp.order):
-                    rep = grp.act(lab, q.canonical)
-                    if entry.chart.contains(rep, slack=0.0):
-                        return self.target.point(
-                            np.asarray(entry.func(rep[None]), dtype=float)[0])
+                inside = self.source.model.row_distances(
+                    entry.chart.center, trans) <= entry.chart.radius
+                rows = np.flatnonzero(todo & inside.any(axis=1))
+                if rows.size:
+                    moved = trans[rows, inside[rows].argmax(axis=1)]
+                    out[rows] = np.asarray(entry.func(moved), dtype=float)
+                    todo[rows] = False
         except ValueError as exc:
             raise ImageEscapesChart(str(exc)) from exc
-        raise ChartMismatch(f"no chart of the atlas covers {q}")
+        if todo.any():
+            raise ChartMismatch(f"no chart of the atlas covers "
+                                f"[{np.round(canon[todo.argmax()], 6)}]")
+        return out
 
     def __repr__(self) -> str:
         return (f"OrbifoldMapData({self.name or 'map'}: {self.source.name} -> "
@@ -176,15 +240,16 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
     samples.  Across charts: the projections of overlapping lifts must give
     the same quotient point (commutation with the quotient maps).
     """
-    per_chart = []
-    for entry in f.lifts:
-        vals, moved = _isotropy_values(entry.chart, entry.func,
-                                       entry.chart.sample_points(per_axis=per_axis))
-        worst = 0.0
-        for a in range(entry.chart.isotropy.order):
-            tg = entry.theta.matrix(a)
-            worst = max(worst, float(np.abs(moved[:, a] - vals @ tg.T).max()))
-        per_chart.append(worst)
+    per_chart = [0.0] * len(f.lifts)
+    for idx in _func_groups([entry.func for entry in f.lifts]):
+        values = _isotropy_values([f.lifts[i].chart for i in idx],
+                                  f.lifts[idx[0]].func, per_axis)
+        for i, (vals, moved) in zip(idx, values):
+            theta = f.lifts[i].theta
+            for a in range(moved.shape[1]):
+                tg = theta.matrix(a)
+                per_chart[i] = max(per_chart[i],
+                                   float(np.abs(moved[:, a] - vals @ tg.T).max()))
 
     commutation = 0.0
     grp = f.source.group
@@ -224,8 +289,8 @@ def map_from_global(source: GoodOrbifold, target: GoodOrbifold, func: Callable,
                     validate: bool = True) -> OrbifoldMapData:
     """Map induced by one globally equivariant model map."""
     charts = tuple(atlas) if atlas is not None else build_atlas(source)
-    lifts = [ChartLift(ch, func, derive_theta(ch, func, target.group))
-             for ch in charts]
+    lifts = [ChartLift(ch, func, theta)
+             for ch, theta in zip(charts, derive_theta(charts, func, target.group))]
     return OrbifoldMapData(source, target, lifts, degree=degree, name=name,
                            global_lift=func, inverse_lift=inverse,
                            validate=validate)
@@ -297,17 +362,22 @@ def compose(f: OrbifoldMapData, g: OrbifoldMapData,
     """
     if f.target is not g.source and f.target.name != g.source.name:
         raise ChartMismatch("target of f must be the source of g")
-    lifts = []
-    for entry in f.lifts:
-        if g.global_lift is not None:
-            gfunc = g.global_lift
-            func = (lambda pts, ff=entry.func, gg=gfunc:
+    lifts: list[ChartLift | None] = [None] * len(f.lifts)
+    if g.global_lift is not None:
+        # one composite lift per distinct lift of f, its theta on all its charts
+        for idx in _func_groups([entry.func for entry in f.lifts]):
+            func = (lambda pts, ff=f.lifts[idx[0]].func, gg=g.global_lift:
                     np.asarray(gg(np.asarray(ff(pts), dtype=float)), dtype=float))
-        else:
+            charts = [f.lifts[i].chart for i in idx]
+            for i, ch, theta in zip(idx, charts, derive_theta(
+                    charts, func, g.target.group, tol=COMPOSE_TOL)):
+                lifts[i] = ChartLift(ch, func, theta)
+    else:
+        for i, entry in enumerate(f.lifts):
             func = _compose_through_chart(entry, g)
-        theta = derive_theta(entry.chart, func, g.target.group,
-                             tol=COMPOSE_TOL)
-        lifts.append(ChartLift(entry.chart, func, theta))
+            theta, = derive_theta([entry.chart], func, g.target.group,
+                                  tol=COMPOSE_TOL)
+            lifts[i] = ChartLift(entry.chart, func, theta)
     composite_global = None
     if f.global_lift is not None and g.global_lift is not None:
         composite_global = (lambda pts, ff=f.global_lift, gg=g.global_lift:
@@ -426,7 +496,7 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
     pts = small.sample_points(per_axis=4)
     if float(np.abs(extension(pts) - np.asarray(small_lift(pts))).max()) > LIFT_TOL:
         raise EquivarianceViolation("extension does not restrict to the given lift")
-    theta = derive_theta(big, extension, tgt_grp, per_axis=4, tol=COMPOSE_TOL)
+    theta, = derive_theta([big], extension, tgt_grp, per_axis=4, tol=COMPOSE_TOL)
     return ChartLift(big, extension, theta)
 
 
@@ -520,25 +590,34 @@ def cs_distance(f: OrbifoldMapData, g: OrbifoldMapData, s: int = 0,
     if f.source is not g.source or f.target is not g.target:
         raise ChartMismatch("maps must share source and target")
     tgt = f.target.group
+    model = f.source.model
+
+    def jets(funcs: list[Callable], charts: list[DerivedChart]) -> list[list[np.ndarray]]:
+        """Per chart, its func's values on the chart grid and, at s > 0, its
+        FD derivatives on the coarser per_axis=3 subgrid that bounds their
+        cost; one _lift_jet per distinct func and grid kind."""
+        out = _by_func(funcs, [ch.sample_points(per_axis=per_axis) for ch in charts],
+                       lambda func, pts: _lift_jet(model, func, pts, 0, step))
+        if s:
+            derivs = _by_func(funcs, [ch.sample_points(per_axis=3) for ch in charts],
+                              lambda func, pts: _lift_jet(model, func, pts, s, step)[1:])
+            out = [vals + more for vals, more in zip(out, derivs)]
+        return out
 
     def one_sided(a: OrbifoldMapData, b: OrbifoldMapData) -> list[float]:
+        charts = [ea.chart for ea in a.lifts]
+        ja_all = jets([ea.func for ea in a.lifts], charts)
+        jb_all = jets([b.lift_at(ch).func for ch in charts], charts)
         out = []
-        for ea in a.lifts:
-            eb = b.lift_at(ea.chart)
-            pts = ea.chart.sample_points(per_axis=per_axis)
-            # derivatives are sampled on a coarser subgrid to bound cost
-            dpts = ea.chart.sample_points(per_axis=3)
-            ja = _lift_jet(a.source.model, ea.func, pts, 0, step)
-            jb = _lift_jet(b.source.model, eb.func, pts, 0, step)
-            if s:
-                ja += _lift_jet(a.source.model, ea.func, dpts, s, step)[1:]
-                jb += _lift_jet(b.source.model, eb.func, dpts, s, step)[1:]
+        for ja, jb in zip(ja_all, jb_all):
             best = np.inf
             for lab in range(tgt.order):
                 m = tgt.matrix(lab)
                 worst = 0.0
                 for ka, kb in zip(ja, jb):
-                    # Euclidean norm over vector components, sup over the rest
+                    # Euclidean norm over vector components, sup over the
+                    # rest; kb @ m.T is one product per chart, as its bits
+                    # depend on the row count
                     gaps = np.linalg.norm(ka - kb @ m.T, axis=-1)
                     worst = max(worst, float(gaps.max()))
                 best = min(best, worst)
@@ -762,11 +841,12 @@ class VectorPolynomial:
         return len(self.exps[0])
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=float))
+        """(k, n) rows -> (k, m) values; each row's bits are those of a
+        one-row call."""
+        z = np.asarray(z, dtype=float)
         mono = np.stack([np.prod(z ** np.asarray(e), axis=1)
                          for e in self.exps], axis=1)
-        out = mono @ self.coeffs
-        return out[0] if out.shape[0] == 1 else out
+        return row_apply(self.coeffs.T, mono)
 
     def compose_linear(self, a: np.ndarray) -> "VectorPolynomial":
         """Coefficients of p(A z), exactly, on the same monomial basis."""

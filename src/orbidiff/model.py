@@ -250,12 +250,17 @@ class GoodOrbifold:
                 zip(reps, canonical_representatives(self.group, reps))]
 
     def random_point(self, rng: np.random.Generator) -> "QuotientPoint":
+        return self.point(self.random_row(rng))
+
+    def random_row(self, rng: np.random.Generator) -> np.ndarray:
+        """The row random_point canonicalises: within 0.9R of the centre of
+        a flat ball, or a unit vector, which ``model.project`` still
+        rounds onto the sphere."""
         if self.model.kind == FLAT:
             v = rng.normal(size=self.model.dimension)
-            v = v / np.linalg.norm(v) * self.model.radius * rng.uniform(0, 0.9)
-            return self.point(v)
+            return v / np.linalg.norm(v) * self.model.radius * rng.uniform(0, 0.9)
         v = rng.normal(size=self.model.ambient_dim)
-        return self.point(v / np.linalg.norm(v))
+        return v / np.linalg.norm(v)
 
     def quotient_distance(self, a: "QuotientPoint", b: "QuotientPoint") -> float:
         """Nearest-orbit distance; symmetric by construction (min of both orders)."""

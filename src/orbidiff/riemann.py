@@ -14,16 +14,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (ChartMismatch, CoverGap, NotCloseToIdentity, NotSPD,
-                     OutOfDomain, ThetaNotIdentity)
+from .errors import (ChartMismatch, CoverGap, ImageEscapesChart,
+                     NotCloseToIdentity, NotSPD, OutOfDomain, ThetaNotIdentity)
 from . import groups
 from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, canonical_representatives,
                      row_apply, row_dot, stabilizer, translates)
-from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
+from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData, _by_func,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
-                    signature_at)
+                    atlas_grid, signature_at)
 from .tangent import (Orbisection, TangentVectorAt, random_orbisection,
                       scale as scale_section, seminorm, tangent_vector)
 
@@ -181,8 +181,7 @@ def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
 def metric_invariance_residual(chart: DerivedChart, entry: Callable,
                                per_axis: int = 4) -> float:
     """max |g^T entry(g y) g - entry(y)| over the chart grid and isotropy."""
-    base, moved = _isotropy_values(chart, entry,
-                                   chart.sample_points(per_axis=per_axis))
+    (base, moved), = _isotropy_values([chart], entry, per_axis)
     worst = 0.0
     for a, g in enumerate(chart.isotropy.matrices):
         worst = max(worst, float(np.abs(g.T @ moved[:, a] @ g - base).max()))
@@ -227,10 +226,9 @@ class ExpMap:
     def exp(self, p: QuotientPoint, v: np.ndarray | TangentVectorAt
             ) -> QuotientPoint:
         vec = v.vector if isinstance(v, TangentVectorAt) else np.asarray(v, float)
-        out = self.lift_exp(p.representative[None], vec[None])[0]
-        if not self.orbifold.model.contains(out):
-            raise OutOfDomain("exponential image leaves the model")
-        return self.orbifold.point(out)
+        out = self.lift_exp(p.representative[None], vec[None])
+        _require_in_model(self.orbifold.model, out)
+        return self.orbifold.point(out[0])
 
     def log(self, p: QuotientPoint, q: QuotientPoint) -> TangentVectorAt:
         """Tangent class pointing from p to the nearest representative of q."""
@@ -242,6 +240,19 @@ class ExpMap:
         return tangent_vector(self.orbifold, p, vec)
 
 
+def _require_in_model(model, ends: np.ndarray):
+    """OutOfDomain unless every (k, n) exponential endpoint is in the model."""
+    if not all(model.contains(end) for end in ends):
+        raise OutOfDomain("exponential image leaves the model")
+
+
+def _exp_canonicals(orbifold: GoodOrbifold, ends: np.ndarray) -> np.ndarray:
+    """(k, n) canonical rows of the quotient points of (k, n) exponential
+    endpoints, from one ``points`` call; OutOfDomain if one leaves the model."""
+    _require_in_model(orbifold.model, ends)
+    return _canonicals(orbifold.points(ends))
+
+
 def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator,
                               count: int = 50, scale: float = 0.4) -> float:
     """Representative independence: exp((g x, g v)) equals exp((x, v)).
@@ -249,29 +260,35 @@ def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator,
     Returns the worst quotient distance over ``count`` seeded random
     (g, x, v) triples.  A triple whose image leaves a flat model is redrawn
     with |v| below 0.1 R, which keeps it inside: base points lie within 0.9 R.
+    The loop keeps each triple's two endpoints; they are canonicalised and
+    measured together after it.
     """
     orbifold = exp_map.orbifold
+    model = orbifold.model
     grp = orbifold.group
-    worst = 0.0
+    ends = []
     limit = scale
-    checked = 0
-    while checked < count:
-        p = orbifold.random_point(rng)
-        frame = orbifold.model.tangent_basis(p.representative)
+    while len(ends) < count:
+        x = model.project(orbifold.random_row(rng))
+        frame = model.tangent_basis(x)
         v = rng.normal(size=frame.shape[0]) @ frame
         v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, limit)
         lab = int(rng.integers(0, grp.order))
+        # the moved base is the representative orbifold.point gives g x
+        moved = model.project(grp.act(lab, x))
         try:
-            q1 = exp_map.exp(p, v)
-            moved = orbifold.point(grp.act(lab, p.representative))
-            q2 = exp_map.exp(moved, grp.act(lab, v))
+            pair = exp_map.lift_exp(np.stack([x, moved]),
+                                    np.stack([v, grp.act(lab, v)]))
+            _require_in_model(model, pair)
         except OutOfDomain:
-            limit = min(scale, 0.1 * orbifold.model.radius)
+            limit = min(scale, 0.1 * model.radius)
             continue
         limit = scale
-        checked += 1
-        worst = max(worst, orbifold.quotient_distance(q1, q2))
-    return worst
+        ends.append(pair)
+    canon = _exp_canonicals(orbifold, np.reshape(ends, (-1, model.ambient_dim)))
+    # entry (k, k) compares the two images of triple k
+    gaps = orbifold.quotient_distances(canon[0::2], canon[1::2])
+    return float(np.diagonal(gaps).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -298,17 +315,20 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
                           ) -> HomeoCheckReport:
     """Sampled injectivity and surjectivity of exp_p on the eps ball.
 
-    Injectivity compares random distinct tangent classes; surjectivity covers
-    a quotient grid of B(p, eps) by the image of a tangent-ball grid.
-    ``exp_override`` lets tests exercise the check against a planted map.
+    Injectivity compares random distinct tangent classes; the witness is the
+    first pair, in draw order, whose images coincide.  Surjectivity covers a
+    quotient grid of B(p, eps) by the image of a tangent-ball grid.  Every
+    pair and disc vector goes through one exponential call.
+    ``exp_override`` maps (k, n) base rows and (k, n) vectors to (k, n)
+    endpoints in place of ``exp_map.lift_exp``, so that tests can exercise
+    the check against a planted map.
     """
     orbifold = exp_map.orbifold
-    the_exp = exp_override or (lambda point, vec: exp_map.exp(point, vec))
+    the_exp = exp_override or exp_map.lift_exp
     frame = orbifold.model.tangent_basis(p.representative)
     stab = stabilizer(orbifold.group, p.representative)
 
-    injective = True
-    witness = None
+    vecs = []
     pairs = 0
     while pairs < pair_count:
         v = rng.normal(size=frame.shape[0]) @ frame
@@ -319,15 +339,27 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
         if class_gap < 1e-6:
             continue
         pairs += 1
-        if orbifold.quotient_distance(the_exp(p, v), the_exp(p, w)) < 1e-9:
-            injective = False
-            witness = (v.copy(), w.copy())
-            break
+        vecs += [v, w]
 
     axis = np.linspace(-1.0, 1.0, image_per_axis)
     cube = np.array(list(itertools.product(axis, repeat=frame.shape[0])))
     disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
-    images = _canonicals([the_exp(p, c @ frame) for c in disc])
+    vecs = np.concatenate([np.reshape(vecs, (-1, frame.shape[1])),
+                           row_apply(frame.T, disc)])
+    canon = _exp_canonicals(orbifold, the_exp(
+        np.tile(p.representative, (len(vecs), 1)), vecs))
+    pair_rows, images = canon[:2 * pairs], canon[2 * pairs:]
+
+    # entry (k, k) compares the two images of pair k
+    same = np.diagonal(orbifold.quotient_distances(pair_rows[0::2],
+                                                   pair_rows[1::2])) < 1e-9
+    injective = not same.any()
+    witness = None
+    if not injective:
+        k = int(same.argmax())
+        pairs = k + 1
+        witness = (vecs[2 * k].copy(), vecs[2 * k + 1].copy())
+
     spacing = 2.0 * eps / (image_per_axis - 1)
     tol = 2.5 * spacing
     grid = _canonicalize(orbifold, orbifold.model.grid(32))
@@ -441,11 +473,11 @@ def E_inverse(f: OrbifoldMapData, exp_map: ExpMap,
     if eps_inj is None:
         eps_inj = np.pi / 2 if orbifold.model.kind == SPHERE \
             else 0.5 * orbifold.model.radius
-    worst = 0.0
-    for entry in f.lifts:
-        pts = entry.chart.sample_points(per_axis=4)
-        worst = max(worst, float(orbifold.model.row_distances(
-            pts, np.asarray(entry.func(pts), dtype=float)).max()))
+    grids = [entry.chart.sample_points(per_axis=4) for entry in f.lifts]
+    images = _by_func([entry.func for entry in f.lifts], grids,
+                      lambda func, pts: [np.asarray(func(pts), dtype=float)])
+    worst = float(orbifold.model.row_distances(
+        np.concatenate(grids), np.concatenate([img for img, in images])).max())
     if worst >= eps_inj:
         raise NotCloseToIdentity(
             f"lift displacement {worst:.4f} reaches the injectivity scale "
@@ -468,9 +500,9 @@ def transition_map(f: OrbifoldMapData, g: OrbifoldMapData, sigma: Orbisection,
         return np.asarray(
             g.inverse_lift(f.global_lift(e_sigma.global_lift(pts))), dtype=float)
 
-    lifts = [ChartLift(ch, func,
-                       derive_theta(ch, func, sigma.orbifold.group, per_axis=3))
-             for ch in sigma.atlas]
+    lifts = [ChartLift(ch, func, theta) for ch, theta in zip(
+        sigma.atlas, derive_theta(sigma.atlas, func, sigma.orbifold.group,
+                                  per_axis=3))]
     h = OrbifoldMapData(sigma.orbifold, sigma.orbifold, lifts, degree=2,
                         name="transition", global_lift=func, validate=False)
     return E_inverse(h, exp_map)
@@ -510,25 +542,23 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
 
     Covering data: each atlas chart is an outer set with an inner ball at
     inner_fraction of its radius, so the separation constant of chart i is
-    (1 - inner_fraction) x radius_i.  ``underlying_override`` lets tests
-    plant a defective map while keeping the harness honest.
+    (1 - inner_fraction) x radius_i.  The stacked chart grids and their
+    images are canonicalised in one call each.  ``underlying_override``
+    maps (k, n) source rows to (k, n) image rows in place of
+    ``f.underlying_rows``, so that tests can plant a defective map while
+    keeping the harness honest.
     """
     orbifold = f.source
-    apply_f = underlying_override or \
-        (lambda q: f.target.point(f.global_lift(q.representative[None])[0])
-         if f.global_lift is not None else f.underlying(q))
+    apply_f = underlying_override or f.underlying_rows
 
-    sources: list[QuotientPoint] = []
-    images: list[QuotientPoint] = []
-    spacing = 0.0
-    for chart in f.atlas:
-        pts = chart.sample_points(per_axis=per_axis)
-        spacing = max(spacing, 2.0 * chart.radius / (per_axis - 1))
-        for y in pts:
-            q = orbifold.point(y)
-            sources.append(q)
-            images.append(apply_f(q))
-    src, img = _canonicals(sources), _canonicals(images)
+    sources = orbifold.points(atlas_grid(f.atlas, per_axis))
+    src = _canonicals(sources)
+    image_rows = apply_f(np.array([q.representative for q in sources]))
+    try:
+        img = _canonicals(f.target.points(image_rows))
+    except ValueError as exc:
+        raise ImageEscapesChart(str(exc)) from exc
+    spacing = max(2.0 * ch.radius / (per_axis - 1) for ch in f.atlas)
     # pairs (i < j) of distinct sources with coinciding images, row-major
     collide = np.triu(~(orbifold.quotient_distances(src, src) < 1e-6), k=1) \
         & (orbifold.quotient_distances(img, img) < 1e-9)

@@ -27,7 +27,7 @@ from .maps import (OrbifoldMapData, VectorPolynomial, average_polynomial,
                    check_equivariance, count_theta_choices, cs_distance,
                    enumerate_identity_lifts, extend_lift, identity_map,
                    monomial_exponents)
-from .model import (FLAT, atlas_grid, build_atlas, build_chart,
+from .model import (FLAT, DerivedChart, atlas_grid, build_atlas, build_chart,
                     plane_mod_reflection, signature_at, strata)
 from .riemann import (E_apply, E_inverse, ExpMap, average_metric,
                       equivariant_partition_of_unity, exp_local_homeo_check,
@@ -64,12 +64,14 @@ class CheckRecord:
 
 @dataclass
 class SuiteReport:
-    """All records of a run plus the data needed to reproduce it."""
+    """All records of a run plus the data needed to reproduce it, and the
+    atlas the suites ran on, which the run's CSV dumps reuse."""
 
     config: SuiteConfig
     seed: int
     tol_scale: float
     records: list[tuple[str, CheckRecord]]
+    atlas: tuple[DerivedChart, ...]
 
     @property
     def passed(self) -> bool:
@@ -639,7 +641,7 @@ def run_suite(config: SuiteConfig, suites: tuple[str, ...] | None = None,
     records: list[tuple[str, CheckRecord]] = []
     for suite in chosen:
         _SUITE_RUNNERS[suite](ctx, records)
-    return SuiteReport(config, ctx.seed, tol_scale, records)
+    return SuiteReport(config, ctx.seed, tol_scale, records, ctx.atlas)
 
 
 # -- describe and dumps ---------------------------------------------------------------
@@ -672,18 +674,24 @@ def describe(config: SuiteConfig) -> str:
 
 
 def dump_fields(config: SuiteConfig, which: str, grid: int | None = None,
-                seed: int | None = None, section=None) -> tuple[str, str]:
+                seed: int | None = None, section=None,
+                atlas: tuple[DerivedChart, ...] = ()) -> tuple[str, str]:
     """CSV dump of partition, orbisection, or averaged metric values.
 
     Returns (filename, csv text); columns carry chart ids and coordinate
     headers in model units.  ``section`` overrides the seeded random
     orbisection (e.g. the zero section dumps all-zero value columns).
+    ``atlas`` is the config's atlas when the caller holds it already (a
+    ``SuiteReport`` does); without it the orbifold and atlas are built.
     """
     if which not in ("partition", "orbisection", "metric"):
         raise OrbidiffError(f"unknown field dump {which!r}")
-    orbifold = config.build_orbifold()
-    atlas = build_atlas(orbifold, resolution=config.atlas_resolution,
-                        max_charts=config.max_charts)
+    if atlas:
+        orbifold = atlas[0].orbifold
+    else:
+        orbifold = config.build_orbifold()
+        atlas = build_atlas(orbifold, resolution=config.atlas_resolution,
+                            max_charts=config.max_charts)
     res = grid or config.verify_resolution
     pts = orbifold.model.verification_domain(orbifold.model.grid(res))
     out = io.StringIO()

@@ -3,12 +3,15 @@
 Chart grids are built once per chart and key, tangent frames for many points
 in one Gram-Schmidt, finite-difference stencils in one exponential call,
 seminorms in one field call per atlas, and lift extension and the
-commutation probe canonicalise many points in one call.  The references
-below are the replaced code, kept as oracles: every entry must agree bit for
-bit, because reports and CSV dumps are byte-identical for a fixed
-(config, seed).
+commutation probe canonicalise many points in one call.  The map-level
+consumers (cs_distance, theta matching, the E^-1 displacement, the exp and
+diffeomorphism probes) run each distinct lift once over the stacked chart
+grids.  The references below are the replaced code, kept as oracles: every
+entry must agree bit for bit, because reports and CSV dumps are
+byte-identical for a fixed (config, seed).
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -16,13 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbidiff import cli
 from orbidiff import maps as P
 from orbidiff import model as M
+from orbidiff import riemann as R
 from orbidiff import suites as S
 from orbidiff import tangent as T
 from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
-from orbidiff.errors import BranchAmbiguity, ChartMismatch, ImageEscapesChart
-from orbidiff.groups import GroupHom, row_apply
+from orbidiff.errors import (BranchAmbiguity, ChartMismatch,
+                             EquivarianceViolation, ImageEscapesChart,
+                             NotCloseToIdentity, OutOfDomain)
+from orbidiff.groups import (FD_STEP, GroupHom, row_apply, row_dot, stabilizer,
+                             translates)
 from test_batched_lifts import (STEP, chain, reference_ball_grid,
                                 reference_lift_jet, reference_seminorm,
                                 reference_tangent_basis)
@@ -95,6 +103,177 @@ def reference_extension(underlying, small, small_lift, big, target, y, steps=64)
         cand = target.group.matrices @ q.canonical
         prev = cand[np.argmin(np.linalg.norm(cand - prev, axis=1))]
     return prev
+
+
+def reference_cs_distance(f, g, s, per_axis, step=FD_STEP):
+    """cs_distance one chart at a time: four _lift_jet calls per chart."""
+    model = f.source.model
+    tgt = f.target.group
+
+    def one_sided(a, b):
+        out = []
+        for ea in a.lifts:
+            eb = b.lift_at(ea.chart)
+            pts = ea.chart.sample_points(per_axis=per_axis)
+            dpts = ea.chart.sample_points(per_axis=3)
+            ja = P._lift_jet(model, ea.func, pts, 0, step)
+            jb = P._lift_jet(model, eb.func, pts, 0, step)
+            if s:
+                ja += P._lift_jet(model, ea.func, dpts, s, step)[1:]
+                jb += P._lift_jet(model, eb.func, dpts, s, step)[1:]
+            best = np.inf
+            for lab in range(tgt.order):
+                m = tgt.matrix(lab)
+                worst = 0.0
+                for ka, kb in zip(ja, jb):
+                    gaps = np.linalg.norm(ka - kb @ m.T, axis=-1)
+                    worst = max(worst, float(gaps.max()))
+                best = min(best, worst)
+            out.append(best)
+        return out
+
+    per_chart = tuple(max(x, y) for x, y in zip(one_sided(f, g), one_sided(g, f)))
+    return per_chart, max(per_chart)
+
+
+def reference_theta_residuals(chart, func, target_group, per_axis):
+    """_theta_residuals on one chart: func on the translates, then on the grid."""
+    pts = chart.sample_points(per_axis=per_axis)
+    trans = translates(chart.isotropy, pts)
+    k, order, n = trans.shape
+    moved = np.asarray(func(trans.reshape(-1, n)), dtype=float).reshape(k, order, -1)
+    vals = np.asarray(func(pts), dtype=float)
+    image = vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
+    return np.stack([np.abs(image - moved[None, :, a]).max(axis=(1, 2))
+                     for a in range(order)])
+
+
+def reference_displacement(f):
+    """E_inverse's displacement: one lift call per chart grid."""
+    worst = 0.0
+    for entry in f.lifts:
+        pts = entry.chart.sample_points(per_axis=4)
+        worst = max(worst, float(f.source.model.row_distances(
+            pts, np.asarray(entry.func(pts), dtype=float)).max()))
+    return worst
+
+
+def reference_exp(exp_map, exp_rows):
+    """One exponential at a time: a one-row call and one quotient point."""
+    orbifold = exp_map.orbifold
+
+    def one(p, v):
+        out = (exp_rows or exp_map.lift_exp)(p.representative[None], v[None])[0]
+        if not orbifold.model.contains(out):
+            raise OutOfDomain("exponential image leaves the model")
+        return orbifold.point(out)
+
+    return one
+
+
+def reference_homeo_check(exp_map, p, eps, rng, pair_count=60,
+                          image_per_axis=21, exp_rows=None):
+    """exp_local_homeo_check one exponential at a time, stopping at the first
+    pair whose images coincide."""
+    orbifold = exp_map.orbifold
+    the_exp = reference_exp(exp_map, exp_rows)
+    frame = orbifold.model.tangent_basis(p.representative)
+    stab = stabilizer(orbifold.group, p.representative)
+    injective, witness, pairs = True, None, 0
+    while pairs < pair_count:
+        v = rng.normal(size=frame.shape[0]) @ frame
+        w = rng.normal(size=frame.shape[0]) @ frame
+        v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0, eps)
+        w = w / max(np.linalg.norm(w), 1e-12) * rng.uniform(0, eps)
+        if float(np.linalg.norm(stab.matrices @ v - w, axis=1).min()) < 1e-6:
+            continue
+        pairs += 1
+        if orbifold.quotient_distance(the_exp(p, v), the_exp(p, w)) < 1e-9:
+            injective, witness = False, (v.copy(), w.copy())
+            break
+    axis = np.linspace(-1.0, 1.0, image_per_axis)
+    cube = np.array(list(itertools.product(axis, repeat=frame.shape[0])))
+    disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
+    images = np.array([the_exp(p, c @ frame).canonical for c in disc])
+    tol = 2.5 * 2.0 * eps / (image_per_axis - 1)
+    grid = R._canonicalize(orbifold, orbifold.model.grid(32))
+    near = orbifold.quotient_distances(grid, p.canonical[None])[:, 0] <= eps * 0.9
+    gap = float(orbifold.quotient_distances(grid[near], images)
+                .min(axis=1).max(initial=0.0))
+    return R.HomeoCheckReport(injective, gap <= tol, witness, gap, tol, pairs,
+                              int(near.sum()))
+
+
+def reference_well_defined_residual(exp_map, rng, count=50, scale=0.4):
+    """exp_well_defined_residual one triple at a time, each image a quotient
+    point measured on its own."""
+    orbifold = exp_map.orbifold
+    grp = orbifold.group
+    worst, limit, checked = 0.0, scale, 0
+    while checked < count:
+        p = orbifold.random_point(rng)
+        frame = orbifold.model.tangent_basis(p.representative)
+        v = rng.normal(size=frame.shape[0]) @ frame
+        v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, limit)
+        lab = int(rng.integers(0, grp.order))
+        try:
+            q1 = exp_map.exp(p, v)
+            moved = orbifold.point(grp.act(lab, p.representative))
+            q2 = exp_map.exp(moved, grp.act(lab, v))
+        except OutOfDomain:
+            limit = min(scale, 0.1 * orbifold.model.radius)
+            continue
+        limit = scale
+        checked += 1
+        worst = max(worst, orbifold.quotient_distance(q1, q2))
+    return worst
+
+
+def reference_underlying(f, q):
+    """The induced map at one quotient point, through the first chart, in
+    atlas order, holding a translate of its canonical member."""
+    if f.global_lift is not None:
+        return f.target.point(f.global_lift(q.representative[None])[0])
+    grp = f.source.group
+    for entry in f.lifts:
+        for lab in range(grp.order):
+            rep = grp.act(lab, q.canonical)
+            if entry.chart.contains(rep, slack=0.0):
+                return f.target.point(np.asarray(entry.func(rep[None]),
+                                                 dtype=float)[0])
+    raise ChartMismatch(f"no chart of the atlas covers {q}")
+
+
+def reference_verify_diffeo(f, per_axis=5, inner_fraction=0.55, rows=None):
+    """verify_diffeo with one quotient point per grid point and its image."""
+    orbifold = f.source
+    sources, images, spacing = [], [], 0.0
+    for chart in f.atlas:
+        spacing = max(spacing, 2.0 * chart.radius / (per_axis - 1))
+        for y in chart.sample_points(per_axis=per_axis):
+            q = orbifold.point(y)
+            sources.append(q)
+            images.append(reference_underlying(f, q) if rows is None else
+                          f.target.point(rows(q.representative[None])[0]))
+    src = np.array([q.canonical for q in sources])
+    img = np.array([q.canonical for q in images])
+    collide = np.triu(~(orbifold.quotient_distances(src, src) < 1e-6), k=1) \
+        & (orbifold.quotient_distances(img, img) < 1e-9)
+    hits = np.flatnonzero(collide)
+    witness = None
+    if hits.size:
+        i, j = divmod(int(hits[0]), len(sources))
+        witness = (sources[i], sources[j])
+    inner = np.concatenate([ch.sample_points(per_axis=per_axis,
+                                             shrink=inner_fraction)
+                            for ch in f.atlas])
+    gap = float(orbifold.quotient_distances(R._canonicalize(orbifold, inner), img)
+                .min(axis=1).max(initial=0.0))
+    d0 = reference_cs_distance(f, P.identity_map(orbifold, f.atlas), 0,
+                               per_axis)[1]
+    margin = 0.5 * min((1.0 - inner_fraction) * ch.radius for ch in f.atlas)
+    return R.DiffeoVerification(hits.size == 0, witness, gap, 2.5 * spacing,
+                                d0, margin)
 
 
 # -- tangent frames ------------------------------------------------------------
@@ -334,15 +513,314 @@ def test_commutation_probe_refuses_an_image_outside_the_model():
         P.check_equivariance(grown, per_axis=4)
 
 
+# -- map-level consumers: one lift call per distinct lift ---------------------
+
+def _sections(name):
+    """Two small sections; on S2/Oh, where the averaged random field
+    vanishes, the tangent parts of the gradients of two invariant sums of
+    powers."""
+    orbifold, atlas = case(name)
+    if name != "S2/Oh":
+        return tuple(T.random_orbisection(orbifold, atlas,
+                                          np.random.default_rng(seed), 0.04)
+                     for seed in (1, 2))
+
+    def gradient(power, size):
+        def field(pts):
+            g = power * pts ** (power - 1)
+            return size * (g - row_dot(g, pts)[:, None] * pts)
+        return T.Orbisection(orbifold, atlas, field, name=f"grad{power}")
+
+    return gradient(4, 0.02), gradient(6, 0.015)
+
+
+def _split(f):
+    """f with the lift of every odd chart behind its own function object."""
+    lifts = [P.ChartLift(e.chart, (lambda pts, fn=e.func: fn(pts)) if k % 2
+                         else e.func, e.theta) for k, e in enumerate(f.lifts)]
+    return P.OrbifoldMapData(f.source, f.target, lifts, degree=f.degree,
+                             global_lift=f.global_lift,
+                             inverse_lift=f.inverse_lift, validate=False)
+
+
+def _maps(name):
+    orbifold, atlas = case(name)
+    exp_map = R.ExpMap.closed_form(orbifold)
+    sigma, tau = _sections(name)
+    f, g = R.E_apply(sigma, exp_map), R.E_apply(tau, exp_map)
+    twisted = [0] * len(atlas)
+    twisted[next(k for k, ch in enumerate(atlas) if ch.isotropy.order > 1)] = 1
+    return (exp_map, f, g, _split(g), P.identity_map(orbifold, atlas),
+            P.identity_map(orbifold, atlas, twisted))
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("name", ["football3", "S2/Oh", "disk_Z4"])
+def test_cs_distance_matches_the_per_chart_jets(name, s):
+    _, f, g, split, idm, twisted = _maps(name)
+    for a, b in ((f, g), (g, f), (f, split), (split, idm), (f, twisted),
+                 (twisted, idm)):
+        for per_axis in (4, 5):
+            report = P.cs_distance(a, b, s=s, per_axis=per_axis)
+            assert (report.per_chart, report.value) == \
+                reference_cs_distance(a, b, s, per_axis)
+
+
+def test_cs_distance_runs_each_distinct_lift_once(monkeypatch):
+    _, f, _, split, idm, _ = _maps("football3")
+    calls = Counter()
+    lift_jet = P._lift_jet
+    monkeypatch.setattr(P, "_lift_jet", lambda model, func, *a: calls.update(
+        [id(func)]) or lift_jet(model, func, *a))
+    P.cs_distance(f, split, s=1, per_axis=4)
+    # the lifts of f and g and split's own lift per odd chart, each once per
+    # side for the values and once for the derivatives
+    assert len(calls) == 2 + len(f.lifts) // 2 and set(calls.values()) == {4}
+    calls.clear()
+    P.cs_distance(f, idm, s=0, per_axis=4)
+    assert len(calls) == 1 + len(idm.lifts) and set(calls.values()) == {2}
+
+
+@pytest.mark.parametrize("name", ["football3", "S2/Oh", "disk_Z4"])
+def test_transition_and_composite_thetas_match_the_per_chart_residuals(
+        name, monkeypatch):
+    orbifold, atlas = case(name)
+    exp_map, f, g, split, _, _ = _maps(name)
+    grp = orbifold.group
+    sigma = T.scale(_sections(name)[0], 0.5)
+    inverted = []
+    e_inverse = R.E_inverse
+    monkeypatch.setattr(R, "E_inverse", lambda h, *a, **k: inverted.append(h)
+                        or e_inverse(h, *a, **k))
+    R.transition_map(f, g, sigma, exp_map)
+    h, = inverted
+    residuals = P._theta_residuals(atlas, h.global_lift, grp, 3)
+    for chart, entry, got in zip(atlas, h.lifts, residuals):
+        want = reference_theta_residuals(chart, h.global_lift, grp, 3)
+        assert_bitwise(got, want)
+        assert entry.theta.table == tuple(want.argmin(axis=1).tolist())
+    for composite in (P.compose(f, g), P.compose(split, g)):
+        for chart, entry in zip(atlas, composite.lifts):
+            want = reference_theta_residuals(chart, entry.func, grp, 5)
+            assert entry.theta.table == tuple(want.argmin(axis=1).tolist())
+    # one composite lift per distinct lift of the first map
+    assert len({id(e.func) for e in P.compose(split, g).lifts}) == \
+        1 + len(atlas) // 2
+
+
+def test_derive_theta_refuses_when_one_chart_has_no_match():
+    orbifold, atlas = case("football3")
+    bent = [k for k, ch in enumerate(atlas) if ch.isotropy.order > 1][1]
+
+    def func(pts):
+        # equivariant except near the second singular chart
+        out = np.array(pts, dtype=float)
+        near = M.ModelSpace(M.SPHERE, 2).row_distances(atlas[bent].center,
+                                                       pts) < atlas[bent].radius
+        out[near] = M.ModelSpace(M.SPHERE, 2).project(out[near] + [0.1, 0.0, 0.0])
+        return out
+
+    with pytest.raises(EquivarianceViolation, match="isotropy element 1"):
+        P.derive_theta(atlas, func, orbifold.group)
+    assert len(P.derive_theta(atlas[:bent], func, orbifold.group)) == bent
+
+
+def test_isotropy_values_meet_rows_in_the_per_chart_order():
+    # a lift that memoises its rows (extend_lift's) sees them as it did one
+    # chart at a time: each chart's translates, then its grid
+    orbifold, atlas = case("football3")
+    seen = []
+
+    def func(pts):
+        seen.append(np.array(pts))
+        return np.array(pts)
+
+    values = P._isotropy_values(atlas, func, 3)
+    want = []
+    for chart, (vals, moved) in zip(atlas, values):
+        pts = chart.sample_points(per_axis=3)
+        trans = translates(chart.isotropy, pts)
+        want += [trans.reshape(-1, 3), pts]
+        assert_bitwise(vals, pts)
+        assert_bitwise(moved, trans)
+    assert len(seen) == 1
+    assert_bitwise(seen[0], np.concatenate(want))
+
+
+@pytest.mark.parametrize("name", ["football3", "S2/Oh", "disk_Z4"])
+def test_E_inverse_displacement_is_the_per_chart_max(name):
+    exp_map, f, g, split, _, _ = _maps(name)
+    for m in (f, split, P.compose(split, g)):
+        worst = reference_displacement(m)
+        assert worst > 0.0
+        R.E_inverse(m, exp_map, eps_inj=np.nextafter(worst, np.inf))
+        with pytest.raises(NotCloseToIdentity,
+                           match=f"displacement {worst:.4f} reaches"):
+            R.E_inverse(m, exp_map, eps_inj=worst)
+
+
+def _quantized(exp_map, cell):
+    return lambda x, v: exp_map.lift_exp(x, np.floor(v / cell) * cell)
+
+
+HOMEO_CASES = [("football3", [0.0, 0.0, 1.0]), ("football3", [1.0, 0.0, 0.0]),
+               ("S2/Oh", [0.0, 0.0, 1.0]), ("disk_Z4", [0.0, 0.0]),
+               ("disk_Z4", [0.2, 0.1]), ("line", [0.0])]
+
+
+@pytest.mark.parametrize("planted", ["none", "quantized", "shrunk"])
+@pytest.mark.parametrize("name,base", HOMEO_CASES)
+def test_homeo_check_matches_the_one_point_loop(name, base, planted):
+    orbifold, _ = case(name)
+    exp_map = R.ExpMap.closed_form(orbifold)
+    eps = 0.3
+    hook = {"none": None, "quantized": _quantized(exp_map, eps),
+            "shrunk": lambda x, v: exp_map.lift_exp(x, 0.3 * v)}[planted]
+    p = orbifold.point(base)
+    got = R.exp_local_homeo_check(exp_map, p, eps, np.random.default_rng(11),
+                                  exp_override=hook)
+    want = reference_homeo_check(exp_map, p, eps, np.random.default_rng(11),
+                                 exp_rows=hook)
+    assert (got.injective, got.surjective, got.surjectivity_gap,
+            got.surjectivity_tolerance, got.pairs_checked,
+            got.targets_checked) == \
+        (want.injective, want.surjective, want.surjectivity_gap,
+         want.surjectivity_tolerance, want.pairs_checked, want.targets_checked)
+    if want.injectivity_witness is None:
+        assert got.injectivity_witness is None
+    else:
+        for a, b in zip(got.injectivity_witness, want.injectivity_witness):
+            assert_bitwise(a, b)
+    if planted == "quantized" and orbifold.dimension == 2:
+        assert not got.injective and got.pairs_checked < 60
+
+
+def test_homeo_check_refuses_an_image_outside_the_model():
+    orbifold, _ = case("disk_Z4")
+    exp_map = R.ExpMap.closed_form(orbifold)
+    with pytest.raises(OutOfDomain, match="leaves the model"):
+        R.exp_local_homeo_check(exp_map, orbifold.point([0.0, 0.0]), 0.3,
+                                np.random.default_rng(1),
+                                exp_override=lambda x, v: x + 10.0 * v)
+
+
+@pytest.mark.parametrize("build,seed", [
+    (lambda: M.football(3), 6), (lambda: case("S2/Oh")[0], 6),
+    (lambda: M.disk_mod_rotation(4), 6005), (lambda: M.disk_mod_rotation(4, 2.0), 6),
+    (lambda: M.line_mod_flip(), 6)],
+    ids=["football3", "S2/Oh", "disk_Z4 redraws", "disk_Z4 radius 2", "line"])
+def test_exp_well_defined_residual_matches_the_one_triple_loop(build, seed):
+    exp_map = R.ExpMap.closed_form(build())
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = R.exp_well_defined_residual(exp_map, rng, count=50)
+    assert got == reference_well_defined_residual(exp_map, ref_rng, 50)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _fold(rows):
+    return np.column_stack([rows[:, 0], rows[:, 1], np.abs(rows[:, 2])])
+
+
+def _into_cap(rows):
+    moved = rows + np.array([0.0, 0.0, 3.0])
+    return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("name", ["football3", "S2/Oh", "disk_Z4"])
+def test_verify_diffeo_matches_the_one_point_loop(name):
+    _, f, _, split, idm, twisted = _maps(name)
+    cases = [(f, None), (split, None), (idm, None), (twisted, None)]
+    if name == "football3":
+        cases += [(idm, _fold), (idm, _into_cap)]
+    for m, rows in cases:
+        got = R.verify_diffeo(m, per_axis=4, underlying_override=rows)
+        want = reference_verify_diffeo(m, per_axis=4, rows=rows)
+        assert (got.injective, got.surjectivity_gap, got.surjectivity_tolerance,
+                got.c0_distance_to_identity, got.margin) == \
+            (want.injective, want.surjectivity_gap, want.surjectivity_tolerance,
+             want.c0_distance_to_identity, want.margin)
+        if want.injectivity_witness is None:
+            assert got.injectivity_witness is None
+        else:
+            for a, b in zip(got.injectivity_witness, want.injectivity_witness):
+                assert_bitwise(a.representative, b.representative)
+        # the planted fold fails injectivity, the cap map surjectivity
+        assert got.passed == (rows is None)
+
+
+@pytest.mark.parametrize("name", ["football3", "S2/T", "disk_D4", "line"])
+def test_underlying_rows_match_the_one_point_walk(name):
+    orbifold, atlas = case(name)
+    twisted = [ch.isotropy.order - 1 for ch in atlas]
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([M.atlas_grid(atlas, 3), [orbifold.random_point(rng)
+                                                  .representative for _ in range(9)]])
+    sources = orbifold.points(pts)
+    rows = np.array([q.representative for q in sources])
+    for m in (P.identity_map(orbifold, atlas, twisted), _maps("football3")[1]
+              if name == "football3" else P.identity_map(orbifold, atlas)):
+        images = m.target.points(m.underlying_rows(rows))
+        want = [reference_underlying(m, q) for q in sources]
+        for got_q, want_q in zip(images, want):
+            assert_bitwise(got_q.representative, want_q.representative)
+
+
+def test_underlying_rows_name_a_point_no_chart_covers():
+    orbifold, atlas = case("football3")
+    pole = atlas[0]
+    m = P.OrbifoldMapData(orbifold, orbifold, [P.ChartLift(
+        pole, lambda pts: np.array(pts), GroupHom.inclusion(pole.isotropy,
+                                                            orbifold.group))],
+        validate=False)
+    with pytest.raises(ChartMismatch, match="no chart of the atlas covers"):
+        m.underlying_rows(np.array([list(pole.center), [1.0, 0.0, 0.0]]))
+
+
+def test_lift_at_takes_the_chart_object_then_an_equal_chart(monkeypatch):
+    orbifold, atlas = case("football3")
+    idm = P.identity_map(orbifold, atlas)
+    keys = []
+    snap_key = P._snap_key
+    monkeypatch.setattr(P, "_snap_key", lambda m: keys.append(1) or snap_key(m))
+    for k, chart in enumerate(atlas):
+        assert idm.lift_at(chart) is idm.lifts[k]
+    assert keys == []
+    for k, chart in enumerate(atlas):
+        twin = M.DerivedChart(orbifold, np.array(chart.center), chart.radius,
+                              chart.isotropy)
+        assert twin is not chart and idm.lift_at(twin) is idm.lifts[k]
+    assert keys
+    off = M.DerivedChart(orbifold, atlas[0].center, atlas[0].radius * 0.5,
+                         atlas[0].isotropy)
+    with pytest.raises(ChartMismatch):
+        idm.lift_at(off)
+
+
+def test_vector_polynomial_rows_are_one_row_calls():
+    rng = np.random.default_rng(23)
+    poly = P.VectorPolynomial(P.monomial_exponents(2, 2),
+                              rng.normal(size=(6, 2)))
+    pts = rng.uniform(-1.0, 1.0, size=(200, 2))
+    many = poly(pts)
+    assert many.shape == (200, 2)
+    assert poly(pts[:1]).shape == (1, 2)
+    assert_bitwise(many, np.concatenate([poly(pts[i:i + 1]) for i in range(200)]))
+    mono = np.stack([np.prod(pts ** np.array(e), axis=1) for e in poly.exps],
+                    axis=1)
+    assert np.allclose(many, mono @ poly.coeffs, rtol=0.0, atol=1e-14)
+
+
 # -- one default run -----------------------------------------------------------
 
 def test_default_run_builds_each_grid_once_and_no_per_point_frames(monkeypatch):
     built = Counter()
     in_jet = Counter()
     depth = [0]
+    probing = [0]
     ball_grid = M.ModelSpace.ball_grid
     tangent_basis = M.ModelSpace.tangent_basis
     geo_exp = M.ModelSpace.geo_exp
+    point = M.GoodOrbifold.point
     lift_jet = P._lift_jet
 
     def counted_ball_grid(self, center, radius, per_axis=5, shrink=0.95):
@@ -357,6 +835,10 @@ def test_default_run_builds_each_grid_once_and_no_per_point_frames(monkeypatch):
         in_jet["one-row geo_exp"] += depth[0] > 0 and np.ndim(v) == 1
         return geo_exp(self, x, v)
 
+    def counted_point(self, representative):
+        in_jet["probe point"] += probing[0] > 0
+        return point(self, representative)
+
     def watched_lift_jet(*args, **kwargs):
         in_jet["_lift_jet"] += 1
         depth[0] += 1
@@ -365,17 +847,50 @@ def test_default_run_builds_each_grid_once_and_no_per_point_frames(monkeypatch):
         finally:
             depth[0] -= 1
 
+    def watched(probe):
+        def run(*args, **kwargs):
+            in_jet[probe.__name__] += 1
+            probing[0] += 1
+            try:
+                return probe(*args, **kwargs)
+            finally:
+                probing[0] -= 1
+        return run
+
     monkeypatch.setattr(M.ModelSpace, "ball_grid", counted_ball_grid)
     monkeypatch.setattr(M.ModelSpace, "tangent_basis", counted_tangent_basis)
     monkeypatch.setattr(M.ModelSpace, "geo_exp", counted_geo_exp)
+    monkeypatch.setattr(M.GoodOrbifold, "point", counted_point)
     monkeypatch.setattr(P, "_lift_jet", watched_lift_jet)
     monkeypatch.setattr(T, "_lift_jet", watched_lift_jet)
+    for probe in (R.exp_local_homeo_check, R.exp_well_defined_residual,
+                  R.verify_diffeo):
+        monkeypatch.setattr(S, probe.__name__, watched(probe))
     report = S.run_suite(parse_config(DEFAULT_FOOTBALL3))
     assert report.passed
     assert built and max(built.values()) == 1
     assert in_jet["_lift_jet"] > 0
     assert in_jet["tangent_basis"] == 0
     assert in_jet["one-row geo_exp"] == 0
+    # the exp and diffeomorphism probes canonicalise their rows in batches
+    assert in_jet["exp_local_homeo_check"] == in_jet["verify_diffeo"] == 1
+    assert in_jet["exp_well_defined_residual"] == 1
+    assert in_jet["probe point"] == 0
+
+
+def test_run_dumps_reuse_the_atlas_the_suites_ran_on(monkeypatch, tmp_path):
+    config = parse_config(DEFAULT_FOOTBALL3, name_hint="football3")
+    report = S.run_suite(config, seed=2)
+    for which in ("partition", "orbisection", "metric"):
+        assert S.dump_fields(config, which, seed=2, atlas=report.atlas) == \
+            S.dump_fields(config, which, seed=2)
+    builds = []
+    build_atlas = M.build_atlas
+    monkeypatch.setattr(S, "build_atlas",
+                        lambda *a, **k: builds.append(1) or build_atlas(*a, **k))
+    assert cli.main(["run", "--seed", "2", "--out", str(tmp_path)]) == 0
+    assert builds == [1]
+    assert len(list(tmp_path.iterdir())) == 4
 
 
 # -- known failure -------------------------------------------------------------

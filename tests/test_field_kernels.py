@@ -442,15 +442,14 @@ def test_fold_witness_is_the_first_pair_of_the_loop(football3_atlas):
     orbifold = M.football(3)
     idm = P.identity_map(orbifold, football3_atlas)
 
-    def folding(q):
-        rep = q.representative
-        return orbifold.point(np.array([rep[0], rep[1], abs(rep[2])]))
+    def folding(rows):
+        return np.column_stack([rows[:, 0], rows[:, 1], np.abs(rows[:, 2])])
 
     report = R.verify_diffeo(idm, per_axis=4, underlying_override=folding)
     sources = [orbifold.point(y) for ch in idm.atlas
                for y in ch.sample_points(per_axis=4)]
-    want = reference_injectivity_witness(orbifold, sources,
-                                         [folding(q) for q in sources])
+    want = reference_injectivity_witness(orbifold, sources, [
+        orbifold.point(folding(q.representative[None])[0]) for q in sources])
     assert want is not None and report.injectivity_witness is not None
     for got, ref in zip(report.injectivity_witness, want):
         assert got.representative.tobytes() == ref.representative.tobytes()

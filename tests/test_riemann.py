@@ -156,13 +156,14 @@ class TestExpMap:
             _reference_well_defined_residual(
                 exp_map, np.random.default_rng(6005), 50)
         measured = []
-        distance = M.GoodOrbifold.quotient_distance
-        monkeypatch.setattr(M.GoodOrbifold, "quotient_distance",
-                            lambda self, a, b: measured.append(1)
-                            or distance(self, a, b))
+        distances = M.GoodOrbifold.quotient_distances
+        monkeypatch.setattr(M.GoodOrbifold, "quotient_distances",
+                            lambda self, a, b: measured.append(len(a))
+                            or distances(self, a, b))
         got = R.exp_well_defined_residual(exp_map, np.random.default_rng(6005),
                                           count=50)
-        assert len(measured) == 50
+        # the kept triples are measured together, one row each
+        assert measured == [50]
         assert got < 1e-9
 
     def test_out_of_domain_on_sphere(self, football3, football3_exp):
@@ -218,9 +219,9 @@ class TestHomeoAndStrata:
         eps = 0.3
         cell = eps  # coarse cells force exact image collisions
 
-        def quantized(p, v):
+        def quantized(x, v):
             v = np.floor(np.asarray(v, dtype=float) / cell) * cell
-            return football3_exp.exp(p, v)
+            return football3_exp.lift_exp(x, v)
 
         rep = R.exp_local_homeo_check(
             football3_exp, football3.point([0, 0, 1.0]), eps,
@@ -232,9 +233,9 @@ class TestHomeoAndStrata:
                                                    football3_exp):
         eps = 0.3
 
-        def shrunk(p, v):
+        def shrunk(x, v):
             # images fill only the 0.3 eps ball: injective, not onto
-            return football3_exp.exp(p, 0.3 * np.asarray(v, dtype=float))
+            return football3_exp.lift_exp(x, 0.3 * np.asarray(v, dtype=float))
 
         rep = R.exp_local_homeo_check(
             football3_exp, football3.point([0, 0, 1.0]), eps,
@@ -422,10 +423,9 @@ class TestVerifyDiffeo:
                                 football3_exp):
         idm = P.identity_map(football3, football3_atlas)
 
-        def folding(q):
-            rep = q.representative
+        def folding(rows):
             # fold the hemispheres together: +z and -z samples collide exactly
-            return football3.point(np.array([rep[0], rep[1], abs(rep[2])]))
+            return np.column_stack([rows[:, 0], rows[:, 1], np.abs(rows[:, 2])])
 
         report = R.verify_diffeo(idm, per_axis=4,
                                  underlying_override=folding)
@@ -437,11 +437,11 @@ class TestVerifyDiffeo:
                                                 football3_atlas):
         idm = P.identity_map(football3, football3_atlas)
 
-        def into_cap(q):
+        def into_cap(rows):
             # central projection from (0, 0, -3): injective, and it commutes
             # with the rotations, but every image lies near the north pole
-            moved = q.representative + np.array([0.0, 0.0, 3.0])
-            return football3.point(moved / np.linalg.norm(moved))
+            moved = rows + np.array([0.0, 0.0, 3.0])
+            return moved / np.linalg.norm(moved, axis=1, keepdims=True)
 
         report = R.verify_diffeo(idm, per_axis=4,
                                  underlying_override=into_cap)
