@@ -217,8 +217,8 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
         seed=_count(run, "seed", 7, "run", low=0),
         suites=suites,
         out_dir=_one(run, "out", default="reports", where="run"),
-        sections=_one(run, "sections", default=12, cast=int, where="run"),
-        diffeos=_one(run, "diffeos", default=4, cast=int, where="run"),
+        sections=_count(run, "sections", 12, "run"),
+        diffeos=_count(run, "diffeos", 4, "run"),
         raw_text=text,
     )
 

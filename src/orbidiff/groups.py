@@ -29,11 +29,11 @@ def polar_orthonormalize(m: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def is_orthogonal(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
+def is_orthogonal(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return float(np.abs(m.T @ m - np.eye(m.shape[0])).max()) < tol
+    return float(np.abs(m.T @ m - np.eye(m.shape[0])).max()) < ORTHO_TOL
 
 
 def _snap(pts: np.ndarray) -> np.ndarray:
@@ -45,14 +45,13 @@ def _snap_key(m: np.ndarray) -> tuple:
     return tuple(_snap(np.asarray(m, dtype=float).ravel()).tolist())
 
 
-def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                step: float = FD_STEP) -> np.ndarray:
-    """Jacobian at x of a map of (k, n) rows, by central differences; the
-    2n stencil rows go through f in one call."""
+def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Jacobian at x of a map of (k, n) rows, by central differences of step
+    FD_STEP; the 2n stencil rows go through f in one call."""
     x = np.asarray(x, dtype=float)
-    shift = step * np.eye(x.size)
+    shift = FD_STEP * np.eye(x.size)
     vals = np.asarray(f(np.concatenate([x + shift, x - shift])), dtype=float)
-    return (vals[:x.size] - vals[x.size:]).T / (2.0 * step)
+    return (vals[:x.size] - vals[x.size:]).T / (2.0 * FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -116,11 +115,11 @@ class FiniteActionGroup:
         """Label of g h g^-1."""
         return self.multiply(self.multiply(g, h), self.inverse(g))
 
-    def find(self, m: np.ndarray, tol: float = EPS_GRP) -> int | None:
-        """Label of the element equal to m within tol, or None."""
+    def find(self, m: np.ndarray) -> int | None:
+        """Label of the element equal to m within EPS_GRP, or None."""
         diffs = np.abs(self._stack - np.asarray(m, dtype=float)).max(axis=(1, 2))
         best = int(np.argmin(diffs))
-        return best if diffs[best] < tol else None
+        return best if diffs[best] < EPS_GRP else None
 
     def element_order(self, label: int) -> int:
         k, acc = 1, label
@@ -325,18 +324,19 @@ def inner_automorphisms(group: FiniteActionGroup) -> tuple[GroupHom, ...]:
     return autos
 
 
-def fixed_subspace(group: FiniteActionGroup, tol: float = EPS_GRP) -> np.ndarray:
+def fixed_subspace(group: FiniteActionGroup) -> np.ndarray:
     """Orthonormal basis (rows) of the joint fixed subspace of all elements.
 
     Computed as the numerical nullspace of the stacked (g - I) blocks;
-    singular values below tol count as zero.  Shape (k, n) with k possibly 0.
+    singular values below EPS_GRP count as zero.  Shape (k, n) with k
+    possibly 0.
     """
     n = group.dimension
     blocks = np.concatenate([group.matrix(a) - np.eye(n)
                              for a in range(group.order)], axis=0)
     _, svals, vt = np.linalg.svd(blocks)
     svals = np.concatenate([svals, np.zeros(n - svals.size)])
-    return vt[svals < tol]
+    return vt[svals < EPS_GRP]
 
 
 def row_apply(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -362,12 +362,12 @@ def translates(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
     return row_apply(group.matrices, np.asarray(pts, dtype=float)[:, None])
 
 
-def fixing_mask(group: FiniteActionGroup, pts: np.ndarray,
-                tol: float = EPS_GRP) -> np.ndarray:
-    """(k, order) mask of the elements moving each point less than tol."""
+def fixing_mask(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
+    """(k, order) mask of the elements moving each point less than EPS_GRP."""
     pts = np.asarray(pts, dtype=float)
     step = max(1, _BLOCK // group.order)   # blocks of points bound the memory
-    return np.concatenate([np.abs(translates(group, b) - b[:, None]).max(axis=2) < tol
+    return np.concatenate([np.abs(translates(group, b) - b[:, None]).max(axis=2)
+                           < EPS_GRP
                            for b in np.array_split(pts, range(step, len(pts), step))])
 
 
@@ -403,18 +403,16 @@ def canonical_representatives(group: FiniteActionGroup, pts: np.ndarray) -> np.n
     return out
 
 
-def stabilizer(group: FiniteActionGroup, point: np.ndarray,
-               tol: float = EPS_GRP) -> FiniteActionGroup:
-    """Isotropy subgroup of a point: elements moving it less than tol."""
-    mask = fixing_mask(group, np.asarray(point, dtype=float)[None], tol)[0]
+def stabilizer(group: FiniteActionGroup, point: np.ndarray) -> FiniteActionGroup:
+    """Isotropy subgroup of a point: elements moving it less than EPS_GRP."""
+    mask = fixing_mask(group, np.asarray(point, dtype=float)[None])[0]
     return group.subgroup(np.flatnonzero(mask))
 
 
-def orbit(group: FiniteActionGroup, point: np.ndarray,
-          tol: float = EPS_GRP) -> np.ndarray:
+def orbit(group: FiniteActionGroup, point: np.ndarray) -> np.ndarray:
     """Deduplicated orbit of a point, rows sorted lexicographically."""
     trans = translates(group, np.asarray(point, dtype=float)[None])
-    pts = trans[0][_distinct_translates(trans, tol)[0]]
+    pts = trans[0][_distinct_translates(trans, EPS_GRP)[0]]
     return pts[np.lexsort(_snap(pts).T[::-1])]
 
 

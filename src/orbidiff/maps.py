@@ -24,6 +24,8 @@ from .model import (FLAT, DerivedChart, GoodOrbifold, QuotientPoint,
 
 LIFT_TOL = 1e-9          # equivariance tolerance on validated lifts
 COMPOSE_TOL = 1e-8       # equivariance tolerance after composition
+EXTENSION_STEPS = 64     # points on each radial path of a lift extension
+BRANCH_TOL = 1e-6        # least gap between two continuation branches
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,7 @@ def _isotropy_values(charts: Sequence[DerivedChart], func: Callable,
     matrix(a) @ pts.
 
     One func call takes every chart's translates and then its grid, in
-    chart order, the order in which a lift that memoises its rows (as
-    extend_lift's does) met them one chart at a time.
+    chart order.
     """
     rows, shapes = [], []
     for ch in charts:
@@ -123,14 +124,13 @@ def derive_theta(charts: Sequence[DerivedChart], func: Callable,
 
 
 def compatible_thetas(chart: DerivedChart, func: Callable,
-                      target_group: FiniteActionGroup, per_axis: int = 5,
-                      tol: float = LIFT_TOL) -> tuple[GroupHom, ...]:
+                      target_group: FiniteActionGroup) -> tuple[GroupHom, ...]:
     """Every homomorphism consistent with the lift (may be more than one).
 
     Constant lifts into fixed points admit several; none of them is preferred.
     """
-    options = [np.flatnonzero(row <= tol).tolist()
-               for row in _theta_residuals([chart], func, target_group, per_axis)[0]]
+    options = [np.flatnonzero(row <= LIFT_TOL).tolist()
+               for row in _theta_residuals([chart], func, target_group, per_axis=5)[0]]
     out = []
     for combo in itertools.product(*options):
         try:
@@ -141,28 +141,24 @@ def compatible_thetas(chart: DerivedChart, func: Callable,
 
 
 class OrbifoldMapData:
-    """A map between good orbifolds with per-chart equivariant lifts."""
+    """A map between good orbifolds with per-chart equivariant lifts.
+
+    Plain data: the constructor checks nothing.  Builders that take an
+    outside function (map_from_global, compose) run check_equivariance on
+    what they build; the others are equivariant by construction.
+    """
 
     def __init__(self, source: GoodOrbifold, target: GoodOrbifold,
                  lifts: Sequence[ChartLift], degree: int = 2, name: str = "",
                  global_lift: Callable | None = None,
-                 global_theta: GroupHom | None = None,
-                 inverse_lift: Callable | None = None,
-                 validate: bool = True, per_axis: int = 4):
+                 inverse_lift: Callable | None = None):
         self.source = source
         self.target = target
         self.lifts = tuple(lifts)
         self.degree = int(degree)
         self.name = name
         self.global_lift = global_lift
-        self.global_theta = global_theta
         self.inverse_lift = inverse_lift
-        if validate:
-            report = check_equivariance(self, per_axis=per_axis)
-            if report.max_residual > LIFT_TOL:
-                raise EquivarianceViolation(
-                    f"map {name or '<anon>'} violates equivariance: "
-                    f"residual {report.max_residual:.3e} > {LIFT_TOL:.1e}")
 
     @property
     def atlas(self) -> tuple[DerivedChart, ...]:
@@ -285,15 +281,25 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
 
 def map_from_global(source: GoodOrbifold, target: GoodOrbifold, func: Callable,
                     atlas: Sequence[DerivedChart] | None = None, degree: int = 2,
-                    name: str = "", inverse: Callable | None = None,
-                    validate: bool = True) -> OrbifoldMapData:
-    """Map induced by one globally equivariant model map."""
+                    name: str = "", inverse: Callable | None = None
+                    ) -> OrbifoldMapData:
+    """Map induced by one globally equivariant model map.
+
+    derive_theta matches each chart's isotropy; check_equivariance then
+    also probes commutation across overlaps, and EquivarianceViolation is
+    raised above LIFT_TOL.
+    """
     charts = tuple(atlas) if atlas is not None else build_atlas(source)
     lifts = [ChartLift(ch, func, theta)
              for ch, theta in zip(charts, derive_theta(charts, func, target.group))]
-    return OrbifoldMapData(source, target, lifts, degree=degree, name=name,
-                           global_lift=func, inverse_lift=inverse,
-                           validate=validate)
+    out = OrbifoldMapData(source, target, lifts, degree=degree, name=name,
+                          global_lift=func, inverse_lift=inverse)
+    report = check_equivariance(out, per_axis=4)
+    if report.max_residual > LIFT_TOL:
+        raise EquivarianceViolation(
+            f"map {name or '<anon>'} violates equivariance: "
+            f"residual {report.max_residual:.3e} > {LIFT_TOL:.1e}")
+    return out
 
 
 def identity_map(orbifold: GoodOrbifold,
@@ -389,8 +395,7 @@ def compose(f: OrbifoldMapData, g: OrbifoldMapData,
     out = OrbifoldMapData(f.source, g.target, lifts,
                           degree=min(f.degree, g.degree),
                           name=name or f"{g.name}*{f.name}",
-                          global_lift=composite_global, inverse_lift=inverse,
-                          validate=False)
+                          global_lift=composite_global, inverse_lift=inverse)
     report = check_equivariance(out, per_axis=4)
     if report.max_residual > COMPOSE_TOL:
         raise EquivarianceViolation(
@@ -429,14 +434,17 @@ def inverse_map(f: OrbifoldMapData, atlas: Sequence[DerivedChart] | None = None,
 
 def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
                 small: DerivedChart, small_lift: Callable,
-                big: DerivedChart, target: GoodOrbifold,
-                steps: int = 64, branch_tol: float = 1e-6) -> ChartLift:
+                big: DerivedChart, target: GoodOrbifold) -> ChartLift:
     """Equivariant continuation of a lift from a sub-chart to a concentric chart.
 
-    Walk outward along radial geodesics; at every step take the orbit
+    A point within 0.9 of the small radius takes the small lift.  From any
+    other point, walk outward along the radial geodesic from 0.9 of the small
+    radius in EXTENSION_STEPS points; at every step take the orbit
     representative of the underlying image nearest to the previous value.
-    The branch is forced by continuity; BranchAmbiguity signals that two
-    candidates came within branch_tol and the step size must shrink.
+    Each row takes its own walk, so its value does not depend on the other
+    rows or on earlier calls.  The branch is forced by continuity;
+    BranchAmbiguity signals that two candidates came within BRANCH_TOL and
+    the step size must shrink.
     """
     model = small.orbifold.model
     if _snap_key(small.center) != _snap_key(big.center):
@@ -444,25 +452,16 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
     if small.radius >= big.radius:
         raise ChartMismatch("the source chart must be the smaller one")
     tgt_grp = target.group
-    cache: dict[tuple, np.ndarray] = {}
 
     def continue_to(point: np.ndarray) -> np.ndarray:
-        key = _snap_key(point)
-        if key in cache:
-            return cache[key]
         dist = model.distance(big.center, point)
-        start_r = min(small.radius * 0.9, dist)
-        if dist < 1e-12:
-            val = one_small(point)
-            cache[key] = val
-            return val
         if model.kind == FLAT:
             direction = (point - big.center) / dist
         else:
             direction = model.geo_log(big.center, point)
             direction = direction / np.linalg.norm(direction)
-        path = model.geo_exp(big.center,
-                             np.linspace(start_r, dist, steps)[:, None] * direction)
+        path = model.geo_exp(big.center, np.linspace(
+            small.radius * 0.9, dist, EXTENSION_STEPS)[:, None] * direction)
         prev = one_small(path[0])
         for p, q in zip(path[1:], small.orbifold.points(path[1:])):
             image = underlying(q)
@@ -475,13 +474,12 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
             for k in order[1:]:
                 if np.linalg.norm(cand[k] - best) < 1e-9:
                     continue  # same branch, different deck element
-                if dists[k] < dists[order[0]] + branch_tol:
+                if dists[k] < dists[order[0]] + BRANCH_TOL:
                     raise BranchAmbiguity(
-                        f"two continuation branches within {branch_tol:.1e} "
+                        f"two continuation branches within {BRANCH_TOL:.1e} "
                         f"at radius {model.distance(big.center, p):.4f}")
                 break
             prev = best
-        cache[key] = prev
         return prev
 
     def one_small(y: np.ndarray) -> np.ndarray:
@@ -510,7 +508,6 @@ class MapDistanceReport:
     value: float
     per_chart: tuple[float, ...]
     per_axis: int
-    step: float
 
 
 def _steps(model, pts: np.ndarray, step: float) -> np.ndarray:
@@ -575,7 +572,7 @@ def _lift_jet(model, func, pts: np.ndarray, s: int,
 
 
 def cs_distance(f: OrbifoldMapData, g: OrbifoldMapData, s: int = 0,
-                per_axis: int = 5, step: float = FD_STEP) -> MapDistanceReport:
+                per_axis: int = 5) -> MapDistanceReport:
     """Chartwise lift distance up to order s in {0, 1, 2}.
 
     Per chart: minimum over target group elements of the sup over the chart
@@ -597,10 +594,11 @@ def cs_distance(f: OrbifoldMapData, g: OrbifoldMapData, s: int = 0,
         FD derivatives on the coarser per_axis=3 subgrid that bounds their
         cost; one _lift_jet per distinct func and grid kind."""
         out = _by_func(funcs, [ch.sample_points(per_axis=per_axis) for ch in charts],
-                       lambda func, pts: _lift_jet(model, func, pts, 0, step))
+                       lambda func, pts: _lift_jet(model, func, pts, 0, FD_STEP))
         if s:
-            derivs = _by_func(funcs, [ch.sample_points(per_axis=3) for ch in charts],
-                              lambda func, pts: _lift_jet(model, func, pts, s, step)[1:])
+            grids = [ch.sample_points(per_axis=3) for ch in charts]
+            derivs = _by_func(funcs, grids, lambda func, pts:
+                              _lift_jet(model, func, pts, s, FD_STEP)[1:])
             out = [vals + more for vals, more in zip(out, derivs)]
         return out
 
@@ -628,7 +626,7 @@ def cs_distance(f: OrbifoldMapData, g: OrbifoldMapData, s: int = 0,
     bw = one_sided(g, f)
     per_chart = tuple(max(x, y) for x, y in zip(fw, bw))
     value = max(per_chart) if per_chart else 0.0
-    return MapDistanceReport(s, value, per_chart, per_axis, step)
+    return MapDistanceReport(s, value, per_chart, per_axis)
 
 
 # -- lifts of the identity ----------------------------------------------------------
@@ -726,8 +724,7 @@ class IdentityLiftGroup:
         return identity_map(self.orbifold, self.atlas, assignment,
                             name=f"id_lift{assignment}")
 
-    def assignment_from_map(self, f: OrbifoldMapData,
-                            tol: float = 1e-8) -> tuple[int, ...] | None:
+    def assignment_from_map(self, f: OrbifoldMapData) -> tuple[int, ...] | None:
         """Recover the assignment tuple of a map that covers the identity."""
         out = []
         for ch in self.atlas:
@@ -737,7 +734,7 @@ class IdentityLiftGroup:
             found = None
             for loc in range(ch.isotropy.order):
                 m = ch.isotropy.matrix(loc)
-                if float(np.abs(vals - pts @ m.T).max()) <= tol:
+                if float(np.abs(vals - pts @ m.T).max()) <= 1e-8:
                     found = loc
                     break
             if found is None:

@@ -58,13 +58,14 @@ class ModelSpace:
     def ambient_dim(self) -> int:
         return self.dimension + 1 if self.kind == SPHERE else self.dimension
 
-    def contains(self, point: np.ndarray, slack: float = 1e-9) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
+        """Whether point is in the model, up to a slack of 1e-9."""
         p = np.asarray(point, dtype=float)
         if p.shape != (self.ambient_dim,):
             return False
         if self.kind == FLAT:
-            return float(np.linalg.norm(p)) < self.radius * (1.0 + slack)
-        return abs(float(np.linalg.norm(p)) - 1.0) < 1e-12 + slack
+            return float(np.linalg.norm(p)) < self.radius * (1.0 + 1e-9)
+        return abs(float(np.linalg.norm(p)) - 1.0) < 1e-12 + 1e-9
 
     def project(self, point: np.ndarray) -> np.ndarray:
         """Nearest model point of each (..., n) row on the sphere; rows as
@@ -654,8 +655,7 @@ class SuborbifoldData:
         return stabilizer(self.group, point).order
 
 
-def diagonal_suborbifold(orbifold: GoodOrbifold,
-                         samples_per_axis: int = 7) -> SuborbifoldData:
+def diagonal_suborbifold(orbifold: GoodOrbifold) -> SuborbifoldData:
     """Diagonal of O x O with the diagonal subgroup and subspace."""
     if orbifold.model.kind != FLAT:
         raise UnsupportedModel("diagonal suborbifolds need a flat model")
@@ -673,9 +673,8 @@ def diagonal_suborbifold(orbifold: GoodOrbifold,
         m = lam.matrix(lab)
         inv_res = max(inv_res, float(np.abs((np.eye(2 * n) - proj) @ m @ proj).max()))
 
-    base_pts = orbifold.model.ball_grid(np.zeros(n),
-                                        orbifold.model.radius * 0.7,
-                                        per_axis=samples_per_axis)
+    base_pts = orbifold.model.ball_grid(np.zeros(n), orbifold.model.radius * 0.7,
+                                        per_axis=7)
     samples = np.hstack([base_pts, base_pts])
 
     # chart condition: ambient equivalence and Lambda equivalence agree on the
@@ -692,14 +691,14 @@ def diagonal_suborbifold(orbifold: GoodOrbifold,
     return SuborbifoldData(amb, lam, samples, basis, inv_res, chart_res)
 
 
-def graph_suborbifold(map_data, tolerance: float = 1e-8,
-                      per_axis: int = 5) -> list[SuborbifoldData]:
+def graph_suborbifold(map_data) -> list[SuborbifoldData]:
     """Graph of an orbifold map as a twisted-diagonal suborbifold, per chart.
 
     For each chart lift with homomorphism T, the subgroup is
     {(g, T(g))} acting on source x target, and the sample set is the graph
-    of the lift.  Raises EquivarianceViolation when the graph is not
-    invariant within tolerance (inconsistent lift / homomorphism data).
+    of the lift on the chart grid.  Raises EquivarianceViolation when the
+    graph is not invariant within 1e-8 (inconsistent lift / homomorphism
+    data).
     """
     src, tgt = map_data.source, map_data.target
     if src.model.kind != FLAT or tgt.model.kind != FLAT:
@@ -711,7 +710,7 @@ def graph_suborbifold(map_data, tolerance: float = 1e-8,
         mats = [_block_diag(chart.isotropy.matrix(a), theta.matrix(a))
                 for a in range(chart.isotropy.order)]
         twisted = group_from_elements(mats)
-        base = chart.sample_points(per_axis=per_axis)
+        base = chart.sample_points(per_axis=5)
         vals = np.asarray(func(base), dtype=float)
         graph_pts = np.hstack([base, vals])
         trans = translates(chart.isotropy, base)
@@ -721,10 +720,10 @@ def graph_suborbifold(map_data, tolerance: float = 1e-8,
         for a in range(chart.isotropy.order):
             lhs = row_apply(theta.matrix(a), vals)
             res = max(res, float(np.abs(lhs - moved[:, a]).max(initial=0.0)))
-        if res > tolerance:
+        if res > 1e-8:
             raise EquivarianceViolation(
                 f"graph of chart at {np.round(chart.center, 4)} is not invariant: "
-                f"residual {res:.3e} > {tolerance:.1e}")
+                f"residual {res:.3e} > 1.0e-08")
         out.append(SuborbifoldData(amb, twisted, graph_pts, None, res, 0.0))
     return out
 

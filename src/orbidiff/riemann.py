@@ -27,8 +27,11 @@ from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
 from .tangent import (Orbisection, TangentVectorAt, random_orbisection,
                       scale as scale_section, seminorm, tangent_vector)
 
-POU_SUM_TOL = 1e-9
-METRIC_INV_TOL = 1e-10
+WELL_DEFINED_TRIPLES = 50   # seeded (g, x, v) triples of exp_well_defined_residual
+WELL_DEFINED_SCALE = 0.4    # their largest tangent vector length
+HOMEO_PAIRS = 60            # tangent class pairs of exp_local_homeo_check
+HOMEO_PER_AXIS = 21         # its tangent disc grid points per axis
+INNER_FRACTION = 0.55       # verify_diffeo's inner ball, per chart radius
 
 
 # -- partitions of unity ---------------------------------------------------------
@@ -108,8 +111,7 @@ def _row_totals(mat: np.ndarray) -> np.ndarray:
 
 
 def equivariant_partition_of_unity(orbifold: GoodOrbifold,
-                                   atlas: Sequence[DerivedChart],
-                                   grid_resolution: int = 24
+                                   atlas: Sequence[DerivedChart]
                                    ) -> PartitionOfUnity:
     """Radial bumps, group averaged and normalized.
 
@@ -119,7 +121,7 @@ def equivariant_partition_of_unity(orbifold: GoodOrbifold,
     """
     pou = PartitionOfUnity(orbifold, tuple(atlas))
     model = orbifold.model
-    grid = model.verification_domain(model.grid(grid_resolution))
+    grid = model.verification_domain(model.grid(24))
     gaps = np.flatnonzero(_row_totals(pou._raw(grid)) < 1e-12)
     if gaps.size:
         raise CoverGap(f"partition weights vanish near {np.round(grid[gaps[0]], 4)}")
@@ -140,8 +142,8 @@ def _check_spd(mats: np.ndarray, pts: np.ndarray):
 
 
 def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
-                   printed_double_sum: bool = False,
-                   per_axis: int = 4) -> Callable[[np.ndarray], np.ndarray]:
+                   printed_double_sum: bool = False
+                   ) -> Callable[[np.ndarray], np.ndarray]:
     """Isotropy average of a raw metric over a chart.
 
     Metric entries map (k, n) rows to (k, n, n) matrices, ``raw`` and the
@@ -153,7 +155,7 @@ def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
     provided only for demonstration.
     """
     group = chart.isotropy
-    pts = chart.sample_points(per_axis=per_axis)
+    pts = chart.sample_points(per_axis=4)
     _check_spd(np.asarray(raw(pts), dtype=float), pts)
 
     if printed_double_sum:
@@ -178,10 +180,9 @@ def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
     return averaged
 
 
-def metric_invariance_residual(chart: DerivedChart, entry: Callable,
-                               per_axis: int = 4) -> float:
+def metric_invariance_residual(chart: DerivedChart, entry: Callable) -> float:
     """max |g^T entry(g y) g - entry(y)| over the chart grid and isotropy."""
-    (base, moved), = _isotropy_values([chart], entry, per_axis)
+    (base, moved), = _isotropy_values([chart], entry, per_axis=4)
     worst = 0.0
     for a, g in enumerate(chart.isotropy.matrices):
         worst = max(worst, float(np.abs(g.T @ moved[:, a] @ g - base).max()))
@@ -253,13 +254,13 @@ def _exp_canonicals(orbifold: GoodOrbifold, ends: np.ndarray) -> np.ndarray:
     return _canonicals(orbifold.points(ends))
 
 
-def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator,
-                              count: int = 50, scale: float = 0.4) -> float:
+def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator) -> float:
     """Representative independence: exp((g x, g v)) equals exp((x, v)).
 
-    Returns the worst quotient distance over ``count`` seeded random
-    (g, x, v) triples.  A triple whose image leaves a flat model is redrawn
-    with |v| below 0.1 R, which keeps it inside: base points lie within 0.9 R.
+    Returns the worst quotient distance over WELL_DEFINED_TRIPLES seeded
+    random (g, x, v) triples with |v| below WELL_DEFINED_SCALE.  A triple
+    whose image leaves a flat model is redrawn with |v| below 0.1 R, which
+    keeps it inside: base points lie within 0.9 R.
     The loop keeps each triple's two endpoints; they are canonicalised and
     measured together after it.
     """
@@ -267,8 +268,8 @@ def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator,
     model = orbifold.model
     grp = orbifold.group
     ends = []
-    limit = scale
-    while len(ends) < count:
+    limit = WELL_DEFINED_SCALE
+    while len(ends) < WELL_DEFINED_TRIPLES:
         x = model.project(orbifold.random_row(rng))
         frame = model.tangent_basis(x)
         v = rng.normal(size=frame.shape[0]) @ frame
@@ -281,9 +282,9 @@ def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator,
                                     np.stack([v, grp.act(lab, v)]))
             _require_in_model(model, pair)
         except OutOfDomain:
-            limit = min(scale, 0.1 * model.radius)
+            limit = min(WELL_DEFINED_SCALE, 0.1 * model.radius)
             continue
-        limit = scale
+        limit = WELL_DEFINED_SCALE
         ends.append(pair)
     canon = _exp_canonicals(orbifold, np.reshape(ends, (-1, model.ambient_dim)))
     # entry (k, k) compares the two images of triple k
@@ -309,15 +310,15 @@ class HomeoCheckReport:
 
 
 def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
-                          rng: np.random.Generator, pair_count: int = 60,
-                          image_per_axis: int = 21,
+                          rng: np.random.Generator,
                           exp_override: Callable | None = None
                           ) -> HomeoCheckReport:
     """Sampled injectivity and surjectivity of exp_p on the eps ball.
 
-    Injectivity compares random distinct tangent classes; the witness is the
-    first pair, in draw order, whose images coincide.  Surjectivity covers a
-    quotient grid of B(p, eps) by the image of a tangent-ball grid.  Every
+    Injectivity compares HOMEO_PAIRS random distinct tangent classes; the
+    witness is the first pair, in draw order, whose images coincide.
+    Surjectivity covers a quotient grid of B(p, eps) by the image of a
+    tangent-ball grid with HOMEO_PER_AXIS points per axis.  Every
     pair and disc vector goes through one exponential call.
     ``exp_override`` maps (k, n) base rows and (k, n) vectors to (k, n)
     endpoints in place of ``exp_map.lift_exp``, so that tests can exercise
@@ -330,7 +331,7 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
 
     vecs = []
     pairs = 0
-    while pairs < pair_count:
+    while pairs < HOMEO_PAIRS:
         v = rng.normal(size=frame.shape[0]) @ frame
         w = rng.normal(size=frame.shape[0]) @ frame
         v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0, eps)
@@ -341,7 +342,7 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
         pairs += 1
         vecs += [v, w]
 
-    axis = np.linspace(-1.0, 1.0, image_per_axis)
+    axis = np.linspace(-1.0, 1.0, HOMEO_PER_AXIS)
     cube = np.array(list(itertools.product(axis, repeat=frame.shape[0])))
     disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
     vecs = np.concatenate([np.reshape(vecs, (-1, frame.shape[1])),
@@ -360,7 +361,7 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
         pairs = k + 1
         witness = (vecs[2 * k].copy(), vecs[2 * k + 1].copy())
 
-    spacing = 2.0 * eps / (image_per_axis - 1)
+    spacing = 2.0 * eps / (HOMEO_PER_AXIS - 1)
     tol = 2.5 * spacing
     grid = _canonicalize(orbifold, orbifold.model.grid(32))
     near = orbifold.quotient_distances(grid, p.canonical[None])[:, 0] <= eps * 0.9
@@ -424,26 +425,24 @@ def E_apply(sigma: Orbisection, exp_map: ExpMap,
     return OrbifoldMapData(orbifold, orbifold, lifts, degree=2,
                            name=name or f"E[{sigma.name}]",
                            global_lift=func,
-                           inverse_lift=make_inverse_lift(func, orbifold),
-                           validate=False)
+                           inverse_lift=make_inverse_lift(func, orbifold))
 
 
-def make_inverse_lift(func: Callable, orbifold: GoodOrbifold,
-                      tol: float = 1e-12, iters: int = 200) -> Callable:
+def make_inverse_lift(func: Callable, orbifold: GoodOrbifold) -> Callable:
     """Inverse of a near-identity global lift on (k, n) rows, by damped
-    iteration.  A converged row is frozen, so each row takes the steps it
-    would take alone."""
+    iteration to 1e-12 in at most 200 steps.  A converged row is frozen, so
+    each row takes the steps it would take alone."""
     model = orbifold.model
 
     def inverse(pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         w = pts.copy()
         active = np.arange(len(pts))
-        for _ in range(iters):
+        for _ in range(200):
             if not active.size:
                 return w
             r = pts[active] - np.asarray(func(w[active]), dtype=float)
-            moving = ~(np.abs(r).max(axis=1) < tol)
+            moving = ~(np.abs(r).max(axis=1) < 1e-12)
             active = active[moving]
             w[active] = model.project(w[active] + r[moving])
         if active.size:
@@ -504,7 +503,7 @@ def transition_map(f: OrbifoldMapData, g: OrbifoldMapData, sigma: Orbisection,
         sigma.atlas, derive_theta(sigma.atlas, func, sigma.orbifold.group,
                                   per_axis=3))]
     h = OrbifoldMapData(sigma.orbifold, sigma.orbifold, lifts, degree=2,
-                        name="transition", global_lift=func, validate=False)
+                        name="transition", global_lift=func)
     return E_inverse(h, exp_map)
 
 
@@ -535,14 +534,13 @@ class DiffeoVerification:
 
 
 def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
-                  inner_fraction: float = 0.55,
                   underlying_override: Callable | None = None
                   ) -> DiffeoVerification:
     """Check a self-map against the small-section diffeomorphism criteria.
 
     Covering data: each atlas chart is an outer set with an inner ball at
-    inner_fraction of its radius, so the separation constant of chart i is
-    (1 - inner_fraction) x radius_i.  The stacked chart grids and their
+    INNER_FRACTION of its radius, so the separation constant of chart i is
+    (1 - INNER_FRACTION) x radius_i.  The stacked chart grids and their
     images are canonicalised in one call each.  ``underlying_override``
     maps (k, n) source rows to (k, n) image rows in place of
     ``f.underlying_rows``, so that tests can plant a defective map while
@@ -571,13 +569,13 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
 
     tol = 2.5 * spacing
     inner = np.concatenate([chart.sample_points(per_axis=per_axis,
-                                                shrink=inner_fraction)
+                                                shrink=INNER_FRACTION)
                             for chart in f.atlas])
     gap = _cover_gap(orbifold, _canonicalize(orbifold, inner), img)
 
     d0 = cs_distance(f, identity_map(orbifold, f.atlas), s=0,
                      per_axis=per_axis).value
-    margin = 0.5 * min((1.0 - inner_fraction) * ch.radius for ch in f.atlas)
+    margin = 0.5 * min((1.0 - INNER_FRACTION) * ch.radius for ch in f.atlas)
     return DiffeoVerification(injective, witness, gap, tol, d0, margin)
 
 
@@ -732,18 +730,19 @@ class QuotientGroupReport:
 
 
 def reduced_group_quotient_check(id_group: IdentityLiftGroup,
-                                 sample_diffeos: Sequence[OrbifoldMapData],
-                                 max_elements: int = 12) -> QuotientGroupReport:
+                                 sample_diffeos: Sequence[OrbifoldMapData]
+                                 ) -> QuotientGroupReport:
     """Normality and coset checks for the identity-lift subgroup.
 
     (a) the enumeration is finite and closed; (b) conjugates of identity
-    lifts by the sample diffeomorphisms are again identity lifts over the
-    atlas; (c) two lifts of one sample diffeomorphism differ by an identity
-    lift (deck variants give exactly the global identity-lift assignments).
+    lifts (the first 12) by the sample diffeomorphisms are again identity
+    lifts over the atlas; (c) two lifts of one sample diffeomorphism differ
+    by an identity lift (deck variants give exactly the global identity-lift
+    assignments).
     """
     orbifold = id_group.orbifold
     grp = orbifold.group
-    elements = id_group.assignments[:max_elements]
+    elements = id_group.assignments[:12]
 
     conj_ok = id_group.is_group()
     for g in sample_diffeos:

@@ -497,7 +497,7 @@ def _suite_riemann(ctx: _Context, records):
 
     _record(records, "riemann", "exp_well_defined",
             "exponential images agree across orbit representatives",
-            exp_well_defined_residual(ctx.exp_map, ctx.rng(6), count=50),
+            exp_well_defined_residual(ctx.exp_map, ctx.rng(6)),
             ctx.tol("exp_well_defined"))
     p = orbifold.point(chart.center)
     _record(records, "riemann", "exp_zero",

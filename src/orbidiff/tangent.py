@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotDifferentiable
-from .groups import (EPS_GRP, FiniteActionGroup, fixed_subspace, row_apply,
-                     row_dot, stabilizer, translates)
+from .groups import (EPS_GRP, FD_STEP, FiniteActionGroup, fixed_subspace,
+                     row_apply, row_dot, stabilizer, translates)
 from .maps import _lift_jet
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
                     _snap_key, atlas_grid)
@@ -197,16 +197,16 @@ def scale(sigma: Orbisection, t: float) -> Orbisection:
                        name=f"{t}*{sigma.name}")
 
 
-def seminorm(sigma: Orbisection, order: int = 0, per_axis: int = 5,
-             step: float = 1e-5) -> float:
-    """Sup of |s| and, at order 1, of FD first derivatives over the chart
-    grids of the atlas, each order evaluated on all the grids at once."""
+def seminorm(sigma: Orbisection, order: int = 0, per_axis: int = 5) -> float:
+    """Sup of |s| and, at order 1, of FD first derivatives (step FD_STEP)
+    over the chart grids of the atlas, each order evaluated on all the grids
+    at once."""
     if order not in (0, 1):
         raise ValueError("seminorm order must be 0 or 1")
     worst = float(np.abs(sigma.grid_values(per_axis)[1]).max(initial=0.0))
     if order >= 1:
         jets = _lift_jet(sigma.orbifold.model, sigma.field,
-                         atlas_grid(sigma.atlas, 3), 1, step)
+                         atlas_grid(sigma.atlas, 3), 1, FD_STEP)
         worst = max(worst, float(np.abs(jets[1]).max(initial=0.0)))
     return worst
 

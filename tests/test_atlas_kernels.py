@@ -463,6 +463,28 @@ def test_extension_matches_the_one_point_walk(name, args):
         underlying, small, small_lift, big, target, y) for y in pts])
 
 
+@pytest.mark.parametrize("name,args", _extensions(), ids=lambda v: v
+                         if isinstance(v, str) else "")
+def test_extension_rows_do_not_depend_on_earlier_calls(name, args):
+    underlying, small, small_lift, big, target = args
+    model = small.orbifold.model
+    ext = P.extend_lift(*args)
+    pts = big.sample_points(per_axis=7)
+    far = pts[model.distances(pts, big.center) > small.radius * 0.9]
+    near = model.project(far + 1e-10)
+    # the pairs a rounding step apart with the same 1e-9-snapped keys
+    same = [P._snap_key(a) == P._snap_key(b) for a, b in zip(far, near)]
+    assert 2 * sum(same) >= len(far)
+    far, near = far[same], near[same]
+    assert (far != near).any(axis=1).all()
+    ext.func(far)
+    want = [reference_extension(underlying, small, small_lift, big, target, y)
+            for y in near]
+    assert_bitwise(ext.func(near), want)
+    for y, w in zip(near, want):
+        assert_bitwise(ext.func(y[None])[0], w)
+
+
 def test_extension_refuses_an_image_outside_the_target():
     wide = M.line_mod_flip(radius=4.0)
     narrow = M.line_mod_flip(radius=1.0)
@@ -508,7 +530,7 @@ def test_commutation_probe_refuses_an_image_outside_the_model():
     grp = orbifold.group
     lifts = [P.ChartLift(ch, lambda pts: 3.0 * np.asarray(pts, dtype=float),
                          GroupHom.inclusion(ch.isotropy, grp)) for ch in atlas]
-    grown = P.OrbifoldMapData(orbifold, orbifold, lifts, validate=False)
+    grown = P.OrbifoldMapData(orbifold, orbifold, lifts)
     with pytest.raises(ImageEscapesChart, match="not in the model space"):
         P.check_equivariance(grown, per_axis=4)
 
@@ -540,7 +562,7 @@ def _split(f):
                          else e.func, e.theta) for k, e in enumerate(f.lifts)]
     return P.OrbifoldMapData(f.source, f.target, lifts, degree=f.degree,
                              global_lift=f.global_lift,
-                             inverse_lift=f.inverse_lift, validate=False)
+                             inverse_lift=f.inverse_lift)
 
 
 def _maps(name):
@@ -712,7 +734,7 @@ def test_homeo_check_refuses_an_image_outside_the_model():
 def test_exp_well_defined_residual_matches_the_one_triple_loop(build, seed):
     exp_map = R.ExpMap.closed_form(build())
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = R.exp_well_defined_residual(exp_map, rng, count=50)
+    got = R.exp_well_defined_residual(exp_map, rng)
     assert got == reference_well_defined_residual(exp_map, ref_rng, 50)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -770,8 +792,7 @@ def test_underlying_rows_name_a_point_no_chart_covers():
     pole = atlas[0]
     m = P.OrbifoldMapData(orbifold, orbifold, [P.ChartLift(
         pole, lambda pts: np.array(pts), GroupHom.inclusion(pole.isotropy,
-                                                            orbifold.group))],
-        validate=False)
+                                                            orbifold.group))])
     with pytest.raises(ChartMismatch, match="no chart of the atlas covers"):
         m.underlying_rows(np.array([list(pole.center), [1.0, 0.0, 0.0]]))
 

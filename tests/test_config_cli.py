@@ -380,3 +380,18 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,default,value", [("sections", 4, -3),
+                                               ("sections", 4, 0),
+                                               ("diffeos", 2, 0)])
+def test_run_counts_below_one_exit_two_naming_the_key(key, default, value,
+                                                      tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(FLAT_Z2.replace(f"{key} = {default}", f"{key} = {value}"))
+    code = cli.main(["run", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"run.{key}: must be at least 1, got {value}" in err
+    assert not (tmp_path / "out").exists()

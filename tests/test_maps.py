@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from orbidiff import maps as P
 from orbidiff import model as M
-from orbidiff.errors import AtlasNotCovering, BranchAmbiguity
+from orbidiff import riemann as R
+from orbidiff import tangent as T
+from orbidiff.errors import (AtlasNotCovering, BranchAmbiguity,
+                             EquivarianceViolation)
 from orbidiff.groups import GroupHom, generate_group, rotation_about_z, row_apply
 from orbidiff.model import DerivedChart, build_chart
 
@@ -33,7 +36,7 @@ class TestCheckEquivariance:
 
         lift = P.ChartLift(sing, warped,
                            GroupHom.inclusion(sing.isotropy, line_flip.group))
-        bad = P.OrbifoldMapData(line_flip, line_flip, [lift], validate=False)
+        bad = P.OrbifoldMapData(line_flip, line_flip, [lift])
         residual = P.check_equivariance(bad).max_residual
         assert residual == pytest.approx(1e-3, rel=0.2)
 
@@ -45,8 +48,7 @@ class TestCheckEquivariance:
         base_lift = P.ChartLift(
             sing, lambda pts: np.asarray(pts, dtype=float),
             GroupHom.inclusion(sing.isotropy, grp))
-        base = P.OrbifoldMapData(football3, football3, [base_lift],
-                                 validate=False)
+        base = P.OrbifoldMapData(football3, football3, [base_lift])
         base_res = P.check_equivariance(base).max_residual
         for d in range(grp.order):
             mat = grp.matrix(d)
@@ -56,8 +58,7 @@ class TestCheckEquivariance:
                 sing, lambda pts, m=mat: row_apply(m, pts),
                 GroupHom(sing.isotropy, grp, table))
             res = P.check_equivariance(
-                P.OrbifoldMapData(football3, football3, [moved],
-                                  validate=False)).max_residual
+                P.OrbifoldMapData(football3, football3, [moved])).max_residual
             assert abs(res - base_res) < 1e-12
 
     def test_compatible_thetas_at_constant_lift(self, line_flip,
@@ -67,6 +68,52 @@ class TestCheckEquivariance:
                                      line_flip.group)
         # constant lift into the fixed point admits both homomorphisms
         assert len(thetas) == 2
+
+
+class TestValidationPolicy:
+    """The constructor checks nothing; a builder checks an outside function
+    once and builds everything else equivariant by construction."""
+
+    def test_only_outside_functions_are_checked(self, monkeypatch, football3,
+                                               football3_atlas, football3_exp):
+        calls = []
+        check = P.check_equivariance
+        monkeypatch.setattr(P, "check_equivariance", lambda f, per_axis=5:
+                            calls.append(f.name) or check(f, per_axis))
+        rng = np.random.default_rng(5)
+        sigma, tau = (T.random_orbisection(football3, football3_atlas, rng, 0.03)
+                      for _ in range(2))
+        P.identity_map(football3, football3_atlas)
+        P.identity_map(football3, football3_atlas,
+                       assignments=[1 % c.isotropy.order for c in football3_atlas])
+        P.constant_map(football3, football3, np.array([0.0, 0.0, 1.0]),
+                       atlas=football3_atlas)
+        f, g = R.E_apply(sigma, football3_exp), R.E_apply(tau, football3_exp)
+        R.transition_map(f, g, sigma, football3_exp)
+        assert calls == []
+        P.map_from_global(football3, football3,
+                          lambda pts: row_apply(rotation_about_z(0.7), pts),
+                          football3_atlas, name="rot")
+        assert calls == ["rot"]
+
+    def test_map_from_global_refuses_a_bump_that_breaks_commutation(
+            self, disk_z4, disk_z4_atlas):
+        chart = disk_z4_atlas[1]
+        assert chart.isotropy.order == 1
+
+        def bumped(pts):
+            # a bump on one regular chart and not on its deck translates
+            u = np.sum((pts - chart.center) ** 2, axis=1) / chart.radius ** 2
+            return pts + 1e-3 * np.where(u < 1.0, (1.0 - np.minimum(u, 1.0)) ** 3,
+                                         0.0)[:, None]
+
+        thetas = P.derive_theta(disk_z4_atlas, bumped, disk_z4.group)
+        report = P.check_equivariance(P.OrbifoldMapData(
+            disk_z4, disk_z4, [P.ChartLift(ch, bumped, theta) for ch, theta
+                               in zip(disk_z4_atlas, thetas)]), per_axis=4)
+        assert max(report.per_chart) <= P.LIFT_TOL < report.commutation
+        with pytest.raises(EquivarianceViolation, match="violates equivariance"):
+            P.map_from_global(disk_z4, disk_z4, bumped, disk_z4_atlas)
 
 
 class TestIdentityLifts:

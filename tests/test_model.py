@@ -261,7 +261,7 @@ class TestSuborbifolds:
                              (0,) * ch.isotropy.order)
             lifts.append(ChartLift(ch, lambda y: np.asarray(y, dtype=float),
                                    theta))
-        bad = OrbifoldMapData(line_flip, line_flip, lifts, validate=False)
+        bad = OrbifoldMapData(line_flip, line_flip, lifts)
         with pytest.raises(EquivarianceViolation):
             M.graph_suborbifold(bad)
 

@@ -132,7 +132,7 @@ class TestExpMap:
             np.pi / 2, abs=1e-12)
 
     def test_representative_independence(self, football3_exp, rng):
-        assert R.exp_well_defined_residual(football3_exp, rng, count=50) < 1e-9
+        assert R.exp_well_defined_residual(football3_exp, rng) < 1e-9
 
     @pytest.mark.parametrize("build", [lambda: M.football(3),
                                        lambda: M.disk_mod_rotation(4, 2.0)],
@@ -141,7 +141,7 @@ class TestExpMap:
             self, build):
         exp_map = R.ExpMap.closed_form(build())
         rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
-        got = R.exp_well_defined_residual(exp_map, rng, count=50)
+        got = R.exp_well_defined_residual(exp_map, rng)
         assert got == _reference_well_defined_residual(exp_map, ref_rng, 50)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -160,8 +160,7 @@ class TestExpMap:
         monkeypatch.setattr(M.GoodOrbifold, "quotient_distances",
                             lambda self, a, b: measured.append(len(a))
                             or distances(self, a, b))
-        got = R.exp_well_defined_residual(exp_map, np.random.default_rng(6005),
-                                          count=50)
+        got = R.exp_well_defined_residual(exp_map, np.random.default_rng(6005))
         # the kept triples are measured together, one row each
         assert measured == [50]
         assert got < 1e-9
@@ -346,8 +345,7 @@ class TestChartMapE:
                                      GroupHom(ch.isotropy, football3.group,
                                               table)))
         planted = P.OrbifoldMapData(football3, football3, lifts,
-                                    global_lift=lambda pts: np.asarray(pts),
-                                    validate=False)
+                                    global_lift=lambda pts: np.asarray(pts))
         with pytest.raises(ThetaNotIdentity):
             R.E_inverse(planted, football3_exp)
 
