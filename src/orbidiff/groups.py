@@ -9,6 +9,7 @@ entries, so tables are reproducible bit for bit across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -111,9 +112,21 @@ class FiniteActionGroup:
     def inverse(self, label: int) -> int:
         return int(self._inverses[label])
 
+    @property
+    def inverses(self) -> np.ndarray:
+        """Label of each element's inverse, shape (order,)."""
+        return self._inverses
+
     def conjugate(self, g: int, h: int) -> int:
         """Label of g h g^-1."""
         return self.multiply(self.multiply(g, h), self.inverse(g))
+
+    @cached_property
+    def conjugations(self) -> np.ndarray:
+        """Conjugation table, shape (order, order): [g, h] labels g h g^-1."""
+        table = self.cayley[self.cayley, self._inverses[:, None]]
+        table.setflags(write=False)
+        return table
 
     def find(self, m: np.ndarray) -> int | None:
         """Label of the element equal to m within EPS_GRP, or None."""
@@ -121,23 +134,23 @@ class FiniteActionGroup:
         best = int(np.argmin(diffs))
         return best if diffs[best] < EPS_GRP else None
 
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """Order of each element; the powers of all labels are raised together."""
+        labels = np.arange(self.order)
+        orders, power, k = np.zeros(self.order, dtype=int), labels, 1
+        while not orders.all():
+            orders[(power == 0) & (orders == 0)] = k
+            power, k = self.cayley[power, labels], k + 1
+        orders.setflags(write=False)
+        return orders
+
     def element_order(self, label: int) -> int:
-        k, acc = 1, label
-        while acc != 0:
-            acc = self.multiply(acc, label)
-            k += 1
-        return k
+        return int(self.element_orders[label])
 
     @property
     def exponent(self) -> int:
-        out = 1
-        for lab in range(self.order):
-            out = int(np.lcm(out, self.element_order(lab)))
-        return out
-
-    @property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.cayley, self.cayley.T))
+        return int(np.lcm.reduce(self.element_orders))
 
     def subgroup(self, labels: Iterable[int]) -> "FiniteActionGroup":
         """Subgroup on the given labels, memoised; label 0 stays the identity."""
@@ -241,10 +254,7 @@ def trivial_group(dimension: int) -> FiniteActionGroup:
 
 def center(group: FiniteActionGroup) -> FiniteActionGroup:
     """Subgroup of elements commuting with everything (exhaustive check)."""
-    labs = [a for a in range(group.order)
-            if all(group.multiply(a, b) == group.multiply(b, a)
-                   for b in range(group.order))]
-    return group.subgroup(labs)
+    return group.subgroup(np.flatnonzero((group.cayley == group.cayley.T).all(axis=1)))
 
 
 @dataclass(frozen=True)
@@ -256,18 +266,22 @@ class GroupHom:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.table) != self.source.order:
+        t = np.asarray(self.table)
+        if t.shape != (self.source.order,):
             raise ValueError("table length must equal the source order")
-        if self.table[0] != 0:
+        if t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= self.target.order:
+            raise ValueError(
+                f"table entries must be integers in [0, {self.target.order})")
+        if t[0] != 0:
             raise ValueError("homomorphism must map identity to identity")
-        for a in range(self.source.order):
-            for b in range(self.source.order):
-                lhs = self.table[self.source.multiply(a, b)]
-                rhs = self.target.multiply(self.table[a], self.table[b])
-                if lhs != rhs:
-                    raise ValueError(
-                        f"not a homomorphism: table(a*b) != table(a)*table(b) "
-                        f"at a={a}, b={b}")
+        # bad[a, b]: table(a*b) != table(a)*table(b)
+        bad = t[self.source.cayley] != self.target.cayley[t[:, None], t]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise ValueError(
+                f"not a homomorphism: table(a*b) != table(a)*table(b) "
+                f"at a={a}, b={b}")
+        object.__setattr__(self, "table", tuple(t.tolist()))
 
     def __call__(self, label: int) -> int:
         return self.table[label]
@@ -278,15 +292,13 @@ class GroupHom:
     @property
     def is_identity(self) -> bool:
         """True when every source element maps to the same matrix in the target."""
-        return all(
-            float(np.abs(self.source.matrix(a) - self.matrix(a)).max()) < EPS_GRP
-            for a in range(self.source.order))
+        images = self.target.matrices[list(self.table)]
+        return float(np.abs(self.source.matrices - images).max()) < EPS_GRP
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
         return GroupHom(inner.source, self.target,
-                        tuple(self.table[inner.table[a]]
-                              for a in range(inner.source.order)))
+                        tuple(np.take(self.table, inner.table).tolist()))
 
     @staticmethod
     def identity(group: FiniteActionGroup) -> "GroupHom":
@@ -307,21 +319,12 @@ class GroupHom:
 
 
 def inner_automorphisms(group: FiniteActionGroup) -> tuple[GroupHom, ...]:
-    """All distinct conjugation maps d -> g d g^-1.
-
-    The count always equals |G| / |center(G)|.
-    """
-    seen: dict[tuple[int, ...], GroupHom] = {}
-    for g in range(group.order):
-        table = tuple(group.conjugate(g, d) for d in range(group.order))
-        if table not in seen:
-            seen[table] = GroupHom(group, group, table)
-    autos = tuple(seen.values())
-    expected = group.order // center(group).order
-    if len(autos) != expected:
-        raise AssertionError(
-            f"inner automorphism count {len(autos)} != |G|/|Z(G)| = {expected}")
-    return autos
+    """All distinct conjugation maps d -> g d g^-1, in order of the first g
+    that gives each; there are |G| / |center(G)| of them."""
+    conj = group.conjugations
+    _, first = np.unique(conj, axis=0, return_index=True)
+    return tuple(GroupHom(group, group, tuple(conj[g].tolist()))
+                 for g in np.sort(first))
 
 
 def fixed_subspace(group: FiniteActionGroup) -> np.ndarray:

@@ -9,6 +9,7 @@ map also carry that global lift, which keeps composition exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
                      EquivarianceViolation, ImageEscapesChart)
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
-                     canonical_representatives, center, fixing_mask,
+                     canonical_representatives, fixing_mask,
                      inner_automorphisms, row_apply, translates)
 from .model import (FLAT, DerivedChart, GoodOrbifold, QuotientPoint,
                     _covered, build_atlas)
@@ -129,15 +130,15 @@ def compatible_thetas(chart: DerivedChart, func: Callable,
 
     Constant lifts into fixed points admit several; none of them is preferred.
     """
-    options = [np.flatnonzero(row <= LIFT_TOL).tolist()
+    options = [np.flatnonzero(row <= LIFT_TOL)
                for row in _theta_residuals([chart], func, target_group, per_axis=5)[0]]
-    out = []
-    for combo in itertools.product(*options):
-        try:
-            out.append(GroupHom(chart.isotropy, target_group, tuple(combo)))
-        except ValueError:
-            continue
-    return tuple(out)
+    # every candidate table in lexicographic order; the law at (0, 0) sends 0 to 0
+    cands = np.stack(np.meshgrid(*options, indexing="ij"), axis=-1).reshape(
+        -1, len(options))
+    law = (cands[:, chart.isotropy.cayley]
+           == target_group.cayley[cands[:, :, None], cands[:, None, :]])
+    return tuple(GroupHom(chart.isotropy, target_group, tuple(t))
+                 for t in cands[law.all(axis=(1, 2))].tolist())
 
 
 class OrbifoldMapData:
@@ -319,9 +320,8 @@ def identity_map(orbifold: GoodOrbifold,
     for ch, loc in zip(charts, assignments):
         glob = ch.isotropy.parent_labels[loc]
         mat = grp.matrix(glob)
-        table = tuple(grp.conjugate(glob, ch.isotropy.parent_labels[a])
-                      for a in range(ch.isotropy.order))
-        theta = GroupHom(ch.isotropy, grp, table)
+        table = grp.conjugations[glob, list(ch.isotropy.parent_labels)]
+        theta = GroupHom(ch.isotropy, grp, tuple(table.tolist()))
         lifts.append(ChartLift(ch, _linear_map(mat), theta))
     trivial = all(loc == 0 for loc in assignments)
     return OrbifoldMapData(
@@ -668,12 +668,19 @@ def overlap_graph(orbifold: GoodOrbifold,
     return tuple(edges)
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """(k, m) integer rows -> (k,) keys that compare, sort and search as rows."""
+    rows = np.ascontiguousarray(rows, dtype=int)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
+
+
 @dataclass(frozen=True)
 class IdentityLiftGroup:
     """All lifts of the identity over a fixed atlas, as a finite group.
 
-    Elements are assignment tuples of local isotropy labels, one per chart;
-    composition and inverse act chartwise through the isotropy Cayley tables.
+    Elements are assignment tuples of local isotropy labels, one per chart,
+    in lexicographic order; composition and inverse act chartwise through
+    the isotropy Cayley tables.
     """
 
     orbifold: GoodOrbifold
@@ -684,9 +691,11 @@ class IdentityLiftGroup:
     def order(self) -> int:
         return len(self.assignments)
 
-    def compose(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(ch.isotropy.multiply(x, y)
-                     for ch, x, y in zip(self.atlas, a, b))
+    def _germs(self) -> list[tuple[FiniteActionGroup, np.ndarray]]:
+        """(isotropy, label column) of each chart of nontrivial isotropy."""
+        rows = np.array(self.assignments, dtype=int).reshape(-1, len(self.atlas))
+        return [(ch.isotropy, rows[:, k]) for k, ch in enumerate(self.atlas)
+                if ch.isotropy.order > 1]
 
     def inverse(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(ch.isotropy.inverse(x) for ch, x in zip(self.atlas, a))
@@ -695,30 +704,31 @@ class IdentityLiftGroup:
         return tuple(a) in set(self.assignments)
 
     def element_order(self, a: tuple[int, ...]) -> int:
-        k, acc = 1, a
-        identity = tuple(0 for _ in self.atlas)
-        while acc != identity:
-            acc = self.compose(acc, a)
-            k += 1
-        return k
+        return math.lcm(*(ch.isotropy.element_order(x)
+                          for ch, x in zip(self.atlas, a)))
 
     @property
     def exponent(self) -> int:
-        out = 1
-        for a in self.assignments:
-            out = int(np.lcm(out, self.element_order(a)))
-        return out
+        orders = [grp.element_orders[col] for grp, col in self._germs()]
+        return int(np.lcm.reduce(np.concatenate([[1], *orders])))
 
     @property
     def is_abelian(self) -> bool:
-        return all(self.compose(a, b) == self.compose(b, a)
-                   for a in self.assignments for b in self.assignments)
+        used = [(grp.cayley, np.unique(col)) for grp, col in self._germs()]
+        subs = [cay[np.ix_(u, u)] for cay, u in used]
+        return all(np.array_equal(sub, sub.T) for sub in subs)
 
     def is_group(self) -> bool:
-        elems = set(self.assignments)
-        return all(self.compose(a, b) in elems
-                   for a in self.assignments for b in self.assignments) and \
-            all(self.inverse(a) in elems for a in self.assignments)
+        """Whether every chartwise product and inverse is an assignment."""
+        germs = self._germs()
+        if not germs:
+            return True     # the only possible assignment is all identities
+        found = _row_keys(np.stack([
+            np.concatenate([grp.cayley[col[:, None], col].ravel(), grp.inverses[col]])
+            for grp, col in germs], axis=1))
+        members = np.sort(_row_keys(np.stack([col for _, col in germs], axis=1)))
+        at = np.searchsorted(members, found).clip(max=len(members) - 1)
+        return bool((members[at] == found).all())
 
     def to_map(self, assignment: tuple[int, ...]) -> OrbifoldMapData:
         return identity_map(self.orbifold, self.atlas, assignment,
@@ -728,18 +738,13 @@ class IdentityLiftGroup:
         """Recover the assignment tuple of a map that covers the identity."""
         out = []
         for ch in self.atlas:
-            entry = f.lift_at(ch)
             pts = ch.sample_points(per_axis=4)
-            vals = np.asarray(entry.func(pts), dtype=float)
-            found = None
-            for loc in range(ch.isotropy.order):
-                m = ch.isotropy.matrix(loc)
-                if float(np.abs(vals - pts @ m.T).max()) <= 1e-8:
-                    found = loc
-                    break
-            if found is None:
+            vals = np.asarray(f.lift_at(ch).func(pts), dtype=float)
+            hits = [loc for loc, m in enumerate(ch.isotropy.matrices)
+                    if float(np.abs(vals - pts @ m.T).max()) <= 1e-8]
+            if not hits:
                 return None
-            out.append(found)
+            out.append(hits[0])
         return tuple(out)
 
 
@@ -753,49 +758,39 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
     overlap region the transported assignments must be conjugate within that
     point's stabilizer.  Regular overlap points impose nothing (their germ
     data is absorbed by chart injections), which is what makes the two
-    singular charts of a football independent.
+    singular charts of a football independent.  The assignments grow chart
+    by chart, filtered by each overlap once both its charts are placed.
     """
     charts = tuple(atlas) if atlas is not None else build_atlas(orbifold)
     _require_covering(orbifold, charts, coverage_resolution)
     if edges is None:
         edges = overlap_graph(orbifold, charts)
     grp = orbifold.group
+    conj = grp.conjugations
 
-    allowed_sets: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    # allowed[(i, j)][a, b]: germs a on chart i and b on chart j agree
+    allowed: dict[tuple[int, int], np.ndarray] = {}
     for edge in edges:
-        ci, cj = charts[edge.i], charts[edge.j]
-        pairs: set[tuple[int, int]] | None = None
+        key = (edge.i, edge.j)
+        gi, gj = (list(charts[k].isotropy.parent_labels) for k in key)
         fixing = fixing_mask(grp, np.reshape(edge.singular_points, (-1, grp.dimension)))
-        # the constraint depends on a point only through its stabilizer
+        # the constraint depends on a point only through its stabilizer S:
+        # eta g_a eta^-1 must be s g_b s^-1 for some s in S
         for row in np.unique(fixing, axis=0):
-            slabs = np.flatnonzero(row).tolist()
-            if len(slabs) <= 1:
+            if row.sum() <= 1:
                 continue
-            allowed = set()
-            for a in range(ci.isotropy.order):
-                ga = ci.isotropy.parent_labels[a]
-                t = grp.conjugate(edge.eta, ga)
-                for b in range(cj.isotropy.order):
-                    gb = cj.isotropy.parent_labels[b]
-                    if any(grp.conjugate(s, gb) == t for s in slabs):
-                        allowed.add((a, b))
-            pairs = allowed if pairs is None else pairs & allowed
-        if pairs is not None:
-            key = (edge.i, edge.j)
-            allowed_sets[key] = allowed_sets.get(
-                key, {(a, b) for a in range(ci.isotropy.order)
-                      for b in range(cj.isotropy.order)}) & pairs
-    sizes = [ch.isotropy.order for ch in charts]
-    assignments = []
-    for combo in itertools.product(*[range(k) for k in sizes]):
-        ok = True
-        for (i, j), pairs in allowed_sets.items():
-            if (combo[i], combo[j]) not in pairs:
-                ok = False
-                break
-        if ok:
-            assignments.append(tuple(combo))
-    group = IdentityLiftGroup(orbifold, charts, tuple(assignments))
+            reach = np.zeros((grp.order, len(gj)), dtype=bool)
+            reach[conj[np.ix_(np.flatnonzero(row), gj)], np.arange(len(gj))] = True
+            allowed[key] = allowed.get(key, True) & reach[conj[edge.eta, gi]]
+    rows = np.zeros((1, 0), dtype=int)
+    for k, ch in enumerate(charts):
+        m = ch.isotropy.order
+        rows = np.column_stack([np.repeat(rows, m, axis=0),
+                                np.tile(np.arange(m), len(rows))])
+        for (i, j), pairs in allowed.items():
+            if max(i, j) == k:
+                rows = rows[pairs[rows[:, i], rows[:, j]]]
+    group = IdentityLiftGroup(orbifold, charts, tuple(map(tuple, rows.tolist())))
     if not group.is_group():
         raise EquivarianceViolation(
             "consistent assignments failed to close under composition")
@@ -814,9 +809,7 @@ def _require_covering(orbifold: GoodOrbifold, charts: Sequence[DerivedChart],
 
 def count_theta_choices(group: FiniteActionGroup) -> int:
     """Number of distinct identity-map homomorphism choices, |G|/|Z(G)|."""
-    autos = inner_automorphisms(group)
-    assert len(autos) * center(group).order == group.order
-    return len(autos)
+    return len(inner_automorphisms(group))
 
 
 # -- equivariant polynomial approximation -------------------------------------------

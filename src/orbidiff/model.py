@@ -58,14 +58,16 @@ class ModelSpace:
     def ambient_dim(self) -> int:
         return self.dimension + 1 if self.kind == SPHERE else self.dimension
 
-    def contains(self, point: np.ndarray) -> bool:
-        """Whether point is in the model, up to a slack of 1e-9."""
+    def contains(self, point: np.ndarray) -> np.ndarray:
+        """(..., n) -> (...) mask of the rows in the model, up to a slack of
+        1e-9; a row of another width is outside."""
         p = np.asarray(point, dtype=float)
-        if p.shape != (self.ambient_dim,):
-            return False
+        if p.ndim == 0 or p.shape[-1] != self.ambient_dim:
+            return np.zeros(p.shape[:-1], dtype=bool)
+        norm = np.sqrt(row_dot(p, p))
         if self.kind == FLAT:
-            return float(np.linalg.norm(p)) < self.radius * (1.0 + 1e-9)
-        return abs(float(np.linalg.norm(p)) - 1.0) < 1e-12 + 1e-9
+            return norm < self.radius * (1.0 + 1e-9)
+        return np.abs(norm - 1.0) < 1e-12 + 1e-9
 
     def project(self, point: np.ndarray) -> np.ndarray:
         """Nearest model point of each (..., n) row on the sphere; rows as
@@ -244,9 +246,10 @@ class GoodOrbifold:
     def points(self, representatives: np.ndarray) -> list["QuotientPoint"]:
         """The quotient point of each (k, n) row, canonicalised in one call."""
         reps = self.model.project(np.asarray(representatives, dtype=float))
-        for rep in reps:
-            if not self.model.contains(rep):
-                raise ValueError(f"point {rep} is not in the model space")
+        inside = self.model.contains(reps)
+        if not inside.all():
+            raise ValueError(
+                f"point {reps[np.argmin(inside)]} is not in the model space")
         return [QuotientPoint(self, rep, canon) for rep, canon in
                 zip(reps, canonical_representatives(self.group, reps))]
 

@@ -243,7 +243,7 @@ class ExpMap:
 
 def _require_in_model(model, ends: np.ndarray):
     """OutOfDomain unless every (k, n) exponential endpoint is in the model."""
-    if not all(model.contains(end) for end in ends):
+    if not model.contains(ends).all():
         raise OutOfDomain("exponential image leaves the model")
 
 

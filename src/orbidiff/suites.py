@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import itertools
+import math
 import platform
 from dataclasses import dataclass, replace
 
@@ -300,9 +301,7 @@ def _suite_strata(ctx: _Context, records):
 def _suite_maps(ctx: _Context, records):
     orbifold = ctx.orbifold
     idg = ctx.id_group
-    product_order = 1
-    for ch in ctx.atlas:
-        product_order *= ch.isotropy.order
+    product_order = math.prod(ch.isotropy.order for ch in ctx.atlas)
     _record_exact(records, "maps", "identity_lift_count",
                   f"identity lifts number {idg.order} over "
                   f"{len(ctx.atlas)} charts (unconstrained product "

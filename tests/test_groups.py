@@ -203,6 +203,25 @@ class TestGroupHom:
         with pytest.raises(ValueError):
             G.GroupHom(grp, grp, (1, 2, 0))
 
+    @pytest.mark.parametrize("table, message", [
+        ((0, 1), "table length must equal the source order"),
+        ((0, 5, 1), r"table entries must be integers in \[0, 3\)"),
+        ((0, 1.5, 2), r"table entries must be integers in \[0, 3\)"),
+        ((0, -1, 1), r"table entries must be integers in \[0, 3\)"),
+        ((1, 2, 0), "homomorphism must map identity to identity"),
+        ((0, 2, 2), "not a homomorphism: .* at a=1, b=1"),
+    ])
+    def test_rejects_bad_tables(self, table, message):
+        grp = G.cyclic_rotation_group(3)
+        with pytest.raises(ValueError, match=message):
+            G.GroupHom(grp, grp, table)
+
+    def test_table_stays_python_ints(self):
+        grp = G.cyclic_rotation_group(3)
+        hom = G.GroupHom(grp, grp, tuple(np.arange(3)))
+        assert hom.table == (0, 1, 2)
+        assert all(type(x) is int for x in hom.table)
+
     def test_identity_and_compose(self):
         grp = G.dihedral_group(3)
         ident = G.GroupHom.identity(grp)

@@ -183,6 +183,51 @@ class TestVerificationDomain:
         assert np.array_equal(football3.model.verification_domain(grid), grid)
 
 
+def reference_contains(space, point):
+    """ModelSpace.contains one row at a time, as it was before it took rows."""
+    p = np.asarray(point, dtype=float)
+    if p.shape != (space.ambient_dim,):
+        return False
+    if space.kind == M.FLAT:
+        return float(np.linalg.norm(p)) < space.radius * (1.0 + 1e-9)
+    return abs(float(np.linalg.norm(p)) - 1.0) < 1e-12 + 1e-9
+
+
+class TestModelMembership:
+    @pytest.mark.parametrize("space", [M.ModelSpace(M.FLAT, 2, 2.0),
+                                       M.ModelSpace(M.FLAT, 3, 1.0),
+                                       M.ModelSpace(M.SPHERE, 2)])
+    def test_rows_at_the_slack_boundary_match_one_row_calls(self, space):
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(60, space.ambient_dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        # norms a few ulps either side of each edge of the 1e-9 slack band
+        edges = [space.radius * (1.0 + 1e-9)] if space.kind == M.FLAT else \
+            [1.0 - 1e-12 - 1e-9, 1.0 + 1e-12 + 1e-9]
+        rows = np.concatenate([
+            dirs * e * (1.0 + rng.integers(-8, 9, (len(dirs), 1)) * np.finfo(float).eps)
+            for e in edges])
+        rows = rows[rng.permutation(len(rows))]
+        mask = space.contains(rows)
+        want = [reference_contains(space, r) for r in rows]
+        assert mask.tolist() == want == [bool(space.contains(r)) for r in rows]
+        assert 0 < sum(want) < len(want)
+        assert space.contains(rows.reshape(4, -1, space.ambient_dim)).tolist() == \
+            mask.reshape(4, -1).tolist()
+
+    def test_rows_of_another_width_are_outside(self):
+        space = M.ModelSpace(M.FLAT, 2, 2.0)
+        assert space.contains(np.zeros((3, 3))).tolist() == [False] * 3
+        assert not space.contains(np.zeros(1))
+        assert not space.contains(0.0)
+
+    def test_points_names_the_first_row_outside(self, disk_z4):
+        rows = np.array([[0.1, 0.2], [3.0, 0.0], [0.0, 4.0]])
+        with pytest.raises(ValueError, match=r"point \[3\. 0\.\] is not in"):
+            disk_z4.points(rows)
+        assert len(disk_z4.points(rows[:1])) == 1
+
+
 class TestProduct:
     def test_corner_isotropy_is_product(self, line_flip):
         prod = M.product(line_flip, line_flip)
