@@ -404,10 +404,6 @@ class DerivedChart:
             self._grids[key] = pts
         return self._grids[key]
 
-    @property
-    def isotropy_order(self) -> int:
-        return self.isotropy.order
-
     def __repr__(self) -> str:
         return (f"DerivedChart(center={np.round(self.center, 4)}, "
                 f"radius={self.radius:.4f}, isotropy={self.isotropy.order})")

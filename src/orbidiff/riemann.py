@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,31 +52,35 @@ class PartitionOfUnity:
     orbifold: GoodOrbifold
     atlas: tuple[DerivedChart, ...]
     weights: tuple[Callable[[np.ndarray], float], ...] = ()
+    _charts: tuple = field(init=False, repr=False, compare=False)  # centres, radii
 
     def __post_init__(self):
+        if not self.atlas:
+            raise CoverGap("a partition of unity needs at least one chart")
         if not self.weights:
             object.__setattr__(self, "weights", tuple(
                 functools.partial(self._weight, j) for j in range(len(self.atlas))))
+        object.__setattr__(self, "_charts", _stacked_charts(self.atlas))
 
     def _weight(self, j: int, y: np.ndarray) -> float:
         return float(self.values(np.asarray(y, dtype=float)[None])[0, j])
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
-        """(k, n) -> (k, charts) group-averaged bumps, before normalizing.
-
-        Points go through in blocks of about ``groups._BLOCK`` translates.
-        """
+        """(k, n) -> (k, charts) group-averaged bumps, before normalizing: one
+        distance call per block of about ``groups._BLOCK`` (translate, chart)
+        pairs, summing over the group along the last axis as the one-point sum did."""
         model = self.orbifold.model
         grp = self.orbifold.group
-        pts = np.asarray(pts, dtype=float).reshape(-1, model.ambient_dim)
-        step = max(1, groups._BLOCK // grp.order)
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != model.ambient_dim:
+            raise OutOfDomain(f"partition points have shape {pts.shape}")
+        centres, radii = self._charts
+        step = max(1, groups._BLOCK // (grp.order * len(self.atlas)))
         out = np.empty((len(pts), len(self.atlas)))
         for lo in range(0, len(pts), step):
-            trans = translates(grp, pts[lo:lo + step]).reshape(-1, model.ambient_dim)
-            for j, ch in enumerate(self.atlas):
-                u = (model.distances(trans, ch.center) / ch.radius) ** 2
-                bumps = _bump(u).reshape(-1, grp.order)
-                out[lo:lo + step, j] = bumps.sum(axis=1) / grp.order
+            trans = translates(grp, pts[lo:lo + step])[:, None]
+            u = (model.distances(trans, centres) / radii) ** 2
+            out[lo:lo + step] = _bump(u).sum(axis=2) / grp.order
         return out
 
     def values(self, pts: np.ndarray) -> np.ndarray:
@@ -89,25 +93,26 @@ class PartitionOfUnity:
         return float(_row_totals(self.values(np.asarray(y, dtype=float)[None]))[0])
 
     def verify(self, grid: np.ndarray) -> tuple[float, float]:
-        """(sum residual, equivariance residual) over the grid."""
+        """(sum residual, equivariance residual) over the grid and its translates."""
         grid = np.asarray(grid, dtype=float)
         base = self.values(grid)
         sum_res = float(np.abs(_row_totals(base) - 1.0).max(initial=0.0))
-        moved = translates(self.orbifold.group, grid)
-        equi_res = 0.0
-        for lab in range(1, self.orbifold.group.order):
-            diff = np.abs(self.values(moved[:, lab]) - base)
-            equi_res = max(equi_res, float(diff.max(initial=0.0)))
-        return sum_res, equi_res
+        moved = translates(self.orbifold.group, grid)[:, 1:]
+        vals = self.values(moved.reshape(-1, grid.shape[1])).reshape(
+            *moved.shape[:2], len(self.atlas))
+        return sum_res, float(np.abs(vals - base[:, None]).max(initial=0.0))
+
+
+def _stacked_charts(atlas: Sequence[DerivedChart]) -> tuple[np.ndarray, np.ndarray]:
+    """Chart centres (charts, 1, n) and radii (charts, 1)."""
+    return (np.stack([ch.center for ch in atlas])[:, None],
+            np.array([ch.radius for ch in atlas])[:, None])
 
 
 def _row_totals(mat: np.ndarray) -> np.ndarray:
     """Row sums adding the columns left to right, as Python's ``sum`` does;
     ``ndarray.sum`` adds pairwise from 8 columns on."""
-    total = np.zeros(len(mat))
-    for col in mat.T:
-        total += col
-    return total
+    return np.add.accumulate(mat, axis=1)[:, -1]
 
 
 def equivariant_partition_of_unity(orbifold: GoodOrbifold,
@@ -707,11 +712,11 @@ def _source_chart(atlas: Sequence[DerivedChart], grp: FiniteActionGroup,
                   z: np.ndarray) -> tuple[int, int] | None:
     """First (chart index, deck label) in atlas order, then label order,
     whose chart holds the translate of z by that label."""
-    for k, ck in enumerate(atlas):
-        for lab in range(grp.order):
-            if ck.contains(grp.act(lab, z), slack=0.0):
-                return k, lab
-    return None
+    centres, radii = _stacked_charts(atlas)
+    # row lab is grp.act(lab, z), bit for bit: a chart edge admits no slack
+    moved = z @ np.swapaxes(grp.matrices, 1, 2)
+    hits = np.argwhere(atlas[0].orbifold.model.row_distances(centres, moved) <= radii)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
 @dataclass(frozen=True)

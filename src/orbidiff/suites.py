@@ -702,11 +702,9 @@ def dump_fields(config: SuiteConfig, which: str, grid: int | None = None,
         pou = equivariant_partition_of_unity(orbifold, atlas)
         writer.writerow(coords + [f"weight_chart{j}"
                                   for j in range(len(atlas))] + ["total"])
-        for y, row in zip(pts, pou.values(pts)):
-            vals = row.tolist()
-            writer.writerow([f"{c:.12g}" for c in y]
-                            + [f"{v:.12g}" for v in vals]
-                            + [f"{sum(vals):.12g}"])
+        for y, row in zip(pts, pou.values(pts).tolist()):
+            writer.writerow([f"{c:.12g}" for c in y] + [f"{v:.12g}" for v in row]
+                            + [f"{sum(row):.12g}"])
     elif which == "orbisection":
         sigma = section if section is not None else \
             random_orbisection(orbifold, atlas, rng, 0.05, "dump")

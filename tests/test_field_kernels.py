@@ -19,7 +19,7 @@ from orbidiff import maps as P
 from orbidiff import model as M
 from orbidiff import riemann as R
 from orbidiff import suites as S
-from orbidiff.errors import CoverGap, NotSPD
+from orbidiff.errors import CoverGap, NotSPD, OutOfDomain
 
 THIRD_TURN = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -414,6 +414,63 @@ def test_quotient_distances_match_reference_from_eight_coordinates():
     assert_bitwise(orbifold.quotient_distances(a, b),
                    [[reference_quotient_distance(orbifold, x, y) for y in b]
                     for x in a])
+
+
+def reference_row_totals(mat):
+    total = np.zeros(len(mat))
+    for col in mat.T:
+        total += col
+    return total
+
+
+def test_partition_sums_keep_their_order_on_an_order_48_group():
+    # 48 translates per chart are past the 8 at which ndarray.sum adds
+    # pairwise, so the group sums must run along the axis the one-point
+    # sums ran along
+    orbifold, atlas = case("S2/Oh")
+    pts = np.concatenate([orbifold.model.grid(8), model_points(
+        orbifold, np.random.default_rng(9).normal(size=(60, 3)))])
+    pou = R.PartitionOfUnity(orbifold, atlas)
+    raws = reference_raw_weights(orbifold, atlas)
+    ref = reference_weights(orbifold, atlas)
+    assert_bitwise(pou._raw(pts), [[r(y) for r in raws] for y in pts])
+    assert_bitwise(pou.values(pts), [[w(y) for w in ref] for y in pts])
+    assert_bitwise([pou.total(y) for y in pts],
+                   [reference_total(ref, y) for y in pts])
+
+
+@pytest.mark.parametrize("name", ["football5", "disk_Z4", "S2/Oh"])
+def test_values_past_one_block_match_one_row_calls(name):
+    orbifold, atlas = case(name)
+    k = G._BLOCK // (orbifold.group.order * len(atlas)) + 1
+    pts = model_points(orbifold, np.random.default_rng(13).uniform(
+        -1.0, 1.0, size=(k, orbifold.model.ambient_dim)))
+    pou = R.PartitionOfUnity(orbifold, atlas)
+    assert_bitwise(pou.values(pts),
+                   np.concatenate([pou.values(y[None]) for y in pts]))
+
+
+@pytest.mark.parametrize("cols", [1, 3, 8, 9, 12, 40])
+def test_row_totals_match_the_column_loop(cols):
+    rng = np.random.default_rng(cols)
+    mat = rng.uniform(0.0, 1.0, size=(200, cols)) ** 3
+    mat[rng.uniform(size=mat.shape) < 0.3] = 0.0
+    mat[::7] *= 1e-12
+    assert_bitwise(R._row_totals(mat), reference_row_totals(mat))
+    assert_bitwise(R._row_totals(mat[:0]), np.zeros(0))
+
+
+def test_partition_refuses_rows_of_the_wrong_width():
+    orbifold, atlas = case("disk_Z4")
+    pou = R.PartitionOfUnity(orbifold, atlas)
+    with pytest.raises(OutOfDomain, match=r"\(2, 3\)"):
+        pou.values(np.zeros((2, 3)))
+    with pytest.raises(OutOfDomain, match=r"\(1, 3\)"):
+        pou.total(np.zeros(3))
+    with pytest.raises(OutOfDomain, match=r"\(2,\)"):
+        pou.values(np.zeros(2))
+    with pytest.raises(CoverGap):
+        R.PartitionOfUnity(orbifold, ())
 
 
 def test_empty_inputs_give_empty_matrices():

@@ -196,6 +196,15 @@ def reference_linearize(action, samples):
     return chart_map, conj, dres
 
 
+def reference_source_chart(atlas, grp, z):
+    """riemann._source_chart, one one-point chart test per (chart, label)."""
+    for k, ck in enumerate(atlas):
+        for lab in range(grp.order):
+            if ck.contains(grp.act(lab, z), slack=0.0):
+                return k, lab
+    return None
+
+
 def reference_conjugate_identity_lift(id_group, assignment, g, tol=1e-8):
     """riemann.conjugate_identity_lift redoing the map-only work per call."""
     orb = id_group.orbifold
@@ -203,14 +212,7 @@ def reference_conjugate_identity_lift(id_group, assignment, g, tol=1e-8):
     out = []
     for chart in id_group.atlas:
         z = np.asarray(g.inverse_lift(chart.center[None]), dtype=float)[0]
-        source = None
-        for k, ck in enumerate(id_group.atlas):
-            for lab in range(grp.order):
-                if ck.contains(grp.act(lab, z), slack=0.0):
-                    source = (k, lab)
-                    break
-            if source:
-                break
+        source = reference_source_chart(id_group.atlas, grp, z)
         if source is None:
             return None
         k, lab = source
@@ -516,6 +518,31 @@ def test_conjugations_match_per_assignment(name, data):
     got = R.conjugate_identity_lifts(ids, chosen, g, tol)
     assert got == [reference_conjugate_identity_lift(ids, a, g, tol) for a in chosen]
     assert [R.conjugate_identity_lift(ids, a, g, tol) for a in chosen] == got
+
+
+@pytest.mark.parametrize("name,resolution", [
+    ("football3", 20), ("S2/T", 8), ("disk_D4", 13)])
+def test_source_chart_matches_the_chart_by_label_loop(name, resolution):
+    # chart centres, points a chart radius from them, where the slack-0 test
+    # decides by the last bit, and random points; the one-chart atlas leaves
+    # most points without a source
+    orb = orbifold(name)
+    model = orb.model
+    atlas = M.build_atlas(orb, resolution=resolution)
+    rng = np.random.default_rng(21)
+    rows = [orb.random_row(rng) for _ in range(40)]
+    for ch in atlas:
+        frame = model.tangent_basis(ch.center)
+        dirs = np.concatenate([frame, -frame, (frame[:1] + frame[-1:]) / np.sqrt(2.0)])
+        rows += [ch.center, *model.geo_exp(np.broadcast_to(ch.center, dirs.shape),
+                                           ch.radius * dirs)]
+    got = {}
+    for sub in (atlas, atlas[:1]):
+        got[len(sub)] = [R._source_chart(sub, orb.group, z) for z in rows]
+        assert got[len(sub)] == [reference_source_chart(sub, orb.group, z)
+                                 for z in rows]
+    assert None in got[1] and None not in got[len(atlas)]
+    assert any(lab > 0 for _, lab in got[len(atlas)])
 
 
 def test_conjugations_cover_every_outcome():
