@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
                      UnsupportedModel)
@@ -314,25 +313,21 @@ class GoodOrbifold:
             svals = np.concatenate([svals, np.zeros(vt.shape[0] - svals.size)])
             basis = vt[svals < 1e-9]
             k = basis.shape[0]
-            if k == 0:
-                if self.model.kind == FLAT:
-                    cands.append(np.zeros(self.model.ambient_dim))
-                continue
             if self.model.kind == FLAT:
                 cands.append(np.zeros(self.model.ambient_dim))
+                if k == 0:
+                    continue
                 axis = np.linspace(-1, 1, max(resolution, 3)) * self.model.radius * 0.98
-                for coeffs in itertools.product(axis, repeat=k):
-                    p = np.asarray(coeffs) @ basis
-                    if np.linalg.norm(p) < self.model.radius * 0.98:
-                        cands.append(p)
-            else:
-                if k == 1:
-                    cands += [basis[0], -basis[0]]
-                else:
-                    axis = np.linspace(-1, 1, max(resolution, 3))
-                    coeffs = np.array(list(itertools.product(axis, repeat=k)))
-                    coeffs = coeffs[np.sqrt(row_dot(coeffs, coeffs)) > 1e-9]
-                    cands.extend(self.model.project(row_apply(basis.T, coeffs)))
+                coeffs = np.array(list(itertools.product(axis, repeat=k)))
+                p = row_apply(basis.T, coeffs)
+                cands.extend(p[np.sqrt(row_dot(p, p)) < self.model.radius * 0.98])
+            elif k == 1:
+                cands += [basis[0], -basis[0]]
+            elif k > 1:
+                axis = np.linspace(-1, 1, max(resolution, 3))
+                coeffs = np.array(list(itertools.product(axis, repeat=k)))
+                coeffs = coeffs[np.sqrt(row_dot(coeffs, coeffs)) > 1e-9]
+                cands.extend(self.model.project(row_apply(basis.T, coeffs)))
         pts = np.reshape(cands, (-1, self.model.ambient_dim))
         reps = canonical_representatives(
             self.group, pts[fixing_mask(self.group, pts).sum(axis=1) > 1])
@@ -566,16 +561,15 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     thresh = 1.6 * spacing
     if model.kind == SPHERE:
         thresh = 2.0 * np.sin(min(thresh, np.pi) / 2.0)  # chordal
-    tree = cKDTree(points)
+    close = _close_pairs(points, thresh)
     labels = np.arange(len(points))
     for lab in range(group.order):
         moved = points @ group.matrix(lab).T
         # each block of moved rows is merged as it comes, which bounds the
         # edges held at once
         for lo in range(0, len(points), _EDGE_ROWS):
-            hits = cKDTree(moved[lo:lo + _EDGE_ROWS]).sparse_distance_matrix(
-                tree, thresh, output_type="ndarray")
-            labels = _merge(labels, codes, hits["i"] + lo, hits["j"])
+            heads, tails = close(moved[lo:lo + _EDGE_ROWS])
+            labels = _merge(labels, codes, heads + lo, tails)
 
     sig_rank = np.argsort(sorted(range(len(sigs)),
                                  key=lambda c: (-len(sigs[c]), sigs[c])))
@@ -586,6 +580,54 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     cuts = np.flatnonzero(np.diff(comp[order])) + 1
     return [Stratum(orbifold, sigs[codes[rows[0]]], cid, points[rows], resolution)
             for cid, rows in enumerate(np.split(order, cuts))]
+
+
+def _close_pairs(points: np.ndarray, thresh: float):
+    """A cell list of the (k, n) sample rows: returns close(query), the index
+    pairs (i, j) with |query[i] - points[j]| <= thresh, i ascending.
+
+    Samples are binned into cubes a hair wider than thresh, so that a pair
+    within thresh sits in adjacent cells despite rounding, and sorted by
+    cell key, the last axis varying fastest.  A query row's 3^n neighbour
+    cells are then 3^(n-1) key ranges, each three cells long.  The box
+    spans the largest sample norm plus two cells on each side; query cells
+    are clipped into it, which only moves rows that have no sample within
+    thresh.  The squared distance is summed axis by axis, left to right
+    from 0.0, as cKDTree sums it, so a pair exactly thresh apart gets the
+    same verdict.
+    """
+    side = thresh * (1.0 + 1e-9)
+    n = points.shape[1]
+    reach = int(np.ceil(np.sqrt(row_dot(points, points)).max() / side)) + 2
+    strides = (2 * reach + 1) ** np.arange(n - 1, -1, -1)
+    steps = np.array(list(itertools.product((-1, 0, 1), repeat=n - 1)),
+                     dtype=int).reshape(3 ** (n - 1), n - 1) @ strides[:-1]
+
+    def keys(rows):
+        cells = np.clip(np.floor(rows / side), 1 - reach, reach - 1)
+        return (cells.astype(int) + reach) @ strides
+
+    sample_keys = keys(points)
+    order = np.argsort(sample_keys, kind="stable")
+    sample_keys = sample_keys[order]
+    cols = [np.ascontiguousarray(points[order, a]) for a in range(n)]
+
+    def close(query):
+        mids = (keys(query)[:, None] + steps).ravel()   # a range's middle cell
+        lo = np.searchsorted(sample_keys, mids - 1)
+        counts = np.searchsorted(sample_keys, mids + 2) - lo
+        per_row = counts.reshape(len(query), len(steps)).sum(axis=1)
+        pos = np.arange(counts.sum()) + np.repeat(lo + counts - np.cumsum(counts),
+                                                  counts)
+        sq = np.zeros(len(pos))
+        for a in range(n):
+            d = np.repeat(query[:, a], per_row) - cols[a][pos]
+            d *= d
+            sq += d
+        keep = sq <= thresh * thresh
+        return np.repeat(np.arange(len(query)), per_row)[keep], order[pos[keep]]
+
+    return close
 
 
 def _merge(labels: np.ndarray, codes: np.ndarray, heads: np.ndarray,

@@ -23,7 +23,8 @@ from orbidiff import tangent as T
 from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
 from orbidiff.errors import NotCloseToIdentity, OutOfDomain
 from orbidiff.groups import row_apply
-from test_field_kernels import CASES, assert_bitwise, case, draw_points
+from test_field_kernels import (CASES, THIRD_TURN, assert_bitwise, case,
+                                draw_points)
 
 STEP = 1e-5
 
@@ -86,14 +87,24 @@ def reference_ball_grid(model, center, radius, per_axis, shrink):
 
 
 def reference_singular_points(orbifold, resolution):
-    """GoodOrbifold.singular_points with one projection per candidate."""
+    """GoodOrbifold.singular_points with one product, norm or projection per
+    candidate."""
     model, group = orbifold.model, orbifold.group
     cands = []
     for lab in range(1, group.order):
         _, svals, vt = np.linalg.svd(group.matrix(lab) - np.eye(group.dimension))
         svals = np.concatenate([svals, np.zeros(vt.shape[0] - svals.size)])
         basis = vt[svals < 1e-9]
-        if basis.shape[0] == 1:
+        if model.kind == M.FLAT:
+            cands.append(np.zeros(model.ambient_dim))
+            if basis.shape[0] == 0:
+                continue
+            axis = np.linspace(-1, 1, max(resolution, 3)) * model.radius * 0.98
+            for coeffs in itertools.product(axis, repeat=basis.shape[0]):
+                p = np.asarray(coeffs) @ basis
+                if np.linalg.norm(p) < model.radius * 0.98:
+                    cands.append(p)
+        elif basis.shape[0] == 1:
             cands += [basis[0], -basis[0]]
         elif basis.shape[0] > 1:
             axis = np.linspace(-1, 1, max(resolution, 3))
@@ -334,10 +345,23 @@ def test_chart_samples_and_singular_points_match_reference(name):
             assert_bitwise(chart.sample_points(per_axis=per_axis, shrink=shrink),
                            reference_ball_grid(model, chart.center, chart.radius,
                                                per_axis, shrink))
-    if model.kind == M.SPHERE:
-        for resolution in (3, 16):
-            assert_bitwise(orbifold.singular_points(resolution),
-                           reference_singular_points(orbifold, resolution))
+    for resolution in (3, 16):
+        assert_bitwise(orbifold.singular_points(resolution),
+                       reference_singular_points(orbifold, resolution))
+
+
+@pytest.mark.parametrize("name,generators", [
+    ("B3/T", [THIRD_TURN, np.diag([1.0, -1.0, -1.0])]),
+    # a mirror of the 3-ball: its fixed set is a plane, two coefficients
+    ("B3/mirror", [np.diag([1.0, 1.0, -1.0])])])
+@pytest.mark.parametrize("resolution", [4, 16, 48])
+def test_flat_singular_points_in_three_dimensions_match_reference(
+        name, generators, resolution):
+    orbifold = M.GoodOrbifold(M.ModelSpace(M.FLAT, 3),
+                              G.generate_group(generators), name=name)
+    got = orbifold.singular_points(resolution)
+    assert_bitwise(got, reference_singular_points(orbifold, resolution))
+    assert len(got) > 1
 
 
 def test_inverse_lift_rows_take_the_steps_they_take_alone():

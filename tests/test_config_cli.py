@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -395,3 +400,16 @@ def test_run_counts_below_one_exit_two_naming_the_key(key, default, value,
     assert code == 2
     assert f"run.{key}: must be at least 1, got {value}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_scipy_subpackage():
+    # scipy.spatial alone took about 0.4 s of a 0.66 s start-up; the report
+    # header reads only the top-level scipy version
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, orbidiff.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    heavy = ("scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.special")
+    assert not [m for m in loaded if m.startswith(heavy)]

@@ -9,6 +9,7 @@ planted defect that these comparisons turn red.
 
 import functools
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -50,9 +51,17 @@ ORBIFOLDS = {
 }
 
 
+# strata only: the 3-D flat rows of B3/T; its 17-chart atlas is too slow for
+# the loops over ORBIFOLDS
+STRATA_ONLY = {
+    "B3/T": lambda: M.GoodOrbifold(M.ModelSpace(M.FLAT, 3),
+                                   G.generate_group(POLYHEDRAL["T"]), name="B3/T"),
+}
+
+
 @functools.cache
 def orbifold(name):
-    return ORBIFOLDS[name]()
+    return {**ORBIFOLDS, **STRATA_ONLY}[name]()
 
 
 # -- per-point references --------------------------------------------------------
@@ -263,7 +272,8 @@ def test_strata_at_suite_resolutions(name, resolution):
 
 @pytest.mark.parametrize("rows", [7, M._EDGE_ROWS])
 @pytest.mark.parametrize("name,resolution", [
-    ("football3", 64), ("S2/O", 32), ("disk_D4", 25), ("line", 40)])
+    ("football3", 64), ("S2/O", 32), ("S2/D2h", 48), ("disk_D4", 25),
+    ("line", 40), ("B3/T", 16)])
 def test_edge_set_matches_query_ball_point(name, resolution, rows):
     orb = orbifold(name)
     seen = []
@@ -283,6 +293,97 @@ def test_edge_set_matches_query_ball_point(name, resolution, rows):
     assert got.shape == want.shape
     assert np.array_equal(got[:, np.lexsort(got[::-1])],
                           want[:, np.lexsort(want[::-1])])
+
+
+def assert_close_pairs_match(points, query, thresh):
+    """M._close_pairs against cKDTree.query_ball_point; returns the pairs."""
+    points = np.asarray(points, dtype=float)
+    query = np.asarray(query, dtype=float)
+    heads, tails = M._close_pairs(points, thresh)(query)
+    assert np.all(np.diff(heads) >= 0)
+    got = sorted(zip(heads.tolist(), tails.tolist()))
+    want = sorted((i, j) for i, hits in enumerate(
+        cKDTree(points).query_ball_point(query, r=thresh)) for j in hits)
+    assert got == want
+    return got
+
+
+def test_close_pairs_keep_rows_exactly_thresh_apart():
+    # dyadic rows: every squared distance below is exact
+    points = [[0.0, 0.0], [0.25, 0.0], [-0.25, 0.0], [0.5, 0.0], [0.0, -0.25],
+              [0.125, 0.125], [0.25, 0.25]]
+    got = assert_close_pairs_match(points, points, 0.25)
+    assert (0, 1) in got and (0, 2) in got and (1, 3) in got and (0, 4) in got
+    assert (0, 3) not in got
+    # on a diagonal: (1/2, 1/2, 1/2, 1/2) is one unit from the origin
+    diag = [[0.0] * 4, [0.5] * 4, [-0.5] * 4, [0.5, -0.5, 0.5, -0.5]]
+    got = assert_close_pairs_match(diag, diag, 1.0)
+    assert (0, 1) in got and (0, 2) in got and (0, 3) in got
+    assert (1, 2) not in got
+
+
+def test_close_pairs_sum_squares_left_to_right():
+    # a row whose verdict at this threshold flips with the order of the sum
+    rng = np.random.default_rng(7)
+    for d in rng.normal(size=(4000, 3)):
+        sq = d * d
+        thresh = float(np.sqrt((sq[0] + sq[1]) + sq[2]))
+        ours = (sq[0] + sq[1]) + sq[2] <= thresh * thresh
+        if ours != (sq[0] + (sq[1] + sq[2]) <= thresh * thresh):
+            break
+    else:
+        pytest.fail("no order-sensitive row found")
+    got = assert_close_pairs_match([np.zeros(3)], [d], thresh)
+    assert got == ([(0, 0)] if ours else [])
+
+
+def test_close_pairs_on_negative_cell_boundaries():
+    axis = [-0.5, -0.25, -0.0, 0.0, 0.25]
+    grid = np.array([[x, y] for x in axis for y in axis])
+    assert_close_pairs_match(grid, grid, 0.25)
+    # one ulp either side of each boundary
+    assert_close_pairs_match(grid, np.nextafter(grid, 1.0), 0.25)
+    assert_close_pairs_match(np.nextafter(grid, -1.0), grid, 0.25)
+    assert_close_pairs_match(grid[:, :1], grid[:, 1:] - 0.25, 0.25)
+
+
+def test_close_pairs_with_one_sample_row():
+    query = [[0.1, 0.2], [0.1, 0.2 + 0.3], [0.4, 0.6], [-0.1, 0.0]]
+    got = assert_close_pairs_match([[0.1, 0.2]], query, 0.3)
+    assert (0, 0) in got and (2, 0) not in got
+
+
+def test_close_pairs_on_one_dimensional_rows():
+    points = np.linspace(-2.0, 2.0, 21)[:, None]
+    query = np.concatenate([points, -points[::-1], points + 0.1])
+    got = assert_close_pairs_match(points, query, 0.2)
+    assert len(got) > len(query)
+
+
+def test_close_pairs_with_query_rows_outside_the_samples_box():
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-1.0, 1.0, size=(60, 3))
+    query = np.concatenate([
+        [[5.0, 0.0, 0.0], [-40.0, 3.0, 2.0], [0.0, 0.0, -1e150]],
+        points * 1.15, points + [0.0, 0.0, 2.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no cell index overflows
+        got = assert_close_pairs_match(points, query, 0.35)
+    assert not [i for i, _ in got if i < 3]
+    assert [i for i, _ in got if i >= 3]
+
+
+@given(n=st.integers(1, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_close_pairs_match_query_ball_point(n, data):
+    thresh = data.draw(st.sampled_from([0.25, 0.3, 0.5, 1.0]))
+    # coordinates on a grid of quarter thresholds make many ties
+    coord = st.one_of(st.integers(-12, 12).map(lambda i: i * thresh / 4),
+                      st.floats(-3.0, 3.0))
+    row = st.lists(coord, min_size=n, max_size=n)
+    points = data.draw(st.lists(row, min_size=1, max_size=30))
+    query = data.draw(st.lists(row, min_size=0, max_size=30))
+    assert_close_pairs_match(points, np.reshape(query, (-1, n)), thresh)
 
 
 @given(n=st.integers(1, 12), data=st.data())
