@@ -19,9 +19,8 @@ from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
                      EquivarianceViolation, ImageEscapesChart)
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
                      canonical_representatives, fixing_mask,
-                     inner_automorphisms, row_apply, translates)
-from .model import (FLAT, DerivedChart, GoodOrbifold, QuotientPoint,
-                    _covered, build_atlas)
+                     inner_automorphisms, row_apply, row_dot, translates)
+from .model import FLAT, DerivedChart, GoodOrbifold, _covered, build_atlas
 
 LIFT_TOL = 1e-9          # equivariance tolerance on validated lifts
 COMPOSE_TOL = 1e-8       # equivariance tolerance after composition
@@ -266,14 +265,12 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
                 if not inside.size:
                     continue
                 try:
-                    qa = f.target.points(ei.func(pts[inside]))
-                    qb = f.target.points(ej.func(moved[inside]))
+                    qa = f.target.canonicals(ei.func(pts[inside]))
+                    qb = f.target.canonicals(ej.func(moved[inside]))
                 except ValueError as exc:
                     raise ImageEscapesChart(str(exc)) from exc
                 # entry (k, k) compares the two images of sample k
-                gaps = f.target.quotient_distances(
-                    np.stack([q.canonical for q in qa]),
-                    np.stack([q.canonical for q in qb]))
+                gaps = f.target.quotient_distances(qa, qb)
                 commutation = max(commutation, float(np.diagonal(gaps).max()))
     return EquivarianceReport(tuple(per_chart), commutation, per_axis)
 
@@ -432,19 +429,21 @@ def inverse_map(f: OrbifoldMapData, atlas: Sequence[DerivedChart] | None = None,
 
 # -- lift extension ---------------------------------------------------------------
 
-def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
+def extend_lift(underlying: Callable[[np.ndarray], np.ndarray],
                 small: DerivedChart, small_lift: Callable,
                 big: DerivedChart, target: GoodOrbifold) -> ChartLift:
     """Equivariant continuation of a lift from a sub-chart to a concentric chart.
 
-    A point within 0.9 of the small radius takes the small lift.  From any
-    other point, walk outward along the radial geodesic from 0.9 of the small
+    ``underlying`` maps (k, n) source rows to (k, m) target rows.  A point
+    within 0.9 of the small radius takes the small lift.  From any other
+    point, walk outward along the radial geodesic from 0.9 of the small
     radius in EXTENSION_STEPS points; at every step take the orbit
     representative of the underlying image nearest to the previous value.
-    Each row takes its own walk, so its value does not depend on the other
-    rows or on earlier calls.  The branch is forced by continuity;
+    The far rows walk together, and each row's bits do not depend on the
+    other rows or on earlier calls.  The branch is forced by continuity;
     BranchAmbiguity signals that two candidates came within BRANCH_TOL and
-    the step size must shrink.
+    the step size must shrink.  A failing step raises for its lowest
+    failing row.
     """
     model = small.orbifold.model
     if _snap_key(small.center) != _snap_key(big.center):
@@ -453,43 +452,44 @@ def extend_lift(underlying: Callable[[QuotientPoint], QuotientPoint],
         raise ChartMismatch("the source chart must be the smaller one")
     tgt_grp = target.group
 
-    def continue_to(point: np.ndarray) -> np.ndarray:
-        dist = model.distance(big.center, point)
-        if model.kind == FLAT:
-            direction = (point - big.center) / dist
-        else:
-            direction = model.geo_log(big.center, point)
-            direction = direction / np.linalg.norm(direction)
-        path = model.geo_exp(big.center, np.linspace(
-            small.radius * 0.9, dist, EXTENSION_STEPS)[:, None] * direction)
-        prev = one_small(path[0])
-        for p, q in zip(path[1:], small.orbifold.points(path[1:])):
-            image = underlying(q)
-            if not target.model.contains(image.representative):
-                raise ImageEscapesChart("underlying image leaves the target model")
-            cand = tgt_grp.matrices @ image.canonical
-            dists = np.linalg.norm(cand - prev, axis=1)
-            order = np.argsort(dists)
-            best = cand[order[0]]
-            for k in order[1:]:
-                if np.linalg.norm(cand[k] - best) < 1e-9:
-                    continue  # same branch, different deck element
-                if dists[k] < dists[order[0]] + BRANCH_TOL:
-                    raise BranchAmbiguity(
-                        f"two continuation branches within {BRANCH_TOL:.1e} "
-                        f"at radius {model.distance(big.center, p):.4f}")
-                break
-            prev = best
+    def walk(path: np.ndarray, prev: np.ndarray) -> np.ndarray:
+        for step in range(1, EXTENSION_STEPS):
+            try:
+                canon = target.canonicals(underlying(path[:, step]))
+            except ValueError as exc:
+                raise ImageEscapesChart(f"underlying image: {exc}") from exc
+            cand = translates(tgt_grp, canon)
+            dists = np.linalg.norm(cand - prev[:, None], axis=2)
+            nearest = dists.argmin(axis=1)
+            prev = cand[np.arange(len(cand)), nearest]
+            # within 1e-9 of the nearest: the same branch, another deck element
+            apart = cand - prev[:, None]
+            rival = np.where(np.sqrt(row_dot(apart, apart)) < 1e-9, np.inf,
+                             dists).min(axis=1)
+            tied = np.flatnonzero(rival < dists.min(axis=1) + BRANCH_TOL)
+            if tied.size:
+                raise BranchAmbiguity(
+                    f"two continuation branches within {BRANCH_TOL:.1e} at "
+                    f"radius {model.distance(big.center, path[tied[0], step]):.4f}")
         return prev
 
-    def one_small(y: np.ndarray) -> np.ndarray:
-        return np.asarray(small_lift(y[None]), dtype=float)[0]
-
     def extension(pts: np.ndarray) -> np.ndarray:
-        # each row continues along its own path, so the rows go one by one
-        return np.array([one_small(y) if model.distance(big.center, y)
-                         <= small.radius * 0.9 else continue_to(y)
-                         for y in np.asarray(pts, dtype=float)])
+        pts = np.asarray(pts, dtype=float)
+        dist = model.row_distances(big.center, pts)
+        far = np.flatnonzero(dist > small.radius * 0.9)
+        direction = model.geo_log(big.center, pts[far])
+        norm = (dist[far] if model.kind == FLAT
+                else np.sqrt(row_dot(direction, direction)))
+        direction = direction / norm[:, None]
+        radii = np.linspace(small.radius * 0.9, dist[far], EXTENSION_STEPS, axis=1)
+        path = model.geo_exp(big.center, radii[..., None] * direction[:, None])
+        model.project_checked(path.reshape(-1, model.ambient_dim))
+        start = pts.copy()
+        start[far] = path[:, 0]
+        out = np.array(small_lift(start), dtype=float)
+        if far.size:
+            out[far] = walk(path, out[far])
+        return out
 
     pts = small.sample_points(per_axis=4)
     if float(np.abs(extension(pts) - np.asarray(small_lift(pts))).max()) > LIFT_TOL:

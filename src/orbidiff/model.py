@@ -76,6 +76,16 @@ class ModelSpace:
             return p / np.sqrt(row_dot(p, p))[..., None]
         return p
 
+    def project_checked(self, rows: np.ndarray) -> np.ndarray:
+        """(k, n) rows projected onto the model; ValueError naming the first
+        projected row that is not in it."""
+        reps = self.project(np.asarray(rows, dtype=float))
+        inside = self.contains(reps)
+        if not inside.all():
+            raise ValueError(
+                f"point {reps[np.argmin(inside)]} is not in the model space")
+        return reps
+
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(self.row_distances(a, b))
 
@@ -244,13 +254,15 @@ class GoodOrbifold:
 
     def points(self, representatives: np.ndarray) -> list["QuotientPoint"]:
         """The quotient point of each (k, n) row, canonicalised in one call."""
-        reps = self.model.project(np.asarray(representatives, dtype=float))
-        inside = self.model.contains(reps)
-        if not inside.all():
-            raise ValueError(
-                f"point {reps[np.argmin(inside)]} is not in the model space")
+        reps = self.model.project_checked(representatives)
         return [QuotientPoint(self, rep, canon) for rep, canon in
                 zip(reps, canonical_representatives(self.group, reps))]
+
+    def canonicals(self, rows: np.ndarray) -> np.ndarray:
+        """(k, n) rows -> (k, n) canonical members of their quotient points,
+        bit for bit those of ``points``; ValueError as ``points`` raises it."""
+        return canonical_representatives(self.group,
+                                         self.model.project_checked(rows))
 
     def random_point(self, rng: np.random.Generator) -> "QuotientPoint":
         return self.point(self.random_row(rng))

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (ChartMismatch, CoverGap, ImageEscapesChart,
                      NotCloseToIdentity, NotSPD, OutOfDomain, ThetaNotIdentity)
 from . import groups
-from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, canonical_representatives,
-                     row_apply, row_dot, stabilizer, translates)
+from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, row_apply,
+                     row_dot, stabilizer, translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData, _by_func,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
@@ -252,13 +252,6 @@ def _require_in_model(model, ends: np.ndarray):
         raise OutOfDomain("exponential image leaves the model")
 
 
-def _exp_canonicals(orbifold: GoodOrbifold, ends: np.ndarray) -> np.ndarray:
-    """(k, n) canonical rows of the quotient points of (k, n) exponential
-    endpoints, from one ``points`` call; OutOfDomain if one leaves the model."""
-    _require_in_model(orbifold.model, ends)
-    return _canonicals(orbifold.points(ends))
-
-
 def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator) -> float:
     """Representative independence: exp((g x, g v)) equals exp((x, v)).
 
@@ -291,7 +284,7 @@ def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator) -> floa
             continue
         limit = WELL_DEFINED_SCALE
         ends.append(pair)
-    canon = _exp_canonicals(orbifold, np.reshape(ends, (-1, model.ambient_dim)))
+    canon = orbifold.canonicals(np.reshape(ends, (-1, model.ambient_dim)))
     # entry (k, k) compares the two images of triple k
     gaps = orbifold.quotient_distances(canon[0::2], canon[1::2])
     return float(np.diagonal(gaps).max(initial=0.0))
@@ -352,8 +345,9 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
     disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
     vecs = np.concatenate([np.reshape(vecs, (-1, frame.shape[1])),
                            row_apply(frame.T, disc)])
-    canon = _exp_canonicals(orbifold, the_exp(
-        np.tile(p.representative, (len(vecs), 1)), vecs))
+    ends = the_exp(np.tile(p.representative, (len(vecs), 1)), vecs)
+    _require_in_model(orbifold.model, ends)
+    canon = orbifold.canonicals(ends)
     pair_rows, images = canon[:2 * pairs], canon[2 * pairs:]
 
     # entry (k, k) compares the two images of pair k
@@ -368,23 +362,11 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
 
     spacing = 2.0 * eps / (HOMEO_PER_AXIS - 1)
     tol = 2.5 * spacing
-    grid = _canonicalize(orbifold, orbifold.model.grid(32))
+    grid = orbifold.canonicals(orbifold.model.grid(32))
     near = orbifold.quotient_distances(grid, p.canonical[None])[:, 0] <= eps * 0.9
     gap = _cover_gap(orbifold, grid[near], images)
     return HomeoCheckReport(injective, gap <= tol, witness, gap, tol,
                             pairs, int(near.sum()))
-
-
-def _canonicals(points: Sequence[QuotientPoint]) -> np.ndarray:
-    """(k, n) rows of the canonical members of quotient points."""
-    return np.array([q.canonical for q in points])
-
-
-def _canonicalize(orbifold: GoodOrbifold, pts: np.ndarray) -> np.ndarray:
-    """The canonical members ``orbifold.point`` gives model points, in one batch."""
-    model = orbifold.model
-    return canonical_representatives(orbifold.group, model.project(
-        np.asarray(pts, dtype=float).reshape(-1, model.ambient_dim)))
 
 
 def _cover_gap(orbifold: GoodOrbifold, targets: np.ndarray,
@@ -554,11 +536,11 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
     orbifold = f.source
     apply_f = underlying_override or f.underlying_rows
 
-    sources = orbifold.points(atlas_grid(f.atlas, per_axis))
-    src = _canonicals(sources)
-    image_rows = apply_f(np.array([q.representative for q in sources]))
+    grid = atlas_grid(f.atlas, per_axis)
+    src = orbifold.canonicals(grid)
+    image_rows = apply_f(orbifold.model.project(grid))
     try:
-        img = _canonicals(f.target.points(image_rows))
+        img = f.target.canonicals(image_rows)
     except ValueError as exc:
         raise ImageEscapesChart(str(exc)) from exc
     spacing = max(2.0 * ch.radius / (per_axis - 1) for ch in f.atlas)
@@ -569,14 +551,14 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
     injective = hits.size == 0
     witness = None
     if not injective:
-        i, j = divmod(int(hits[0]), len(sources))
-        witness = (sources[i], sources[j])
+        i, j = divmod(int(hits[0]), len(grid))
+        witness = tuple(orbifold.points(grid[[i, j]]))
 
     tol = 2.5 * spacing
     inner = np.concatenate([chart.sample_points(per_axis=per_axis,
                                                 shrink=INNER_FRACTION)
                             for chart in f.atlas])
-    gap = _cover_gap(orbifold, _canonicalize(orbifold, inner), img)
+    gap = _cover_gap(orbifold, orbifold.canonicals(inner), img)
 
     d0 = cs_distance(f, identity_map(orbifold, f.atlas), s=0,
                      per_axis=per_axis).value
@@ -727,6 +709,8 @@ class QuotientGroupReport:
     enumerated_order: int
     conjugation_closed: bool
     lift_differences_in_id: bool
+    # (sample index, identity lift, conjugate or None) of the first miss
+    conjugation_witness: tuple | None = None
 
     @property
     def passed(self) -> bool:
@@ -741,20 +725,19 @@ def reduced_group_quotient_check(id_group: IdentityLiftGroup,
 
     (a) the enumeration is finite and closed; (b) conjugates of identity
     lifts (the first 12) by the sample diffeomorphisms are again identity
-    lifts over the atlas; (c) two lifts of one sample diffeomorphism differ
-    by an identity lift (deck variants give exactly the global identity-lift
-    assignments).
+    lifts over the atlas, and the first that is not is the witness; (c) two
+    lifts of one sample diffeomorphism differ by an identity lift (deck
+    variants give exactly the global identity-lift assignments).
     """
     orbifold = id_group.orbifold
     grp = orbifold.group
     elements = id_group.assignments[:12]
 
-    conj_ok = id_group.is_group()
-    for g in sample_diffeos:
-        if not all(image is not None and id_group.contains(image)
-                   for image in conjugate_identity_lifts(id_group, elements, g)):
-            conj_ok = False
-            break
+    witness = next(((k, a, image) for k, g in enumerate(sample_diffeos)
+                    for a, image in zip(elements, conjugate_identity_lifts(
+                        id_group, elements, g))
+                    if image is None or not id_group.contains(image)), None)
+    conj_ok = id_group.is_group() and witness is None
 
     # (c): alternative lifts of one underlying map are deck variants eta g;
     # the difference (eta g) g^-1 = eta covers the identity, and its germ at
@@ -781,4 +764,5 @@ def reduced_group_quotient_check(id_group: IdentityLiftGroup,
             diff.append(loc)
         if diff is None or not id_group.contains(tuple(diff)):
             diff_ok = False
-    return QuotientGroupReport(id_group.order, id_group.order, conj_ok, diff_ok)
+    return QuotientGroupReport(id_group.order, id_group.order, conj_ok, diff_ok,
+                               witness)

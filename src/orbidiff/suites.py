@@ -367,7 +367,7 @@ def _suite_maps(ctx: _Context, records):
                             radius=big.radius * 0.45)
         loc = 1 % big.isotropy.order
         gmat = big.isotropy.matrix(loc)
-        ext = extend_lift(lambda q: q, small,
+        ext = extend_lift(lambda ys: ys, small,
                           lambda pts, m=gmat: row_apply(m, pts), big, orbifold)
         pts = big.sample_points(per_axis=4)
         res = float(np.abs(ext.func(pts) - row_apply(gmat, pts)).max())
@@ -606,10 +606,12 @@ def _suite_corollary2(ctx: _Context, records):
                   + (f", abelian of exponent {idg.exponent}"
                      if idg.order <= 64 and idg.is_abelian else ""),
                   0 if report.id_order == report.enumerated_order else 1)
+    witness = report.conjugation_witness
     _record_exact(records, "corollary2", "conjugation_closure",
                   "conjugating identity lifts by sampled diffeomorphisms "
                   "stays inside the identity-lift group",
-                  0 if report.conjugation_closed else 1)
+                  0 if report.conjugation_closed else 1, "-" if witness is None
+                  else "diffeo{} conjugates {} to {}".format(*witness))
     _record_exact(records, "corollary2", "lift_differences",
                   "two lifts of one sampled diffeomorphism differ by an "
                   "identity lift", 0 if report.lift_differences_in_id else 1)

@@ -12,6 +12,7 @@ byte-identical for a fixed (config, seed).
 """
 
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -99,7 +100,7 @@ def reference_extension(underlying, small, small_lift, big, target, y, steps=64)
                 for r in np.linspace(start_r, dist, steps)]
     prev = np.asarray(small_lift(path[0][None]), dtype=float)[0]
     for p in path[1:]:
-        q = underlying(small.orbifold.point(p))
+        q = target.point(underlying(p[None])[0])
         cand = target.group.matrices @ q.canonical
         prev = cand[np.argmin(np.linalg.norm(cand - prev, axis=1))]
     return prev
@@ -196,7 +197,7 @@ def reference_homeo_check(exp_map, p, eps, rng, pair_count=60,
     disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
     images = np.array([the_exp(p, c @ frame).canonical for c in disc])
     tol = 2.5 * 2.0 * eps / (image_per_axis - 1)
-    grid = R._canonicalize(orbifold, orbifold.model.grid(32))
+    grid = orbifold.canonicals(orbifold.model.grid(32))
     near = orbifold.quotient_distances(grid, p.canonical[None])[:, 0] <= eps * 0.9
     gap = float(orbifold.quotient_distances(grid[near], images)
                 .min(axis=1).max(initial=0.0))
@@ -267,7 +268,7 @@ def reference_verify_diffeo(f, per_axis=5, inner_fraction=0.55, rows=None):
     inner = np.concatenate([ch.sample_points(per_axis=per_axis,
                                              shrink=inner_fraction)
                             for ch in f.atlas])
-    gap = float(orbifold.quotient_distances(R._canonicalize(orbifold, inner), img)
+    gap = float(orbifold.quotient_distances(orbifold.canonicals(inner), img)
                 .min(axis=1).max(initial=0.0))
     d0 = reference_cs_distance(f, P.identity_map(orbifold, f.atlas), 0,
                                per_axis)[1]
@@ -428,6 +429,24 @@ def test_points_refuse_a_row_outside_the_model():
         disk.points(np.array([[0.1, 0.2], [1.5, 0.0]]))
 
 
+@pytest.mark.parametrize("name", ["football3", "S2/T", "disk_Z4", "mirror"])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_canonicals_are_the_canonical_members_of_points(name, data):
+    orbifold, atlas = case(name)
+    for rows in (draw_points(data, orbifold), M.atlas_grid(atlas, 4)):
+        assert_bitwise(orbifold.canonicals(rows),
+                       [q.canonical for q in orbifold.points(rows)])
+
+
+def test_canonicals_name_the_first_row_outside_the_model():
+    disk = M.disk_mod_rotation(4)
+    rows = np.array([[0.1, 0.2], [1.5, 0.0], [0.0, 2.5]])
+    with pytest.raises(ValueError, match=re.escape(
+            f"point {rows[1]} is not in the model space")):
+        disk.canonicals(rows)
+
+
 def _extensions():
     fb = M.football(3)
     big = M.build_chart(fb, fb.point([0.0, 0.0, 1.0]))
@@ -442,13 +461,13 @@ def _extensions():
     line_big = M.build_chart(line, line.point([0.0]), radius=1.2)
     line_small = M.build_chart(line, line.point([0.0]), radius=0.5)
     return [
-        ("football pole, deck element", (lambda q: q, small,
+        ("football pole, deck element", (lambda ys: ys, small,
                                         lambda pts: row_apply(g, pts), big, fb)),
         ("football side, rotation",
-         (lambda q: fb.point(rot @ q.representative), side_small,
+         (lambda ys: row_apply(rot, ys), side_small,
           lambda pts: row_apply(rot, pts), side, fb)),
         ("line, square",
-         (lambda q: line.point(np.asarray(q.representative) ** 2), line_small,
+         (lambda ys: ys ** 2, line_small,
           lambda y: np.asarray(y, dtype=float) ** 2, line_big, line)),
     ]
 
@@ -485,6 +504,24 @@ def test_extension_rows_do_not_depend_on_earlier_calls(name, args):
         assert_bitwise(ext.func(y[None])[0], w)
 
 
+@pytest.mark.parametrize("count", [1, 12])
+def test_extension_makes_one_underlying_call_per_step(count):
+    fb = M.football(3)
+    big = M.build_chart(fb, fb.point([0.0, 0.0, 1.0]))
+    small = M.build_chart(fb, fb.point([0.0, 0.0, 1.0]), radius=big.radius * 0.4)
+    g = big.isotropy.matrix(1)
+    calls = []
+    ext = P.extend_lift(lambda ys: calls.append(len(ys)) or ys, small,
+                        lambda pts: row_apply(g, pts), big, fb)
+    pts = big.sample_points(per_axis=7)
+    far = fb.model.distances(pts, big.center) > small.radius * 0.9
+    # near rows ride along without any walk
+    rows = np.concatenate([pts[~far][:3], pts[far][:count]])
+    calls.clear()
+    ext.func(rows)
+    assert calls == [count] * (P.EXTENSION_STEPS - 1)
+
+
 def test_extension_refuses_an_image_outside_the_target():
     wide = M.line_mod_flip(radius=4.0)
     narrow = M.line_mod_flip(radius=1.0)
@@ -493,8 +530,20 @@ def test_extension_refuses_an_image_outside_the_target():
     small = M.DerivedChart(wide, np.array([0.0]), 0.2, iso)
     # images pass radius 1 from |y| = 2/3 on, inside the big chart
     with pytest.raises(ImageEscapesChart):
-        P.extend_lift(lambda q: wide.point(1.5 * q.representative), small,
+        P.extend_lift(lambda ys: 1.5 * ys, small,
                       lambda y: 1.5 * np.asarray(y, dtype=float), big, narrow)
+
+
+def test_extension_refuses_a_path_outside_the_source_model():
+    line = M.line_mod_flip(radius=2.0)
+    iso = line.isotropy_at(line.point([0.0]))
+    big = M.DerivedChart(line, np.array([0.0]), 1.2, iso)
+    small = M.DerivedChart(line, np.array([0.0]), 0.5, iso)
+    ext = P.extend_lift(lambda ys: ys / 4, small, lambda y: y / 4, big, line)
+    # every image is inside the model; the path to 2.5 leaves it
+    with pytest.raises(ValueError, match="not in the model space"):
+        ext.func(np.array([[0.3], [1.0], [2.5]]))
+    assert_bitwise(ext.func(np.array([[0.3], [1.0]])), [[0.075], [0.25]])
 
 
 def test_extension_keeps_branch_and_chart_errors():
@@ -503,13 +552,13 @@ def test_extension_keeps_branch_and_chart_errors():
     big = M.DerivedChart(wide, np.array([0.75]), 0.7499, iso)
     small = M.DerivedChart(wide, np.array([0.75]), 0.2, iso)
     with pytest.raises(BranchAmbiguity):
-        ext = P.extend_lift(lambda q: wide.point(np.asarray(q.representative) ** 2),
+        ext = P.extend_lift(lambda ys: ys ** 2,
                             small, lambda y: np.asarray(y, dtype=float) ** 2,
                             big, wide)
         ext.func(np.array([[0.0002]]))
     off = M.DerivedChart(wide, np.array([0.5]), 0.3, iso)
     with pytest.raises(ChartMismatch):
-        P.extend_lift(lambda q: q, off, lambda y: y, big, wide)
+        P.extend_lift(lambda ys: ys, off, lambda y: y, big, wide)
 
 
 @pytest.mark.parametrize("name", ["football3", "S2/T", "disk_Z4", "mirror"])
@@ -928,6 +977,29 @@ generator = 1 0 0 0 1 0 0 0 -1
 seed = 3
 suites = corollary2
 """
+
+
+MIRROR = """[orbifold]
+name = mirror
+model = flat
+dimension = 2
+radius = {radius}
+generator = 1 0 0 -1
+
+[run]
+seed = 3
+suites = corollary2
+"""
+
+
+@pytest.mark.parametrize("radius,witness", [
+    (1.0, "diffeo0 conjugates (1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0) to None"),
+    (2.0, "-")], ids=["radius 1", "radius 2"])
+def test_mirror_conjugation_closure_names_its_witness(radius, witness):
+    report = S.run_suite(parse_config(MIRROR.format(radius=radius)))
+    rec, = [rec for _, rec in report.records if rec.name == "conjugation_closure"]
+    assert rec.passed == (witness == "-")
+    assert rec.witness == witness
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -413,7 +413,7 @@ def _callables():
     big = fb_atlas[sing[0]]
     small = M.build_chart(fb, fb.point(big.center), radius=big.radius * 0.45)
     gmat = big.isotropy.matrix(1)
-    ext = P.extend_lift(lambda q: q, small, lambda y: row_apply(gmat, y), big, fb)
+    ext = P.extend_lift(lambda ys: ys, small, lambda y: row_apply(gmat, y), big, fb)
     out = [
         ("identity global", idm.global_lift, pts_fb),
         ("identity inverse", idm.inverse_lift, pts_fb),

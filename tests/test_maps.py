@@ -198,7 +198,7 @@ class TestExtendLift:
         small = build_chart(football3, football3.point([0, 0, 1.0]),
                             radius=big.radius * 0.4)
         g = big.isotropy.matrix(1)
-        ext = P.extend_lift(lambda q: q, small,
+        ext = P.extend_lift(lambda ys: ys, small,
                             lambda pts: row_apply(g, pts),
                             big, football3)
         for p in big.sample_points(per_axis=5):
@@ -210,8 +210,8 @@ class TestExtendLift:
         small = build_chart(football3, football3.point([1.0, 0, 0]),
                             radius=big.radius * 0.35)
 
-        def underlying(q):
-            return football3.point(rot @ q.representative)
+        def underlying(ys):
+            return row_apply(rot, ys)
 
         ext = P.extend_lift(underlying, small,
                             lambda pts: row_apply(rot, pts),
@@ -223,8 +223,8 @@ class TestExtendLift:
         big = build_chart(line_flip, line_flip.point([0.0]), radius=1.2)
         small = build_chart(line_flip, line_flip.point([0.0]), radius=0.5)
 
-        def underlying(q):
-            return line_flip.point(np.asarray(q.representative) ** 2)
+        def underlying(ys):
+            return ys ** 2
 
         ext = P.extend_lift(underlying, small,
                             lambda y: np.asarray(y, dtype=float) ** 2,
@@ -241,8 +241,8 @@ class TestExtendLift:
         small = DerivedChart(wide, np.array([0.75]), 0.2,
                              wide.isotropy_at(center))
 
-        def underlying(q):
-            return wide.point(np.asarray(q.representative) ** 2)
+        def underlying(ys):
+            return ys ** 2
 
         with pytest.raises(BranchAmbiguity):
             ext = P.extend_lift(underlying, small,
