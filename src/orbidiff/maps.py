@@ -20,7 +20,8 @@ from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
                      canonical_representatives, fixing_mask,
                      inner_automorphisms, row_apply, row_dot, translates)
-from .model import FLAT, DerivedChart, GoodOrbifold, _covered, build_atlas
+from .model import (FLAT, DerivedChart, GoodOrbifold, build_atlas, chart_hits,
+                    first_hits, stacked_charts)
 
 LIFT_TOL = 1e-9          # equivariance tolerance on validated lifts
 COMPOSE_TOL = 1e-8       # equivariance tolerance after composition
@@ -182,9 +183,9 @@ class OrbifoldMapData:
         induced map of underlying spaces.
 
         With a global lift this is that lift.  Otherwise each row's
-        canonical member is moved by the first deck element, in label order,
-        that takes it into a chart, in atlas order, and that chart's lift
-        runs on it; each chart's lift runs once, on all its rows.
+        canonical member is moved by its first chart_hits hit, in atlas
+        order and then label order, and that chart's lift runs on it; each
+        chart's lift runs once, on all its rows.
         """
         pts = np.asarray(pts, dtype=float)
         try:
@@ -192,22 +193,18 @@ class OrbifoldMapData:
                 return np.asarray(self.global_lift(pts), dtype=float)
             grp = self.source.group
             canon = canonical_representatives(grp, pts)
-            trans = translates(grp, canon)
+            chart, label = first_hits(chart_hits(self.source, self.atlas, canon))
+            if (chart < 0).any():
+                raise ChartMismatch(f"no chart of the atlas covers "
+                                    f"[{np.round(canon[chart.argmin()], 6)}]")
             out = np.empty((len(pts), self.target.model.ambient_dim))
-            todo = np.ones(len(pts), dtype=bool)
-            for entry in self.lifts:
-                inside = self.source.model.row_distances(
-                    entry.chart.center, trans) <= entry.chart.radius
-                rows = np.flatnonzero(todo & inside.any(axis=1))
+            for k, entry in enumerate(self.lifts):
+                rows = np.flatnonzero(chart == k)
                 if rows.size:
-                    moved = trans[rows, inside[rows].argmax(axis=1)]
+                    moved = row_apply(grp.matrices[label[rows]], canon[rows])
                     out[rows] = np.asarray(entry.func(moved), dtype=float)
-                    todo[rows] = False
         except ValueError as exc:
             raise ImageEscapesChart(str(exc)) from exc
-        if todo.any():
-            raise ChartMismatch(f"no chart of the atlas covers "
-                                f"[{np.round(canon[todo.argmax()], 6)}]")
         return out
 
     def __repr__(self) -> str:
@@ -249,29 +246,23 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
 
     commutation = 0.0
     grp = f.source.group
-    model = f.source.model
     for i, ei in enumerate(f.lifts):
         pts = ei.chart.sample_points(per_axis=per_axis)
-        for j in range(i + 1, len(f.lifts)):
-            ej = f.lifts[j]
-            for lab in range(grp.order):
-                moved_center = grp.act(lab, ei.chart.center)
-                if model.distance(moved_center, ej.chart.center) >= \
-                        ei.chart.radius + ej.chart.radius:
-                    continue
-                moved = grp.act(lab, pts)
-                inside = np.flatnonzero(model.distances(moved, ej.chart.center)
-                                        <= ej.chart.radius)[:8]
-                if not inside.size:
-                    continue
-                try:
-                    qa = f.target.canonicals(ei.func(pts[inside]))
-                    qb = f.target.canonicals(ej.func(moved[inside]))
-                except ValueError as exc:
-                    raise ImageEscapesChart(str(exc)) from exc
-                # entry (k, k) compares the two images of sample k
-                gaps = f.target.quotient_distances(qa, qb)
-                commutation = max(commutation, float(np.diagonal(gaps).max()))
+        hits = chart_hits(f.source, f.atlas, pts)
+        for j, lab in np.argwhere(hits[:, :, i + 1:].any(axis=0).T).tolist():
+            ej = f.lifts[i + 1 + j]
+            inside = np.flatnonzero(hits[:, lab, i + 1 + j])[:8]
+            # values come from grp.act on the whole grid, whose last bits
+            # depend on its row count; the reports hold those bits
+            moved = grp.act(lab, pts)
+            try:
+                qa = f.target.canonicals(ei.func(pts[inside]))
+                qb = f.target.canonicals(ej.func(moved[inside]))
+            except ValueError as exc:
+                raise ImageEscapesChart(str(exc)) from exc
+            # entry (k, k) compares the two images of sample k
+            gaps = f.target.quotient_distances(qa, qb)
+            commutation = max(commutation, float(np.diagonal(gaps).max()))
     return EquivarianceReport(tuple(per_chart), commutation, per_axis)
 
 
@@ -401,20 +392,17 @@ def compose(f: OrbifoldMapData, g: OrbifoldMapData,
 
 
 def _compose_through_chart(entry: ChartLift, g: OrbifoldMapData) -> Callable:
+    """g's lift on the first chart, in atlas order and then label order,
+    that one deck element moves the whole image of entry's grid into."""
     mid = g.source
-    pts = entry.chart.sample_points(per_axis=4)
-    images = np.asarray(entry.func(pts), dtype=float)
-    for gentry in g.lifts:
-        for lab in range(mid.group.order):
-            moved = mid.group.act(lab, images)
-            dists = mid.model.distances(moved, gentry.chart.center)
-            if float(dists.max()) <= gentry.chart.radius:
-                eta = mid.group.matrix(lab)
-                return (lambda pts, ff=entry.func, gg=gentry.func, m=eta:
-                        np.asarray(gg(row_apply(m, ff(pts)))))
-    raise ChartMismatch(
-        "no chart of g contains the image of an f-chart under any deck "
-        "transport; refine the atlases")
+    images = np.asarray(entry.func(entry.chart.sample_points(per_axis=4)), dtype=float)
+    (k,), (lab,) = first_hits(chart_hits(mid, g.atlas, images).all(axis=0)[None])
+    if k < 0:
+        raise ChartMismatch(
+            "no chart of g contains the image of an f-chart under any deck "
+            "transport; refine the atlases")
+    return (lambda pts, ff=entry.func, gg=g.lifts[k].func, m=mid.group.matrix(lab):
+            np.asarray(gg(row_apply(m, ff(pts)))))
 
 
 def inverse_map(f: OrbifoldMapData, atlas: Sequence[DerivedChart] | None = None,
@@ -650,12 +638,11 @@ def overlap_graph(orbifold: GoodOrbifold,
     """
     grp = orbifold.group
     model = orbifold.model
-    n = model.ambient_dim
-    trans = translates(grp, orbifold.singular_points(48))
+    singular = orbifold.singular_points(48)
+    trans = translates(grp, singular)
     # inside[c][s, mu]: the translate mu . s of singular point s lies in chart c
-    inside = [model.distances(trans.reshape(-1, n), ch.center).reshape(trans.shape[:2])
-              <= ch.radius for ch in atlas]
-    centers = translates(grp, np.reshape([ch.center for ch in atlas], (-1, n)))
+    inside = np.moveaxis(chart_hits(orbifold, atlas, singular), 2, 0).copy()
+    centers = translates(grp, stacked_charts(orbifold, atlas)[0])
     edges = []
     for i, ci in enumerate(atlas):
         for j in range(i + 1, len(atlas)):
@@ -800,7 +787,7 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
 def _require_covering(orbifold: GoodOrbifold, charts: Sequence[DerivedChart],
                       resolution: int):
     grid = orbifold.model.verification_domain(orbifold.model.grid(resolution))
-    covered = _covered(orbifold, charts, grid, 1.0 + 1e-9)
+    covered = chart_hits(orbifold, charts, grid, 1.0 + 1e-9).any(axis=(1, 2))
     if not covered.all():
         raise AtlasNotCovering(
             f"atlas leaves {np.round(grid[np.argmin(covered)], 4)} uncovered at "

@@ -195,15 +195,14 @@ class ModelSpace:
             raise UnsupportedModel("sphere grids are implemented for S^2 only")
         thetas = np.linspace(0.0, np.pi, resolution)
         phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-        out = []
-        for t in thetas:
-            st, ct = np.sin(t), np.cos(t)
-            if abs(st) < 1e-15:
-                out.append(np.array([0.0, 0.0, np.sign(ct) if ct else 1.0]))
-                continue
-            for p in phis:
-                out.append(np.array([st * np.cos(p), st * np.sin(p), ct]))
-        return np.stack(out)
+        st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+        rings = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis),
+                                             ct), axis=-1)
+        # a pole is one row, the first of its ring
+        pole = np.abs(st[:, 0]) < 1e-15
+        rings[pole, 0] = 0.0
+        rings[pole, 0, 2] = np.where(ct[pole, 0] != 0.0, np.sign(ct[pole, 0]), 1.0)
+        return rings[~pole[:, None] | (np.arange(resolution) == 0)]
 
     def grid_spacing(self, resolution: int) -> float:
         if self.kind == FLAT:
@@ -429,15 +428,41 @@ def _first_by_key(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[ranks], ranks
 
 
-def _covered(orbifold: GoodOrbifold, charts: Sequence[DerivedChart],
-             pts: np.ndarray, factor: float) -> np.ndarray:
-    """Mask of the points with a translate within factor x radius of a centre."""
-    trans = translates(orbifold.group, pts)
-    out = np.zeros(len(trans), dtype=bool)
-    for ch in charts:
-        dists = orbifold.model.distances(trans.reshape(-1, trans.shape[2]), ch.center)
-        out |= dists.reshape(trans.shape[:2]).min(axis=1) <= ch.radius * factor
+def stacked_charts(orbifold: GoodOrbifold, atlas: Sequence[DerivedChart]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart centres (charts, n) and radii (charts,), in atlas order."""
+    return (np.reshape([ch.center for ch in atlas], (-1, orbifold.model.ambient_dim)),
+            np.array([ch.radius for ch in atlas], dtype=float))
+
+
+def chart_hits(orbifold: GoodOrbifold, atlas: Sequence[DerivedChart],
+               rows: np.ndarray, factor: float = 1.0) -> np.ndarray:
+    """(k, n) rows -> (k, order, charts) mask: entry [i, g, c] is whether
+    translate g of row i lies within factor x radius of chart c's centre.
+
+    Each block of rows makes one ``translates`` call and one distance call
+    of about ``groups._BLOCK`` entries.
+    """
+    rows = np.asarray(rows, dtype=float)
+    order = orbifold.group.order
+    centres, radii = stacked_charts(orbifold, atlas)
+    step = max(1, groups._BLOCK // (order * max(1, len(atlas))))
+    out = np.empty((len(rows), order, len(atlas)), dtype=bool)
+    for lo in range(0, len(rows), step):
+        trans = translates(orbifold.group, rows[lo:lo + step])
+        out[lo:lo + step] = orbifold.model.row_distances(
+            trans[:, :, None], centres) <= radii * factor
     return out
+
+
+def first_hits(hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, order, charts) chart_hits mask -> each row's first (chart, label)
+    hit, in atlas order and then label order; chart -1 where a row has none."""
+    k, order, charts = hits.shape
+    flat = np.swapaxes(hits, 1, 2).reshape(k, charts * order)
+    chart, label = np.divmod(flat.argmax(axis=1) if flat.size else
+                             np.zeros(k, dtype=int), order)
+    return np.where(flat.any(axis=1), chart, -1), label
 
 
 def separation(orbifold: GoodOrbifold, point: np.ndarray) -> float:
@@ -498,22 +523,25 @@ def build_atlas(orbifold: GoodOrbifold, resolution: int = 16,
         orders = fixing_mask(orbifold.group, pts[idx]).sum(axis=1)
         return pts[idx[np.lexsort((ranks, -orders))]]
 
+    def covered(charts, samples):
+        return chart_hits(orbifold, charts, samples, 0.999).any(axis=(1, 2))
+
     charts: list[DerivedChart] = []
 
     # the refinement pass keeps finer grids covered; the final pass walks the
     # canonical covering grid so downstream covering checks hold by construction
     for res in (resolution, 2 * resolution - 1, COVERAGE_RESOLUTION):
         samples = ordered_samples(res)
-        covered = _covered(orbifold, charts, samples, 0.999)
+        done = covered(charts, samples)
         for i, s in enumerate(samples):
-            if covered[i]:
+            if done[i]:
                 continue
             charts.append(build_chart(orbifold, orbifold.point(s)))
             if len(charts) > max_charts:
                 raise AtlasNotCovering(
                     f"atlas needs more than max_charts={max_charts} charts at "
                     f"resolution {res}")
-            covered |= _covered(orbifold, charts[-1:], samples, 0.999)
+            done |= covered(charts[-1:], samples)
     return tuple(charts)
 
 

@@ -17,13 +17,13 @@ import numpy as np
 from .errors import (ChartMismatch, CoverGap, ImageEscapesChart,
                      NotCloseToIdentity, NotSPD, OutOfDomain, ThetaNotIdentity)
 from . import groups
-from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, row_apply,
-                     row_dot, stabilizer, translates)
+from .groups import (EPS_GRP, GroupHom, fixing_mask, row_apply, row_dot,
+                     stabilizer, translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData, _by_func,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
 from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
-                    atlas_grid, signature_at)
+                    atlas_grid, chart_hits, first_hits, stacked_charts)
 from .tangent import (Orbisection, TangentVectorAt, random_orbisection,
                       scale as scale_section, seminorm, tangent_vector)
 
@@ -60,7 +60,8 @@ class PartitionOfUnity:
         if not self.weights:
             object.__setattr__(self, "weights", tuple(
                 functools.partial(self._weight, j) for j in range(len(self.atlas))))
-        object.__setattr__(self, "_charts", _stacked_charts(self.atlas))
+        centres, radii = stacked_charts(self.orbifold, self.atlas)
+        object.__setattr__(self, "_charts", (centres[:, None], radii[:, None]))
 
     def _weight(self, j: int, y: np.ndarray) -> float:
         return float(self.values(np.asarray(y, dtype=float)[None])[0, j])
@@ -101,12 +102,6 @@ class PartitionOfUnity:
         vals = self.values(moved.reshape(-1, grid.shape[1])).reshape(
             *moved.shape[:2], len(self.atlas))
         return sum_res, float(np.abs(vals - base[:, None]).max(initial=0.0))
-
-
-def _stacked_charts(atlas: Sequence[DerivedChart]) -> tuple[np.ndarray, np.ndarray]:
-    """Chart centres (charts, 1, n) and radii (charts, 1)."""
-    return (np.stack([ch.center for ch in atlas])[:, None],
-            np.array([ch.radius for ch in atlas])[:, None])
 
 
 def _row_totals(mat: np.ndarray) -> np.ndarray:
@@ -378,14 +373,13 @@ def _cover_gap(orbifold: GoodOrbifold, targets: np.ndarray,
 
 def exp_stratum_check(exp_map: ExpMap, p: QuotientPoint, v: np.ndarray,
                       t_grid: np.ndarray) -> bool:
-    """exp(p, t v) stays in the stratum of p for admissible v."""
-    base_sig = signature_at(exp_map.orbifold, p.representative)
-    for t in t_grid:
-        out = exp_map.lift_exp(p.representative[None],
-                               (t * np.asarray(v, dtype=float))[None])[0]
-        if signature_at(exp_map.orbifold, out) != base_sig:
-            return False
-    return True
+    """exp(p, t v) stays in the stratum of p for admissible v: every
+    endpoint has the fixing mask of p."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    base = np.broadcast_to(p.representative, (len(t_grid), len(p.representative)))
+    ends = exp_map.lift_exp(base, t_grid[:, None] * np.asarray(v, dtype=float))
+    masks = fixing_mask(exp_map.orbifold.group, np.vstack([p.representative, ends]))
+    return bool((masks[1:] == masks[0]).all())
 
 
 # -- the chart map E and its inverse ------------------------------------------------
@@ -647,25 +641,27 @@ def conjugate_identity_lifts(id_group: IdentityLiftGroup,
                              tol: float = 1e-8) -> list[tuple[int, ...] | None]:
     """conjugate_identity_lift of each assignment by one g.
 
-    Chart by chart, the work that depends on g alone (the preimage of the
-    center and its source chart, the sample points and their preimages) is
-    done once, and g's global lift runs once on the preimages moved by each
-    distinct germ the assignments still alive there ask for.
+    One inverse_lift call takes every chart centre, and their first
+    chart_hits hits are the source charts.  Chart by chart, the sample
+    points and their preimages are found once, and g's global lift runs
+    once on the preimages moved by each distinct germ the assignments still
+    alive there ask for.
     """
     if g.global_lift is None or g.inverse_lift is None:
         raise ChartMismatch("conjugation needs global and inverse lifts")
-    grp = id_group.orbifold.group
+    orbifold = id_group.orbifold
+    grp = orbifold.group
     atlas = id_group.atlas
+    # the source chart and deck label of each centre's preimage
+    source, deck = first_hits(chart_hits(orbifold, atlas, np.asarray(
+        g.inverse_lift(stacked_charts(orbifold, atlas)[0]), dtype=float)))
     out: list[list[int] | None] = [[] for _ in assignments]
-    for chart in atlas:
+    for chart, k, lab in zip(atlas, source.tolist(), deck.tolist()):
         alive = [n for n, locs in enumerate(out) if locs is not None]
         if not alive:
             break
-        z = np.asarray(g.inverse_lift(chart.center[None]), dtype=float)[0]
-        source = _source_chart(atlas, grp, z)
-        if source is None:
+        if k < 0:
             return [None] * len(assignments)
-        k, lab = source
         parents = atlas[k].isotropy.parent_labels
         germ_of = {n: grp.conjugate(grp.inverse(lab), parents[assignments[n][k]])
                    for n in alive}
@@ -688,17 +684,6 @@ def conjugate_identity_lifts(id_group: IdentityLiftGroup,
             else:
                 out[n].append(loc)
     return [None if locs is None else tuple(locs) for locs in out]
-
-
-def _source_chart(atlas: Sequence[DerivedChart], grp: FiniteActionGroup,
-                  z: np.ndarray) -> tuple[int, int] | None:
-    """First (chart index, deck label) in atlas order, then label order,
-    whose chart holds the translate of z by that label."""
-    centres, radii = _stacked_charts(atlas)
-    # row lab is grp.act(lab, z), bit for bit: a chart edge admits no slack
-    moved = z @ np.swapaxes(grp.matrices, 1, 2)
-    hits = np.argwhere(atlas[0].orbifold.model.row_distances(centres, moved) <= radii)
-    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ from .config import SuiteConfig
 from .errors import CoverGap, OrbidiffError
 from . import __version__
 from .groups import (NonlinearActionSample, center, fixed_subspace,
-                     inner_automorphisms, linearize_action, orbit, row_apply,
-                     sign_flip_group, stabilizer)
+                     fixing_mask, inner_automorphisms, linearize_action, orbit,
+                     row_apply, sign_flip_group, stabilizer, translates)
 from .maps import (OrbifoldMapData, VectorPolynomial, average_polynomial,
                    check_equivariance, count_theta_choices, cs_distance,
                    enumerate_identity_lifts, extend_lift, identity_map,
                    monomial_exponents)
 from .model import (FLAT, DerivedChart, atlas_grid, build_atlas, build_chart,
-                    plane_mod_reflection, signature_at, strata)
+                    plane_mod_reflection, strata)
 from .riemann import (E_apply, E_inverse, ExpMap, average_metric,
                       equivariant_partition_of_unity, exp_local_homeo_check,
                       exp_stratum_check, exp_well_defined_residual,
@@ -261,41 +261,36 @@ def _suite_strata(ctx: _Context, records):
                   f"{ctx.config.strata_resolution}, {singletons} singletons",
                   0 if layers else 1)
 
+    group = orbifold.group
     mismatches = 0
     for layer in layers:
-        sigs = {signature_at(orbifold, p) for p in layer.sample_points[:24]}
-        if len(sigs) != 1:
-            mismatches += 1
+        masks = fixing_mask(group, layer.sample_points[:24])
+        mismatches += int((masks != masks[0]).any())
     _record_exact(records, "strata", "signature_constancy",
                   "every stratum carries a single isotropy signature",
                   mismatches)
 
     rng = ctx.rng(2)
     pts = [orbifold.random_point(rng) for _ in range(6)]
-    sym = 0.0
-    tri = 0.0
-    for a, b in itertools.combinations(pts, 2):
-        sym = max(sym, abs(orbifold.quotient_distance(a, b)
-                           - orbifold.quotient_distance(b, a)))
-    for a, b, c in itertools.combinations(pts, 3):
-        tri = max(tri, orbifold.quotient_distance(a, c)
-                  - orbifold.quotient_distance(a, b)
-                  - orbifold.quotient_distance(b, c))
+    canon = np.stack([p.canonical for p in pts])
+    dist = orbifold.quotient_distances(canon, canon)
+    a, b, c = np.array(list(itertools.combinations(range(len(pts)), 3))).T
     _record(records, "strata", "metric_symmetry",
-            "nearest-orbit distance is symmetric", sym, 0.0)
+            "nearest-orbit distance is symmetric",
+            max(0.0, float(np.abs(dist - dist.T).max())), 0.0)
     _record(records, "strata", "metric_triangle",
             "nearest-orbit distance satisfies the triangle inequality on "
-            "sampled triples", max(tri, 0.0), ctx.tol("metric_axioms"))
+            "sampled triples",
+            max(0.0, float((dist[a, c] - dist[a, b] - dist[b, c]).max())),
+            ctx.tol("metric_axioms"))
 
-    mism = 0
-    for p in pts[:4]:
-        base = stabilizer(orbifold.group, p.representative).order
-        for lab in range(orbifold.group.order):
-            moved = orbifold.group.act(lab, p.representative)
-            if stabilizer(orbifold.group, moved).order != base:
-                mism += 1
+    # label 0 is the identity, so column 0 holds each point's own order
+    reps = np.stack([p.representative for p in pts[:4]])
+    orders = fixing_mask(group, translates(group, reps).reshape(
+        -1, reps.shape[1])).sum(axis=1).reshape(len(reps), -1)
     _record_exact(records, "strata", "isotropy_conjugacy",
-                  "isotropy order is constant along each orbit", mism)
+                  "isotropy order is constant along each orbit",
+                  int((orders != orders[:, :1]).sum()))
 
 
 def _suite_maps(ctx: _Context, records):

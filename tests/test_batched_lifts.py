@@ -86,6 +86,21 @@ def reference_ball_grid(model, center, radius, per_axis, shrink):
     return np.stack([reference_geo_exp(model, center, c @ frame) for c in cube])
 
 
+def reference_sphere_grid(resolution):
+    """ModelSpace.grid on S^2, one np.array per point."""
+    thetas = np.linspace(0.0, np.pi, resolution)
+    phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    out = []
+    for t in thetas:
+        st, ct = np.sin(t), np.cos(t)
+        if abs(st) < 1e-15:
+            out.append(np.array([0.0, 0.0, np.sign(ct) if ct else 1.0]))
+            continue
+        for p in phis:
+            out.append(np.array([st * np.cos(p), st * np.sin(p), ct]))
+    return np.stack(out)
+
+
 def reference_singular_points(orbifold, resolution):
     """GoodOrbifold.singular_points with one product, norm or projection per
     candidate."""
@@ -348,6 +363,15 @@ def test_chart_samples_and_singular_points_match_reference(name):
     for resolution in (3, 16):
         assert_bitwise(orbifold.singular_points(resolution),
                        reference_singular_points(orbifold, resolution))
+
+
+def test_sphere_grid_matches_the_point_loop():
+    # rows, their order and the signs of the pole rows' zeros
+    model = M.ModelSpace(M.SPHERE, 2)
+    for resolution in range(1, 130):
+        got = model.grid(resolution)
+        assert_bitwise(got, reference_sphere_grid(resolution))
+        assert not np.signbit(got[[0, -1], :2]).any()
 
 
 @pytest.mark.parametrize("name,generators", [

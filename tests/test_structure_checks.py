@@ -142,15 +142,24 @@ def reference_build_atlas(orb, resolution=16, max_charts=128):
         ranked = sorted(range(len(idx)), key=lambda r: (-orders[r], keys[r]))
         return pts[[idx[r] for r in ranked]]
 
+    def covered(charts, pts):
+        # the chart-by-chart loop build_atlas ran before chart_hits
+        trans = G.translates(orb.group, pts)
+        out = np.zeros(len(trans), dtype=bool)
+        for ch in charts:
+            dists = model.distances(trans.reshape(-1, trans.shape[2]), ch.center)
+            out |= dists.reshape(trans.shape[:2]).min(axis=1) <= ch.radius * 0.999
+        return out
+
     charts = []
     for res in (resolution, 2 * resolution - 1, M.COVERAGE_RESOLUTION):
         samples = ordered_samples(res)
-        covered = M._covered(orb, charts, samples, 0.999)
+        done = covered(charts, samples)
         for i, s in enumerate(samples):
-            if covered[i]:
+            if done[i]:
                 continue
             charts.append(M.build_chart(orb, orb.point(s)))
-            covered |= M._covered(orb, charts[-1:], samples, 0.999)
+            done |= covered(charts[-1:], samples)
     return tuple(charts)
 
 
@@ -206,7 +215,7 @@ def reference_linearize(action, samples):
 
 
 def reference_source_chart(atlas, grp, z):
-    """riemann._source_chart, one one-point chart test per (chart, label)."""
+    """The first chart_hits hit of z, one one-point chart test per (chart, label)."""
     for k, ck in enumerate(atlas):
         for lab in range(grp.order):
             if ck.contains(grp.act(lab, z), slack=0.0):
@@ -639,11 +648,100 @@ def test_source_chart_matches_the_chart_by_label_loop(name, resolution):
                                            ch.radius * dirs)]
     got = {}
     for sub in (atlas, atlas[:1]):
-        got[len(sub)] = [R._source_chart(sub, orb.group, z) for z in rows]
+        source, deck = M.first_hits(M.chart_hits(orb, sub, np.array(rows)))
+        got[len(sub)] = [None if k < 0 else (k, lab)
+                         for k, lab in zip(source.tolist(), deck.tolist())]
         assert got[len(sub)] == [reference_source_chart(sub, orb.group, z)
                                  for z in rows]
     assert None in got[1] and None not in got[len(atlas)]
     assert any(lab > 0 for _, lab in got[len(atlas)])
+
+
+def reference_chart_hits(orb, atlas, rows, factor):
+    """model.chart_hits, one one-point distance per (row, label, chart)."""
+    grp = orb.group
+    out = np.zeros((len(rows), grp.order, len(atlas)), dtype=bool)
+    for i, y in enumerate(rows):
+        for lab in range(grp.order):
+            w = grp.act(lab, y)
+            for c, ch in enumerate(atlas):
+                out[i, lab, c] = orb.model.distance(ch.center, w) <= ch.radius * factor
+    return out
+
+
+def reference_first_hit(hits_row):
+    """The first (chart, label) of one row's (order, charts) hits, charts
+    outermost."""
+    for c in range(hits_row.shape[1]):
+        for lab in range(hits_row.shape[0]):
+            if hits_row[lab, c]:
+                return c, lab
+    return None
+
+
+CHART_HIT_CASES = ["football3", "S2/T", "disk_D4", "line", "B3/T"]
+
+
+@functools.cache
+def chart_hit_case(name):
+    """An atlas and rows: centres, rows one chart radius from each centre,
+    random rows, tiled past one chart_hits block."""
+    orb = orbifold(name)
+    model = orb.model
+    atlas = M.build_atlas(orb)
+    rng = np.random.default_rng(8)
+    base = [orb.random_row(rng) for _ in range(30)]
+    for ch in atlas:
+        frame = model.tangent_basis(ch.center)
+        dirs = np.concatenate([frame, -frame, (frame[:1] + frame[-1:]) / np.sqrt(2.0)])
+        base += [ch.center, *model.geo_exp(np.broadcast_to(ch.center, dirs.shape),
+                                           ch.radius * dirs)]
+    block = max(1, G._BLOCK // (orb.group.order * len(atlas)))
+    rows = np.tile(base, (block // len(base) + 2, 1))
+    assert len(rows) > block
+    return orb, atlas, rows
+
+
+@pytest.mark.parametrize("name", CHART_HIT_CASES)
+@pytest.mark.parametrize("factor", [1.0, 0.999, 1.0 + 1e-9])
+def test_chart_hits_match_the_one_point_loop(name, factor):
+    orb, atlas, rows = chart_hit_case(name)
+    hits = M.chart_hits(orb, atlas, rows, factor)
+    want = reference_chart_hits(orb, atlas, rows, factor)
+    assert hits.shape == want.shape and np.array_equal(hits, want)
+    source, deck = M.first_hits(hits)
+    assert [None if k < 0 else (k, lab)
+            for k, lab in zip(source.tolist(), deck.tolist())] == \
+        [reference_first_hit(w) for w in want]
+
+
+def test_chart_hit_cases_see_every_ordering():
+    # rows on a chart's edge, rows with several hits, and rows whose first
+    # hit in label-major order is another, so each rule of the kernel and
+    # of first_hits decides some entry
+    edge = several = label_major = False
+    for name in CHART_HIT_CASES:
+        orb, atlas, rows = chart_hit_case(name)
+        hits = M.chart_hits(orb, atlas, rows)
+        centres, radii = M.stacked_charts(orb, atlas)
+        dists = orb.model.row_distances(G.translates(orb.group, rows)[:, :, None],
+                                        centres)
+        edge |= bool((dists == radii).any())
+        several |= bool((hits.sum(axis=(1, 2)) > 1).any())
+        source, _ = M.first_hits(hits)
+        # charts as labels: the second array holds the label-major chart
+        _, by_label = M.first_hits(np.swapaxes(hits, 1, 2))
+        label_major |= bool((source[source >= 0] != by_label[source >= 0]).any())
+    assert edge and several and label_major
+
+
+def test_chart_hits_on_an_empty_atlas():
+    orb, _, rows = chart_hit_case("football3")
+    hits = M.chart_hits(orb, (), rows[:5])
+    assert hits.shape == (5, orb.group.order, 0)
+    source, _ = M.first_hits(hits)
+    assert source.tolist() == [-1] * 5
+    assert M.first_hits(M.chart_hits(orb, (), rows[:0]))[0].shape == (0,)
 
 
 def test_conjugations_cover_every_outcome():
