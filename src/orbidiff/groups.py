@@ -419,12 +419,6 @@ def orbit(group: FiniteActionGroup, point: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(_snap(pts).T[::-1])]
 
 
-def canonical_orbit_representative(group: FiniteActionGroup,
-                                   point: np.ndarray) -> np.ndarray:
-    """Lexicographically least orbit member under coordinatewise comparison."""
-    return canonical_representatives(group, np.asarray(point, dtype=float)[None])[0]
-
-
 # -- linearization of nonlinear actions -------------------------------------
 
 @dataclass(frozen=True)

@@ -124,23 +124,6 @@ def derive_theta(charts: Sequence[DerivedChart], func: Callable,
     return tuple(out)
 
 
-def compatible_thetas(chart: DerivedChart, func: Callable,
-                      target_group: FiniteActionGroup) -> tuple[GroupHom, ...]:
-    """Every homomorphism consistent with the lift (may be more than one).
-
-    Constant lifts into fixed points admit several; none of them is preferred.
-    """
-    options = [np.flatnonzero(row <= LIFT_TOL)
-               for row in _theta_residuals([chart], func, target_group, per_axis=5)[0]]
-    # every candidate table in lexicographic order; the law at (0, 0) sends 0 to 0
-    cands = np.stack(np.meshgrid(*options, indexing="ij"), axis=-1).reshape(
-        -1, len(options))
-    law = (cands[:, chart.isotropy.cayley]
-           == target_group.cayley[cands[:, :, None], cands[:, None, :]])
-    return tuple(GroupHom(chart.isotropy, target_group, tuple(t))
-                 for t in cands[law.all(axis=(1, 2))].tolist())
-
-
 class OrbifoldMapData:
     """A map between good orbifolds with per-chart equivariant lifts.
 
@@ -626,7 +609,7 @@ class OverlapEdge:
     i: int
     j: int
     eta: int
-    singular_points: tuple[np.ndarray, ...]   # overlap points with isotropy
+    singular_points: np.ndarray     # (k, n) overlap points with isotropy
 
 
 def overlap_graph(orbifold: GoodOrbifold,
@@ -651,7 +634,7 @@ def overlap_graph(orbifold: GoodOrbifold,
             for lab in np.flatnonzero(near):
                 # eta . (mu . s) is the translate (eta mu) . s
                 hit = inside[i] & inside[j][:, grp.cayley[lab]]
-                edges.append(OverlapEdge(i, j, int(lab), tuple(trans[hit])))
+                edges.append(OverlapEdge(i, j, int(lab), trans[hit]))
     return tuple(edges)
 
 
@@ -760,7 +743,7 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
     for edge in edges:
         key = (edge.i, edge.j)
         gi, gj = (list(charts[k].isotropy.parent_labels) for k in key)
-        fixing = fixing_mask(grp, np.reshape(edge.singular_points, (-1, grp.dimension)))
+        fixing = fixing_mask(grp, edge.singular_points)
         # the constraint depends on a point only through its stabilizer S:
         # eta g_a eta^-1 must be s g_b s^-1 for some s in S
         for row in np.unique(fixing, axis=0):
@@ -878,44 +861,3 @@ def average_polynomial(poly: VectorPolynomial,
         term = poly.compose_linear(ginv).transform_values(tmat)
         acc = term if acc is None else acc.add(term)
     return acc.scale(1.0 / len(pairs))
-
-
-@dataclass(frozen=True)
-class PolynomialLiftResult:
-    polynomial: VectorPolynomial
-    degree: int
-    sup_error: float
-    equivariance_residual: float
-
-
-def equivariant_polynomial_approx(entry: ChartLift, degree: int,
-                                  per_axis: int = 9) -> PolynomialLiftResult:
-    """Equivariant polynomial approximation of a chart lift.
-
-    Least-squares fit on the chart grid in centered coordinates, then the
-    group-averaging step; the result obeys the same equivariance relation as
-    the input, and the fit error is non-increasing in the degree.
-    """
-    chart = entry.chart
-    if chart.orbifold.model.kind != FLAT:
-        raise ChartMismatch("polynomial lifts are fit on flat charts")
-    pts = chart.sample_points(per_axis=per_axis)
-    local = pts - chart.center
-    vals = np.asarray(entry.func(pts), dtype=float)
-    exps = monomial_exponents(chart.orbifold.dimension, degree)
-    vander = np.stack([np.prod(local ** np.asarray(e), axis=1) for e in exps],
-                      axis=1)
-    coeffs, *_ = np.linalg.lstsq(vander, vals, rcond=None)
-    fit = VectorPolynomial(exps, coeffs)
-    pairs = [(chart.isotropy.matrix(a), entry.theta.matrix(a))
-             for a in range(chart.isotropy.order)]
-    averaged = average_polynomial(fit, pairs)
-
-    approx_vals = averaged(local)
-    sup_err = float(np.abs(approx_vals - vals).max())
-    res = 0.0
-    for gmat, tmat in pairs:
-        lhs = averaged(local @ gmat.T)
-        rhs = averaged(local) @ tmat.T
-        res = max(res, float(np.abs(lhs - rhs).max()))
-    return PolynomialLiftResult(averaged, degree, sup_err, res)

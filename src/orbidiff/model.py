@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
                      UnsupportedModel)
 from . import groups
-from .groups import (EPS_GRP, FiniteActionGroup, _snap, _snap_key,
+from .groups import (EPS_GRP, FiniteActionGroup, _snap,
                      canonical_representatives, cyclic_rotation_group,
                      dihedral_group, fixing_mask, football_rotation_group,
                      generate_group, group_from_elements, orbit, row_apply,
@@ -230,11 +230,11 @@ class GoodOrbifold:
             raise UnsupportedModel(
                 f"group acts on R^{group.dimension} but the model has ambient "
                 f"dimension {model.ambient_dim}")
-        for lab in range(1, group.order):
-            if float(np.abs(group.matrix(lab) - np.eye(group.dimension)).max()) < EPS_GRP:
-                raise EquivarianceViolation(
-                    "action is not effective: a non-identity element acts as the "
-                    "identity on the model")
+        if (np.abs(group.matrices[1:] - np.eye(group.dimension)).max(axis=(1, 2))
+                < EPS_GRP).any():
+            raise EquivarianceViolation(
+                "action is not effective: a non-identity element acts as the "
+                "identity on the model")
         self.model = model
         self.group = group
         self.name = name or f"{model.kind}{model.dimension}/order{group.order}"
@@ -248,37 +248,21 @@ class GoodOrbifold:
 
     # -- quotient points -----------------------------------------------------
 
-    def point(self, representative: np.ndarray) -> "QuotientPoint":
-        return self.points(np.asarray(representative, dtype=float)[None])[0]
-
-    def points(self, representatives: np.ndarray) -> list["QuotientPoint"]:
-        """The quotient point of each (k, n) row, canonicalised in one call."""
-        reps = self.model.project_checked(representatives)
-        return [QuotientPoint(self, rep, canon) for rep, canon in
-                zip(reps, canonical_representatives(self.group, reps))]
-
     def canonicals(self, rows: np.ndarray) -> np.ndarray:
-        """(k, n) rows -> (k, n) canonical members of their quotient points,
-        bit for bit those of ``points``; ValueError as ``points`` raises it."""
+        """(k, n) rows -> (k, n) canonical members of their orbits, after
+        projecting each row onto the model; ValueError naming the first row
+        that is not in it."""
         return canonical_representatives(self.group,
                                          self.model.project_checked(rows))
 
-    def random_point(self, rng: np.random.Generator) -> "QuotientPoint":
-        return self.point(self.random_row(rng))
-
     def random_row(self, rng: np.random.Generator) -> np.ndarray:
-        """The row random_point canonicalises: within 0.9R of the centre of
-        a flat ball, or a unit vector, which ``model.project`` still
-        rounds onto the sphere."""
+        """A seeded model row: within 0.9R of the centre of a flat ball, or a
+        unit vector, which ``model.project`` still rounds onto the sphere."""
         if self.model.kind == FLAT:
             v = rng.normal(size=self.model.dimension)
             return v / np.linalg.norm(v) * self.model.radius * rng.uniform(0, 0.9)
         v = rng.normal(size=self.model.ambient_dim)
         return v / np.linalg.norm(v)
-
-    def quotient_distance(self, a: "QuotientPoint", b: "QuotientPoint") -> float:
-        """Nearest-orbit distance; symmetric by construction (min of both orders)."""
-        return float(self.quotient_distances(a.canonical[None], b.canonical[None])[0, 0])
 
     def quotient_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, n), (M, n) canonical rows -> (N, M) nearest-orbit distances.
@@ -303,9 +287,6 @@ class GoodOrbifold:
                 d_ba = dist(tb[..., None, :], a[lo:lo + rows]).min(axis=1)
                 out[lo:lo + rows, co:co + cols] = np.minimum(d_ab, d_ba.T)
         return out
-
-    def isotropy_at(self, p: "QuotientPoint") -> FiniteActionGroup:
-        return stabilizer(self.group, p.representative)
 
     # -- singular structure ----------------------------------------------------
 
@@ -343,40 +324,6 @@ class GoodOrbifold:
         reps = canonical_representatives(
             self.group, pts[fixing_mask(self.group, pts).sum(axis=1) > 1])
         return reps[_first_by_key(reps)[0]]
-
-
-@dataclass(frozen=True)
-class QuotientPoint:
-    """An orbit of the group action, carried by a chosen representative.
-
-    Equality and hashing use the canonical member (the lexicographically
-    least orbit point under coordinatewise comparison with 1e-9 snapping).
-    """
-
-    orbifold: GoodOrbifold
-    representative: np.ndarray
-    canonical: np.ndarray
-
-    def __post_init__(self):
-        for name in ("representative", "canonical"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientPoint):
-            return NotImplemented
-        return _snap_key(self.canonical) == _snap_key(other.canonical)
-
-    def __hash__(self) -> int:
-        return hash(_snap_key(self.canonical))
-
-    @property
-    def isotropy_order(self) -> int:
-        return stabilizer(self.orbifold.group, self.representative).order
-
-    def __repr__(self) -> str:
-        return f"[{np.round(self.canonical, 6)}]"
 
 
 @dataclass(frozen=True)
@@ -474,15 +421,17 @@ def separation(orbifold: GoodOrbifold, point: np.ndarray) -> float:
     return float(dists.min()) if dists.size else np.inf
 
 
-def build_chart(orbifold: GoodOrbifold, p: QuotientPoint,
+def build_chart(orbifold: GoodOrbifold, row: np.ndarray,
                 radius: float | None = None) -> DerivedChart:
-    """Chart at p with radius defaulting to 0.4 x orbit separation.
+    """Chart centred at a model row, projected onto the model, with radius
+    defaulting to 0.4 x orbit separation.
 
     Points whose whole orbit collapses (separation is infinite) fall back to
     0.4 x the local model scale.  Raises RadiusTooLarge when an explicit
-    radius reaches half the separation or leaves the model.
+    radius reaches half the separation or leaves the model, and ValueError
+    when the row is not in the model.
     """
-    center = p.representative
+    center = orbifold.model.project_checked(np.asarray(row, dtype=float)[None])[0]
     sep = separation(orbifold, center)
     model = orbifold.model
     if model.kind == FLAT:
@@ -536,7 +485,7 @@ def build_atlas(orbifold: GoodOrbifold, resolution: int = 16,
         for i, s in enumerate(samples):
             if done[i]:
                 continue
-            charts.append(build_chart(orbifold, orbifold.point(s)))
+            charts.append(build_chart(orbifold, s))
             if len(charts) > max_charts:
                 raise AtlasNotCovering(
                     f"atlas needs more than max_charts={max_charts} charts at "
@@ -568,12 +517,6 @@ class Stratum:
     def __repr__(self) -> str:
         return (f"Stratum(order={self.isotropy_order}, "
                 f"samples={self.sample_points.shape[0]})")
-
-
-def signature_at(orbifold: GoodOrbifold, point: np.ndarray) -> tuple[int, ...]:
-    """Sorted global labels of the stabilizer of a model point."""
-    mask = fixing_mask(orbifold.group, np.asarray(point, dtype=float)[None])[0]
-    return tuple(np.flatnonzero(mask).tolist())
 
 
 def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
@@ -761,10 +704,11 @@ def diagonal_suborbifold(orbifold: GoodOrbifold) -> SuborbifoldData:
     # chart condition: ambient equivalence and Lambda equivalence agree on the
     # sub-chart samples (the sub-chart separates points exactly like U ∩ X_P)
     chart_res = 0.0
-    for i in range(min(len(samples), 24)):
-        for j in range(i + 1, min(len(samples), 24)):
-            amb_d = amb.quotient_distance(amb.point(samples[i]),
-                                          amb.point(samples[j]))
+    canon = amb.canonicals(samples[:24])
+    amb_ds = amb.quotient_distances(canon, canon)
+    for i in range(len(canon)):
+        for j in range(i + 1, len(canon)):
+            amb_d = float(amb_ds[i, j])
             lam_pts = lam.matrices @ samples[i]
             lam_d = float(amb.model.distances(lam_pts, samples[j]).min())
             if (amb_d < EPS_GRP) != (lam_d < EPS_GRP):

@@ -22,10 +22,10 @@ from .groups import (EPS_GRP, GroupHom, fixing_mask, row_apply, row_dot,
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData, _by_func,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
-from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
-                    atlas_grid, chart_hits, first_hits, stacked_charts)
-from .tangent import (Orbisection, TangentVectorAt, random_orbisection,
-                      scale as scale_section, seminorm, tangent_vector)
+from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, atlas_grid,
+                    chart_hits, first_hits, stacked_charts)
+from .tangent import (Orbisection, random_orbisection, scale as scale_section,
+                      seminorm)
 
 WELL_DEFINED_TRIPLES = 50   # seeded (g, x, v) triples of exp_well_defined_residual
 WELL_DEFINED_SCALE = 0.4    # their largest tangent vector length
@@ -224,22 +224,6 @@ class ExpMap:
         """(k, n) base points and (k, n) targets -> (k, n) vectors."""
         return self.orbifold.model.geo_log(x, y)
 
-    def exp(self, p: QuotientPoint, v: np.ndarray | TangentVectorAt
-            ) -> QuotientPoint:
-        vec = v.vector if isinstance(v, TangentVectorAt) else np.asarray(v, float)
-        out = self.lift_exp(p.representative[None], vec[None])
-        _require_in_model(self.orbifold.model, out)
-        return self.orbifold.point(out[0])
-
-    def log(self, p: QuotientPoint, q: QuotientPoint) -> TangentVectorAt:
-        """Tangent class pointing from p to the nearest representative of q."""
-        grp = self.orbifold.group
-        reps = grp.matrices @ q.canonical
-        dists = self.orbifold.model.distances(reps, p.representative)
-        vec = self.lift_log(p.representative[None],
-                            reps[int(np.argmin(dists))][None])[0]
-        return tangent_vector(self.orbifold, p, vec)
-
 
 def _require_in_model(model, ends: np.ndarray):
     """OutOfDomain unless every (k, n) exponential endpoint is in the model."""
@@ -268,7 +252,7 @@ def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator) -> floa
         v = rng.normal(size=frame.shape[0]) @ frame
         v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, limit)
         lab = int(rng.integers(0, grp.order))
-        # the moved base is the representative orbifold.point gives g x
+        # the moved base is g x projected onto the model
         moved = model.project(grp.act(lab, x))
         try:
             pair = exp_map.lift_exp(np.stack([x, moved]),
@@ -302,11 +286,12 @@ class HomeoCheckReport:
         return self.injective and self.surjective
 
 
-def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
+def exp_local_homeo_check(exp_map: ExpMap, row: np.ndarray, eps: float,
                           rng: np.random.Generator,
                           exp_override: Callable | None = None
                           ) -> HomeoCheckReport:
-    """Sampled injectivity and surjectivity of exp_p on the eps ball.
+    """Sampled injectivity and surjectivity of exp on the eps ball at a
+    model row, projected onto the model (ValueError when it is not in it).
 
     Injectivity compares HOMEO_PAIRS random distinct tangent classes; the
     witness is the first pair, in draw order, whose images coincide.
@@ -319,8 +304,10 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
     """
     orbifold = exp_map.orbifold
     the_exp = exp_override or exp_map.lift_exp
-    frame = orbifold.model.tangent_basis(p.representative)
-    stab = stabilizer(orbifold.group, p.representative)
+    base_row = np.asarray(row, dtype=float)[None]
+    x = orbifold.model.project_checked(base_row)[0]
+    frame = orbifold.model.tangent_basis(x)
+    stab = stabilizer(orbifold.group, x)
 
     vecs = []
     pairs = 0
@@ -340,10 +327,11 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
     disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
     vecs = np.concatenate([np.reshape(vecs, (-1, frame.shape[1])),
                            row_apply(frame.T, disc)])
-    ends = the_exp(np.tile(p.representative, (len(vecs), 1)), vecs)
+    ends = the_exp(np.tile(x, (len(vecs), 1)), vecs)
     _require_in_model(orbifold.model, ends)
-    canon = orbifold.canonicals(ends)
-    pair_rows, images = canon[:2 * pairs], canon[2 * pairs:]
+    # the base row's canonical member comes last
+    canon = orbifold.canonicals(np.concatenate([ends, base_row]))
+    pair_rows, images, base = canon[:2 * pairs], canon[2 * pairs:-1], canon[-1:]
 
     # entry (k, k) compares the two images of pair k
     same = np.diagonal(orbifold.quotient_distances(pair_rows[0::2],
@@ -358,7 +346,7 @@ def exp_local_homeo_check(exp_map: ExpMap, p: QuotientPoint, eps: float,
     spacing = 2.0 * eps / (HOMEO_PER_AXIS - 1)
     tol = 2.5 * spacing
     grid = orbifold.canonicals(orbifold.model.grid(32))
-    near = orbifold.quotient_distances(grid, p.canonical[None])[:, 0] <= eps * 0.9
+    near = orbifold.quotient_distances(grid, base)[:, 0] <= eps * 0.9
     gap = _cover_gap(orbifold, grid[near], images)
     return HomeoCheckReport(injective, gap <= tol, witness, gap, tol,
                             pairs, int(near.sum()))
@@ -371,14 +359,16 @@ def _cover_gap(orbifold: GoodOrbifold, targets: np.ndarray,
     return float(dists.min(axis=1).max(initial=0.0))
 
 
-def exp_stratum_check(exp_map: ExpMap, p: QuotientPoint, v: np.ndarray,
+def exp_stratum_check(exp_map: ExpMap, row: np.ndarray, v: np.ndarray,
                       t_grid: np.ndarray) -> bool:
-    """exp(p, t v) stays in the stratum of p for admissible v: every
-    endpoint has the fixing mask of p."""
+    """exp(x, t v) stays in the stratum of x, the model row projected onto
+    the model, for admissible v: every endpoint has the fixing mask of x.
+    ValueError when the row is not in the model."""
+    x = exp_map.orbifold.model.project_checked(np.asarray(row, dtype=float)[None])
     t_grid = np.asarray(t_grid, dtype=float)
-    base = np.broadcast_to(p.representative, (len(t_grid), len(p.representative)))
+    base = np.broadcast_to(x, (len(t_grid), x.shape[1]))
     ends = exp_map.lift_exp(base, t_grid[:, None] * np.asarray(v, dtype=float))
-    masks = fixing_mask(exp_map.orbifold.group, np.vstack([p.representative, ends]))
+    masks = fixing_mask(exp_map.orbifold.group, np.vstack([x, ends]))
     return bool((masks[1:] == masks[0]).all())
 
 
@@ -546,7 +536,7 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
     witness = None
     if not injective:
         i, j = divmod(int(hits[0]), len(grid))
-        witness = tuple(orbifold.points(grid[[i, j]]))
+        witness = tuple(orbifold.model.project_checked(grid[[i, j]]))
 
     tol = 2.5 * spacing
     inner = np.concatenate([chart.sample_points(per_axis=per_axis,

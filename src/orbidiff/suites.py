@@ -195,20 +195,19 @@ def _suite_group(ctx: _Context, records):
                   0 if len(autos) * center(grp).order == grp.order else 1)
 
     basis = fixed_subspace(grp)
-    res = 0.0
-    for a in range(grp.order):
-        for b in basis:
-            res = max(res, float(np.abs(grp.matrix(a) @ b - b).max()))
+    res = float(np.abs(row_apply(grp.matrices[:, None], basis) - basis
+                       ).max(initial=0.0))
     _record(records, "group", "fixed_subspace",
             f"the joint fixed subspace (dimension {basis.shape[0]}) is fixed "
             "by every element", res, tol)
 
     rng = ctx.rng(1)
     mismatches = 0
+    model = ctx.orbifold.model
     for _ in range(8):
-        p = ctx.orbifold.random_point(rng)
-        orb_size = orbit(grp, p.representative).shape[0]
-        stab_size = stabilizer(grp, p.representative).order
+        x = model.project_checked(ctx.orbifold.random_row(rng)[None])[0]
+        orb_size = orbit(grp, x).shape[0]
+        stab_size = stabilizer(grp, x).order
         if orb_size * stab_size != grp.order:
             mismatches += 1
     _record_exact(records, "group", "orbit_stabilizer",
@@ -271,10 +270,10 @@ def _suite_strata(ctx: _Context, records):
                   mismatches)
 
     rng = ctx.rng(2)
-    pts = [orbifold.random_point(rng) for _ in range(6)]
-    canon = np.stack([p.canonical for p in pts])
+    rows = np.stack([orbifold.random_row(rng) for _ in range(6)])
+    canon = orbifold.canonicals(rows)
     dist = orbifold.quotient_distances(canon, canon)
-    a, b, c = np.array(list(itertools.combinations(range(len(pts)), 3))).T
+    a, b, c = np.array(list(itertools.combinations(range(len(rows)), 3))).T
     _record(records, "strata", "metric_symmetry",
             "nearest-orbit distance is symmetric",
             max(0.0, float(np.abs(dist - dist.T).max())), 0.0)
@@ -285,7 +284,7 @@ def _suite_strata(ctx: _Context, records):
             ctx.tol("metric_axioms"))
 
     # label 0 is the identity, so column 0 holds each point's own order
-    reps = np.stack([p.representative for p in pts[:4]])
+    reps = orbifold.model.project_checked(rows[:4])
     orders = fixing_mask(group, translates(group, reps).reshape(
         -1, reps.shape[1])).sum(axis=1).reshape(len(reps), -1)
     _record_exact(records, "strata", "isotropy_conjugacy",
@@ -341,7 +340,7 @@ def _suite_maps(ctx: _Context, records):
         poly_chart = max(ctx.atlas, key=lambda c: c.isotropy.order)
     else:
         line = plane_mod_reflection()
-        poly_chart = build_chart(line, line.point([0.0, 0.0]), radius=0.45)
+        poly_chart = build_chart(line, np.zeros(2), radius=0.45)
     exps = monomial_exponents(poly_chart.orbifold.dimension, 3)
     raw_poly = VectorPolynomial(exps, ctx.rng(14).normal(
         size=(len(exps), poly_chart.orbifold.dimension)))
@@ -358,8 +357,7 @@ def _suite_maps(ctx: _Context, records):
     sing = [ch for ch in ctx.atlas if ch.isotropy.order > 1]
     if sing:
         big = sing[0]
-        small = build_chart(orbifold, orbifold.point(big.center),
-                            radius=big.radius * 0.45)
+        small = build_chart(orbifold, big.center, radius=big.radius * 0.45)
         loc = 1 % big.isotropy.order
         gmat = big.isotropy.matrix(loc)
         ext = extend_lift(lambda ys: ys, small,
@@ -413,8 +411,7 @@ def _suite_tangent(ctx: _Context, records):
 
     mism = 0
     for ch in ctx.atlas:
-        p = orbifold.point(ch.center)
-        basis = admissible_space(orbifold, p)
+        basis = admissible_space(orbifold, ch.center)
         fixed = fixed_subspace(stabilizer(orbifold.group, ch.center))
         expect = fixed.shape[0]
         if orbifold.model.kind != FLAT:
@@ -493,14 +490,16 @@ def _suite_riemann(ctx: _Context, records):
             "exponential images agree across orbit representatives",
             exp_well_defined_residual(ctx.exp_map, ctx.rng(6)),
             ctx.tol("exp_well_defined"))
-    p = orbifold.point(chart.center)
+    x = orbifold.model.project_checked(chart.center[None])
+    end = ctx.exp_map.lift_exp(x, np.zeros((1, n)))
+    canon = orbifold.canonicals(np.vstack([end, chart.center]))
     _record(records, "riemann", "exp_zero",
             "the exponential of the zero vector is the base point",
-            orbifold.quotient_distance(ctx.exp_map.exp(p, np.zeros(n)), p), 0.0)
+            orbifold.quotient_distances(canon[:1], canon[1:])[0, 0], 0.0)
 
-    basis = admissible_space(orbifold, p)
+    basis = admissible_space(orbifold, chart.center)
     if basis.shape[0]:
-        ok = exp_stratum_check(ctx.exp_map, p, basis[0] * 0.2,
+        ok = exp_stratum_check(ctx.exp_map, chart.center, basis[0] * 0.2,
                                np.linspace(0.0, 1.0, 9))
         _record_exact(records, "riemann", "exp_stratum",
                       "admissible directions exponentiate inside the stratum",
@@ -549,7 +548,7 @@ def _suite_theorem1(ctx: _Context, records):
                       0 if d > 0 else 1)
 
     sing = max(ctx.atlas, key=lambda c: c.isotropy.order)
-    homeo = exp_local_homeo_check(ctx.exp_map, orbifold.point(sing.center),
+    homeo = exp_local_homeo_check(ctx.exp_map, sing.center,
                                   min(0.3, sing.radius), ctx.rng(8))
     _record_exact(records, "theorem1", "exp_local_homeo",
                   "exp is injective and surjective onto the sampled ball at "
@@ -664,7 +663,7 @@ def describe(config: SuiteConfig) -> str:
                       f"(isotropy order {ch.isotropy.order}, radius "
                       f"{ch.radius:.4f})\n")
     for p in [atlas[0].center] if atlas else []:
-        dims = admissible_space(orbifold, orbifold.point(p)).shape[0]
+        dims = admissible_space(orbifold, p).shape[0]
         out.write(f"  admissible dimension at {np.round(p, 4).tolist()}: {dims}\n")
     return out.getvalue()
 

@@ -14,57 +14,29 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NotDifferentiable
-from .groups import (EPS_GRP, FD_STEP, FiniteActionGroup, fixed_subspace,
-                     row_apply, row_dot, stabilizer, translates)
+from .groups import (EPS_GRP, FD_STEP, FiniteActionGroup, _snap_key,
+                     fixed_subspace, row_apply, row_dot, stabilizer, translates)
 from .maps import _lift_jet
-from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, QuotientPoint,
-                    _snap_key, atlas_grid)
+from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, atlas_grid,
+                    stacked_charts)
 
 CURVE_FD_STEP = 1e-4       # one-sided differencing step for lift classification
 CURVE_FD_TOL = 1e-6        # derivative agreement tolerance
 MAX_CURVE_ORDER = 2        # FD above order 2 cannot hold the tolerance
 
 
-@dataclass(frozen=True)
-class TangentVectorAt:
-    """A tangent vector class at a quotient point.
-
-    ``vector`` is the representative aligned with base.representative.
-    """
-
-    base: QuotientPoint
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
-
-
-def tangent_vector(orbifold: GoodOrbifold, base: QuotientPoint,
-                   vector: np.ndarray) -> TangentVectorAt:
-    v = np.asarray(vector, dtype=float)
-    if orbifold.model.kind == SPHERE:
-        v = v - np.dot(v, base.representative) * base.representative
-    return TangentVectorAt(base, v)
-
-
-def admissible_space(orbifold: GoodOrbifold, p: QuotientPoint) -> np.ndarray:
-    """Orthonormal basis (rows) of the admissible vectors at p.
+def admissible_space(orbifold: GoodOrbifold, row: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the admissible vectors at a model row,
+    projected onto the model; ValueError when it is not in the model.
 
     This is the fixed subspace of the isotropy action, intersected with the
     tangent plane on sphere models; it is exactly where orbisections can
     take values.
     """
-    stab = stabilizer(orbifold.group, p.representative)
-    basis = fixed_subspace(stab)
+    x = orbifold.model.project_checked(np.asarray(row, dtype=float)[None])[0]
+    basis = fixed_subspace(stabilizer(orbifold.group, x))
     if orbifold.model.kind == FLAT:
         return basis
-    x = p.representative
     rows = [b - np.dot(b, x) * x for b in basis]
     out = []
     for r in rows:
@@ -114,14 +86,8 @@ class Orbisection:
         self.name = name
         self._grid_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def value(self, y: np.ndarray) -> np.ndarray:
-        return self.values(np.asarray(y, dtype=float)[None])[0]
-
     def values(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.field(np.asarray(pts, dtype=float)), dtype=float)
-
-    def at(self, p: QuotientPoint) -> TangentVectorAt:
-        return tangent_vector(self.orbifold, p, self.value(p.representative))
 
     def grid_values(self, per_axis: int = 5) -> tuple[np.ndarray, np.ndarray]:
         """The chart grids of the atlas stacked in chart order, (k, n), and
@@ -152,8 +118,8 @@ class Orbisection:
     def center_fixed_residual(self) -> float:
         """Distance of each chart-center value from its fixed subspace."""
         worst = 0.0
-        for chart in self.atlas:
-            v = self.value(chart.center)
+        centres = stacked_charts(self.orbifold, self.atlas)[0]
+        for chart, v in zip(self.atlas, self.values(centres)):
             for a in range(chart.isotropy.order):
                 worst = max(worst, float(
                     np.abs(chart.isotropy.matrix(a) @ v - v).max()))
@@ -288,9 +254,6 @@ class CurveInOrbifold:
                 return seg
         raise ValueError(f"t={t} outside the curve interval")
 
-    def point(self, t: float) -> QuotientPoint:
-        return self.orbifold.point(self.segment_at(t)(t))
-
 
 @dataclass(frozen=True)
 class CurveLift:
@@ -365,32 +328,37 @@ def enumerate_curve_lifts(curve: CurveInOrbifold, t0: float,
     return out
 
 
-def curve_tangent(curve: CurveInOrbifold, t: float) -> TangentVectorAt:
-    """Tangent vector class of a curve at time t.
+def curve_tangent(curve: CurveInOrbifold, t: float) -> np.ndarray:
+    """Tangent vector of a curve at time t, as a row at the lift point
+    projected onto the model; tangent-projected on sphere models.
 
     At regular times this is the lift derivative.  At an interior singular
     crossing a tangent is assigned only when some C^1 concatenation has a
     derivative fixed by the whole crossing isotropy; otherwise
     NotDifferentiable is raised.  At interval endpoints the one-sided
-    derivative class is returned.
+    derivative is returned.
     """
     orbifold = curve.orbifold
+    base = orbifold.model.project_checked(curve.segment_at(t)(t)[None])[0]
+
+    def tangent(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if orbifold.model.kind == SPHERE:
+            v = v - np.dot(v, base) * base
+        return v
+
     lo, hi = curve.t_range
     h = CURVE_FD_STEP
     if abs(t - lo) < 1e-12:
-        seg = curve.segment_at(t)
-        return tangent_vector(orbifold, curve.point(t), _one_sided_d1(seg, t, h))
+        return tangent(_one_sided_d1(curve.segment_at(t), t, h))
     if abs(t - hi) < 1e-12:
-        seg = curve.segment_at(t)
-        return tangent_vector(orbifold, curve.point(t), _one_sided_d1(seg, t, -h))
+        return tangent(_one_sided_d1(curve.segment_at(t), t, -h))
     if t not in curve.crossings:
         seg = curve.segment_at(t)
-        d = (seg(t + h) - seg(t - h)) / (2.0 * h)
-        return tangent_vector(orbifold, curve.point(t), d)
+        return tangent((seg(t + h) - seg(t - h)) / (2.0 * h))
 
     x = curve.segment_at(t, side=-1)(t)
     stab = stabilizer(orbifold.group, x)
-    base = curve.point(t)
     fixed: list[np.ndarray] = []
     for lift in enumerate_curve_lifts(curve, t, k=1):
         if lift.smooth_order < 1:
@@ -409,4 +377,4 @@ def curve_tangent(curve: CurveInOrbifold, t: float) -> TangentVectorAt:
         if float(np.linalg.norm(stab.matrices @ rep - other, axis=1).min()) > \
                 CURVE_FD_TOL:
             raise NotDifferentiable("C^1 concatenations disagree beyond tolerance")
-    return tangent_vector(orbifold, base, rep)
+    return tangent(rep)

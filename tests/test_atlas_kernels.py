@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbidiff import cli
+from orbidiff import groups as G
 from orbidiff import maps as P
 from orbidiff import model as M
 from orbidiff import riemann as R
@@ -56,6 +57,21 @@ def mixed_sphere_rows():
 
 # -- per-point and per-chart references ----------------------------------------
 
+def one_projected(orbifold, row):
+    """One row projected onto the model, from a one-row call."""
+    return orbifold.model.project_checked(np.asarray(row, dtype=float)[None])[0]
+
+
+def one_canonical(orbifold, row):
+    """The canonical member of one row's orbit, from a one-row call."""
+    return orbifold.canonicals(np.asarray(row, dtype=float)[None])[0]
+
+
+def one_quotient_distance(orbifold, a, b):
+    """The quotient distance of two canonical rows, from a one-pair call."""
+    return orbifold.quotient_distances(a[None], b[None])[0, 0]
+
+
 def reference_commutation(f, per_axis):
     """The commutation probe of check_equivariance, one pair at a time."""
     worst = 0.0
@@ -76,14 +92,15 @@ def reference_commutation(f, per_axis):
                 ya = np.asarray(ei.func(pts[inside]), dtype=float)
                 yb = np.asarray(ej.func(moved[inside]), dtype=float)
                 for a, b in zip(ya, yb):
-                    worst = max(worst, f.target.quotient_distance(
-                        f.target.point(a), f.target.point(b)))
+                    worst = max(worst, one_quotient_distance(
+                        f.target, one_canonical(f.target, a),
+                        one_canonical(f.target, b)))
     return worst
 
 
 def reference_extension(underlying, small, small_lift, big, target, y, steps=64):
     """extend_lift's extension at one point: a path of one-point exp calls,
-    walked with one quotient point per path point."""
+    walked with one canonical member per path point."""
     model = small.orbifold.model
     dist = model.distance(big.center, y)
     if dist <= small.radius * 0.9:
@@ -100,8 +117,8 @@ def reference_extension(underlying, small, small_lift, big, target, y, steps=64)
                 for r in np.linspace(start_r, dist, steps)]
     prev = np.asarray(small_lift(path[0][None]), dtype=float)[0]
     for p in path[1:]:
-        q = target.point(underlying(p[None])[0])
-        cand = target.group.matrices @ q.canonical
+        cand = target.group.matrices @ one_canonical(target,
+                                                     underlying(p[None])[0])
         prev = cand[np.argmin(np.linalg.norm(cand - prev, axis=1))]
     return prev
 
@@ -160,26 +177,28 @@ def reference_displacement(f):
 
 
 def reference_exp(exp_map, exp_rows):
-    """One exponential at a time: a one-row call and one quotient point."""
+    """One exponential at a time: a one-row call from a projected base row,
+    and the canonical member of its image."""
     orbifold = exp_map.orbifold
 
-    def one(p, v):
-        out = (exp_rows or exp_map.lift_exp)(p.representative[None], v[None])[0]
+    def one(x, v):
+        out = (exp_rows or exp_map.lift_exp)(x[None], v[None])[0]
         if not orbifold.model.contains(out):
             raise OutOfDomain("exponential image leaves the model")
-        return orbifold.point(out)
+        return one_canonical(orbifold, out)
 
     return one
 
 
-def reference_homeo_check(exp_map, p, eps, rng, pair_count=60,
+def reference_homeo_check(exp_map, row, eps, rng, pair_count=60,
                           image_per_axis=21, exp_rows=None):
     """exp_local_homeo_check one exponential at a time, stopping at the first
     pair whose images coincide."""
     orbifold = exp_map.orbifold
     the_exp = reference_exp(exp_map, exp_rows)
-    frame = orbifold.model.tangent_basis(p.representative)
-    stab = stabilizer(orbifold.group, p.representative)
+    x = one_projected(orbifold, row)
+    frame = orbifold.model.tangent_basis(x)
+    stab = stabilizer(orbifold.group, x)
     injective, witness, pairs = True, None, 0
     while pairs < pair_count:
         v = rng.normal(size=frame.shape[0]) @ frame
@@ -189,16 +208,17 @@ def reference_homeo_check(exp_map, p, eps, rng, pair_count=60,
         if float(np.linalg.norm(stab.matrices @ v - w, axis=1).min()) < 1e-6:
             continue
         pairs += 1
-        if orbifold.quotient_distance(the_exp(p, v), the_exp(p, w)) < 1e-9:
+        if one_quotient_distance(orbifold, the_exp(x, v), the_exp(x, w)) < 1e-9:
             injective, witness = False, (v.copy(), w.copy())
             break
     axis = np.linspace(-1.0, 1.0, image_per_axis)
     cube = np.array(list(itertools.product(axis, repeat=frame.shape[0])))
     disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
-    images = np.array([the_exp(p, c @ frame).canonical for c in disc])
+    images = np.array([the_exp(x, c @ frame) for c in disc])
     tol = 2.5 * 2.0 * eps / (image_per_axis - 1)
     grid = orbifold.canonicals(orbifold.model.grid(32))
-    near = orbifold.quotient_distances(grid, p.canonical[None])[:, 0] <= eps * 0.9
+    near = orbifold.quotient_distances(
+        grid, one_canonical(orbifold, row)[None])[:, 0] <= eps * 0.9
     gap = float(orbifold.quotient_distances(grid[near], images)
                 .min(axis=1).max(initial=0.0))
     return R.HomeoCheckReport(injective, gap <= tol, witness, gap, tol, pairs,
@@ -206,65 +226,68 @@ def reference_homeo_check(exp_map, p, eps, rng, pair_count=60,
 
 
 def reference_well_defined_residual(exp_map, rng, count=50, scale=0.4):
-    """exp_well_defined_residual one triple at a time, each image a quotient
-    point measured on its own."""
+    """exp_well_defined_residual one triple at a time, each pair of images
+    measured on its own."""
     orbifold = exp_map.orbifold
     grp = orbifold.group
+    the_exp = reference_exp(exp_map, None)
     worst, limit, checked = 0.0, scale, 0
     while checked < count:
-        p = orbifold.random_point(rng)
-        frame = orbifold.model.tangent_basis(p.representative)
+        x = one_projected(orbifold, orbifold.random_row(rng))
+        frame = orbifold.model.tangent_basis(x)
         v = rng.normal(size=frame.shape[0]) @ frame
         v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, limit)
         lab = int(rng.integers(0, grp.order))
         try:
-            q1 = exp_map.exp(p, v)
-            moved = orbifold.point(grp.act(lab, p.representative))
-            q2 = exp_map.exp(moved, grp.act(lab, v))
+            q1 = the_exp(x, v)
+            moved = one_projected(orbifold, grp.act(lab, x))
+            q2 = the_exp(moved, grp.act(lab, v))
         except OutOfDomain:
             limit = min(scale, 0.1 * orbifold.model.radius)
             continue
         limit = scale
         checked += 1
-        worst = max(worst, orbifold.quotient_distance(q1, q2))
+        worst = max(worst, one_quotient_distance(orbifold, q1, q2))
     return worst
 
 
-def reference_underlying(f, q):
-    """The induced map at one quotient point, through the first chart, in
-    atlas order, holding a translate of its canonical member."""
+def reference_underlying(f, y):
+    """The image row of the induced map at one source row, through the
+    first chart, in atlas order, holding a translate of its canonical
+    member."""
     if f.global_lift is not None:
-        return f.target.point(f.global_lift(q.representative[None])[0])
+        return f.global_lift(one_projected(f.source, y)[None])[0]
     grp = f.source.group
+    canon = one_canonical(f.source, y)
     for entry in f.lifts:
         for lab in range(grp.order):
-            rep = grp.act(lab, q.canonical)
+            rep = grp.act(lab, canon)
             if entry.chart.contains(rep, slack=0.0):
-                return f.target.point(np.asarray(entry.func(rep[None]),
-                                                 dtype=float)[0])
-    raise ChartMismatch(f"no chart of the atlas covers {q}")
+                return np.asarray(entry.func(rep[None]), dtype=float)[0]
+    raise ChartMismatch(f"no chart of the atlas covers {np.round(canon, 6)}")
 
 
 def reference_verify_diffeo(f, per_axis=5, inner_fraction=0.55, rows=None):
-    """verify_diffeo with one quotient point per grid point and its image."""
+    """verify_diffeo with one canonical member per grid point and its image."""
     orbifold = f.source
-    sources, images, spacing = [], [], 0.0
+    reps, sources, images, spacing = [], [], [], 0.0
     for chart in f.atlas:
         spacing = max(spacing, 2.0 * chart.radius / (per_axis - 1))
         for y in chart.sample_points(per_axis=per_axis):
-            q = orbifold.point(y)
-            sources.append(q)
-            images.append(reference_underlying(f, q) if rows is None else
-                          f.target.point(rows(q.representative[None])[0]))
-    src = np.array([q.canonical for q in sources])
-    img = np.array([q.canonical for q in images])
+            reps.append(one_projected(orbifold, y))
+            sources.append(one_canonical(orbifold, y))
+            images.append(one_canonical(f.target, reference_underlying(f, y)
+                                        if rows is None else
+                                        rows(reps[-1][None])[0]))
+    src = np.array(sources)
+    img = np.array(images)
     collide = np.triu(~(orbifold.quotient_distances(src, src) < 1e-6), k=1) \
         & (orbifold.quotient_distances(img, img) < 1e-9)
     hits = np.flatnonzero(collide)
     witness = None
     if hits.size:
         i, j = divmod(int(hits[0]), len(sources))
-        witness = (sources[i], sources[j])
+        witness = (reps[i], reps[j])
     inner = np.concatenate([ch.sample_points(per_axis=per_axis,
                                              shrink=inner_fraction)
                             for ch in f.atlas])
@@ -388,8 +411,9 @@ def test_stacked_seminorm_is_the_per_chart_max(name, seed):
         for order in (0, 1):
             for per_axis in (3, 5):
                 got = T.seminorm(section, order, per_axis=per_axis)
-                want = reference_seminorm(orbifold.model, section.value, atlas,
-                                          order, per_axis=per_axis)
+                want = reference_seminorm(
+                    orbifold.model, lambda y: section.values(y[None])[0], atlas,
+                    order, per_axis=per_axis)
                 assert got == want
 
 
@@ -416,17 +440,17 @@ def test_equivariance_residual_matches_the_per_chart_products():
 def test_points_canonicalise_like_one_point_at_a_time(name, data):
     orbifold, _ = case(name)
     pts = draw_points(data, orbifold)
-    batch = orbifold.points(pts)
-    for p, q in zip(pts, batch):
-        one = orbifold.point(p)
-        assert_bitwise(q.representative, one.representative)
-        assert_bitwise(q.canonical, one.canonical)
+    reps = orbifold.model.project_checked(pts)
+    canon = orbifold.canonicals(pts)
+    for p, rep, c in zip(pts, reps, canon):
+        assert_bitwise(rep, one_projected(orbifold, p))
+        assert_bitwise(c, one_canonical(orbifold, p))
 
 
 def test_points_refuse_a_row_outside_the_model():
     disk = M.disk_mod_rotation(4)
     with pytest.raises(ValueError, match="not in the model space"):
-        disk.points(np.array([[0.1, 0.2], [1.5, 0.0]]))
+        disk.model.project_checked(np.array([[0.1, 0.2], [1.5, 0.0]]))
 
 
 @pytest.mark.parametrize("name", ["football3", "S2/T", "disk_Z4", "mirror"])
@@ -435,8 +459,8 @@ def test_points_refuse_a_row_outside_the_model():
 def test_canonicals_are_the_canonical_members_of_points(name, data):
     orbifold, atlas = case(name)
     for rows in (draw_points(data, orbifold), M.atlas_grid(atlas, 4)):
-        assert_bitwise(orbifold.canonicals(rows),
-                       [q.canonical for q in orbifold.points(rows)])
+        assert_bitwise(orbifold.canonicals(rows), G.canonical_representatives(
+            orbifold.group, orbifold.model.project_checked(rows)))
 
 
 def test_canonicals_name_the_first_row_outside_the_model():
@@ -449,17 +473,17 @@ def test_canonicals_name_the_first_row_outside_the_model():
 
 def _extensions():
     fb = M.football(3)
-    big = M.build_chart(fb, fb.point([0.0, 0.0, 1.0]))
-    small = M.build_chart(fb, fb.point([0.0, 0.0, 1.0]), radius=big.radius * 0.4)
+    big = M.build_chart(fb, [0.0, 0.0, 1.0])
+    small = M.build_chart(fb, [0.0, 0.0, 1.0], radius=big.radius * 0.4)
     g = big.isotropy.matrix(1)
     rot = np.array([[np.cos(0.5), -np.sin(0.5), 0.0],
                     [np.sin(0.5), np.cos(0.5), 0.0], [0.0, 0.0, 1.0]])
-    side = M.build_chart(fb, fb.point([1.0, 0.0, 0.0]))
-    side_small = M.build_chart(fb, fb.point([1.0, 0.0, 0.0]),
+    side = M.build_chart(fb, [1.0, 0.0, 0.0])
+    side_small = M.build_chart(fb, [1.0, 0.0, 0.0],
                                radius=side.radius * 0.35)
     line = M.line_mod_flip()
-    line_big = M.build_chart(line, line.point([0.0]), radius=1.2)
-    line_small = M.build_chart(line, line.point([0.0]), radius=0.5)
+    line_big = M.build_chart(line, [0.0], radius=1.2)
+    line_small = M.build_chart(line, [0.0], radius=0.5)
     return [
         ("football pole, deck element", (lambda ys: ys, small,
                                         lambda pts: row_apply(g, pts), big, fb)),
@@ -507,8 +531,8 @@ def test_extension_rows_do_not_depend_on_earlier_calls(name, args):
 @pytest.mark.parametrize("count", [1, 12])
 def test_extension_makes_one_underlying_call_per_step(count):
     fb = M.football(3)
-    big = M.build_chart(fb, fb.point([0.0, 0.0, 1.0]))
-    small = M.build_chart(fb, fb.point([0.0, 0.0, 1.0]), radius=big.radius * 0.4)
+    big = M.build_chart(fb, [0.0, 0.0, 1.0])
+    small = M.build_chart(fb, [0.0, 0.0, 1.0], radius=big.radius * 0.4)
     g = big.isotropy.matrix(1)
     calls = []
     ext = P.extend_lift(lambda ys: calls.append(len(ys)) or ys, small,
@@ -525,7 +549,7 @@ def test_extension_makes_one_underlying_call_per_step(count):
 def test_extension_refuses_an_image_outside_the_target():
     wide = M.line_mod_flip(radius=4.0)
     narrow = M.line_mod_flip(radius=1.0)
-    iso = wide.isotropy_at(wide.point([0.0]))
+    iso = stabilizer(wide.group, [0.0])
     big = M.DerivedChart(wide, np.array([0.0]), 0.9, iso)
     small = M.DerivedChart(wide, np.array([0.0]), 0.2, iso)
     # images pass radius 1 from |y| = 2/3 on, inside the big chart
@@ -536,7 +560,7 @@ def test_extension_refuses_an_image_outside_the_target():
 
 def test_extension_refuses_a_path_outside_the_source_model():
     line = M.line_mod_flip(radius=2.0)
-    iso = line.isotropy_at(line.point([0.0]))
+    iso = stabilizer(line.group, [0.0])
     big = M.DerivedChart(line, np.array([0.0]), 1.2, iso)
     small = M.DerivedChart(line, np.array([0.0]), 0.5, iso)
     ext = P.extend_lift(lambda ys: ys / 4, small, lambda y: y / 4, big, line)
@@ -548,7 +572,7 @@ def test_extension_refuses_a_path_outside_the_source_model():
 
 def test_extension_keeps_branch_and_chart_errors():
     wide = M.line_mod_flip(radius=4.0)
-    iso = wide.isotropy_at(wide.point([0.75]))
+    iso = stabilizer(wide.group, [0.75])
     big = M.DerivedChart(wide, np.array([0.75]), 0.7499, iso)
     small = M.DerivedChart(wide, np.array([0.75]), 0.2, iso)
     with pytest.raises(BranchAmbiguity):
@@ -747,10 +771,9 @@ def test_homeo_check_matches_the_one_point_loop(name, base, planted):
     eps = 0.3
     hook = {"none": None, "quantized": _quantized(exp_map, eps),
             "shrunk": lambda x, v: exp_map.lift_exp(x, 0.3 * v)}[planted]
-    p = orbifold.point(base)
-    got = R.exp_local_homeo_check(exp_map, p, eps, np.random.default_rng(11),
+    got = R.exp_local_homeo_check(exp_map, base, eps, np.random.default_rng(11),
                                   exp_override=hook)
-    want = reference_homeo_check(exp_map, p, eps, np.random.default_rng(11),
+    want = reference_homeo_check(exp_map, base, eps, np.random.default_rng(11),
                                  exp_rows=hook)
     assert (got.injective, got.surjective, got.surjectivity_gap,
             got.surjectivity_tolerance, got.pairs_checked,
@@ -770,7 +793,7 @@ def test_homeo_check_refuses_an_image_outside_the_model():
     orbifold, _ = case("disk_Z4")
     exp_map = R.ExpMap.closed_form(orbifold)
     with pytest.raises(OutOfDomain, match="leaves the model"):
-        R.exp_local_homeo_check(exp_map, orbifold.point([0.0, 0.0]), 0.3,
+        R.exp_local_homeo_check(exp_map, [0.0, 0.0], 0.3,
                                 np.random.default_rng(1),
                                 exp_override=lambda x, v: x + 10.0 * v)
 
@@ -814,7 +837,7 @@ def test_verify_diffeo_matches_the_one_point_loop(name):
             assert got.injectivity_witness is None
         else:
             for a, b in zip(got.injectivity_witness, want.injectivity_witness):
-                assert_bitwise(a.representative, b.representative)
+                assert_bitwise(a, b)
         # the planted fold fails injectivity, the cap map surjectivity
         assert got.passed == (rows is None)
 
@@ -824,16 +847,15 @@ def test_underlying_rows_match_the_one_point_walk(name):
     orbifold, atlas = case(name)
     twisted = [ch.isotropy.order - 1 for ch in atlas]
     rng = np.random.default_rng(4)
-    pts = np.concatenate([M.atlas_grid(atlas, 3), [orbifold.random_point(rng)
-                                                  .representative for _ in range(9)]])
-    sources = orbifold.points(pts)
-    rows = np.array([q.representative for q in sources])
+    pts = np.concatenate([M.atlas_grid(atlas, 3), [
+        one_projected(orbifold, orbifold.random_row(rng)) for _ in range(9)]])
+    rows = orbifold.model.project_checked(pts)
     for m in (P.identity_map(orbifold, atlas, twisted), _maps("football3")[1]
               if name == "football3" else P.identity_map(orbifold, atlas)):
-        images = m.target.points(m.underlying_rows(rows))
-        want = [reference_underlying(m, q) for q in sources]
-        for got_q, want_q in zip(images, want):
-            assert_bitwise(got_q.representative, want_q.representative)
+        images = m.target.model.project_checked(m.underlying_rows(rows))
+        want = [one_projected(m.target, reference_underlying(m, y)) for y in pts]
+        for got, one in zip(images, want):
+            assert_bitwise(got, one)
 
 
 def test_underlying_rows_name_a_point_no_chart_covers():
@@ -890,7 +912,7 @@ def test_default_run_builds_each_grid_once_and_no_per_point_frames(monkeypatch):
     ball_grid = M.ModelSpace.ball_grid
     tangent_basis = M.ModelSpace.tangent_basis
     geo_exp = M.ModelSpace.geo_exp
-    point = M.GoodOrbifold.point
+    canonicals = M.GoodOrbifold.canonicals
     lift_jet = P._lift_jet
 
     def counted_ball_grid(self, center, radius, per_axis=5, shrink=0.95):
@@ -905,9 +927,9 @@ def test_default_run_builds_each_grid_once_and_no_per_point_frames(monkeypatch):
         in_jet["one-row geo_exp"] += depth[0] > 0 and np.ndim(v) == 1
         return geo_exp(self, x, v)
 
-    def counted_point(self, representative):
-        in_jet["probe point"] += probing[0] > 0
-        return point(self, representative)
+    def counted_canonicals(self, rows):
+        in_jet["one-row canonicals"] += probing[0] > 0 and len(rows) == 1
+        return canonicals(self, rows)
 
     def watched_lift_jet(*args, **kwargs):
         in_jet["_lift_jet"] += 1
@@ -930,7 +952,7 @@ def test_default_run_builds_each_grid_once_and_no_per_point_frames(monkeypatch):
     monkeypatch.setattr(M.ModelSpace, "ball_grid", counted_ball_grid)
     monkeypatch.setattr(M.ModelSpace, "tangent_basis", counted_tangent_basis)
     monkeypatch.setattr(M.ModelSpace, "geo_exp", counted_geo_exp)
-    monkeypatch.setattr(M.GoodOrbifold, "point", counted_point)
+    monkeypatch.setattr(M.GoodOrbifold, "canonicals", counted_canonicals)
     monkeypatch.setattr(P, "_lift_jet", watched_lift_jet)
     monkeypatch.setattr(T, "_lift_jet", watched_lift_jet)
     for probe in (R.exp_local_homeo_check, R.exp_well_defined_residual,
@@ -945,7 +967,7 @@ def test_default_run_builds_each_grid_once_and_no_per_point_frames(monkeypatch):
     # the exp and diffeomorphism probes canonicalise their rows in batches
     assert in_jet["exp_local_homeo_check"] == in_jet["verify_diffeo"] == 1
     assert in_jet["exp_well_defined_residual"] == 1
-    assert in_jet["probe point"] == 0
+    assert in_jet["one-row canonicals"] == 0
 
 
 def test_run_dumps_reuse_the_atlas_the_suites_ran_on(monkeypatch, tmp_path):

@@ -435,7 +435,7 @@ def _callables():
     constant = P.constant_map(fb, fb, np.array([0.0, 0.0, 1.0]), fb_atlas)
     through = P.compose(rot, id_twisted)
     big = fb_atlas[sing[0]]
-    small = M.build_chart(fb, fb.point(big.center), radius=big.radius * 0.45)
+    small = M.build_chart(fb, big.center, radius=big.radius * 0.45)
     gmat = big.isotropy.matrix(1)
     ext = P.extend_lift(lambda ys: ys, small, lambda y: row_apply(gmat, y), big, fb)
     out = [

@@ -108,14 +108,16 @@ def reference_quotient_distance(orbifold, a, b):
 
 
 def reference_injectivity_witness(orbifold, sources, images):
+    """The first pair (i, j), in loop order, of distinct canonical source
+    rows whose canonical image rows coincide."""
     for i in range(len(sources)):
         for j in range(i + 1, len(sources)):
-            if reference_quotient_distance(orbifold, sources[i].canonical,
-                                           sources[j].canonical) < 1e-6:
+            if reference_quotient_distance(orbifold, sources[i],
+                                           sources[j]) < 1e-6:
                 continue
-            if reference_quotient_distance(orbifold, images[i].canonical,
-                                           images[j].canonical) < 1e-9:
-                return sources[i], sources[j]
+            if reference_quotient_distance(orbifold, images[i],
+                                           images[j]) < 1e-9:
+                return i, j
     return None
 
 
@@ -229,10 +231,9 @@ def test_quotient_distances_match_reference(name, data):
                             for y in b] for x in a])
     for x in a[:2]:
         for y in b[:2]:
-            qx, qy = orbifold.point(x), orbifold.point(y)
-            assert_bitwise(orbifold.quotient_distance(qx, qy),
-                           reference_quotient_distance(orbifold, qx.canonical,
-                                                       qy.canonical))
+            cx, cy = orbifold.canonicals(np.array([x, y]))
+            assert_bitwise(orbifold.quotient_distances(cx[None], cy[None])[0, 0],
+                           reference_quotient_distance(orbifold, cx, cy))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -486,7 +487,7 @@ def test_empty_inputs_give_empty_matrices():
 
 def test_cover_gap_names_the_first_vanishing_grid_point():
     orbifold, atlas = case("football3")
-    small = [M.build_chart(orbifold, orbifold.point([0, 0, 1.0]), radius=0.2)]
+    small = [M.build_chart(orbifold, [0, 0, 1.0], radius=0.2)]
     raws = reference_raw_weights(orbifold, small)
     grid = orbifold.model.grid(24)
     first = next(y for y in grid if sum(r(y) for r in raws) < 1e-12)
@@ -503,13 +504,12 @@ def test_fold_witness_is_the_first_pair_of_the_loop(football3_atlas):
         return np.column_stack([rows[:, 0], rows[:, 1], np.abs(rows[:, 2])])
 
     report = R.verify_diffeo(idm, per_axis=4, underlying_override=folding)
-    sources = [orbifold.point(y) for ch in idm.atlas
-               for y in ch.sample_points(per_axis=4)]
-    want = reference_injectivity_witness(orbifold, sources, [
-        orbifold.point(folding(q.representative[None])[0]) for q in sources])
+    reps = orbifold.model.project_checked(M.atlas_grid(idm.atlas, 4))
+    want = reference_injectivity_witness(orbifold, orbifold.canonicals(reps),
+                                         orbifold.canonicals(folding(reps)))
     assert want is not None and report.injectivity_witness is not None
-    for got, ref in zip(report.injectivity_witness, want):
-        assert got.representative.tobytes() == ref.representative.tobytes()
+    for got, ref in zip(report.injectivity_witness, reps[list(want)]):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_kernel_memory_stays_flat_on_an_order_48_group():

@@ -186,7 +186,7 @@ class TestOrbitStabilizer:
     def test_canonical_representative_is_least(self):
         grp = G.dihedral_group(4)
         point = np.array([0.3, -0.2])
-        canon = G.canonical_orbit_representative(grp, point)
+        canon = G.canonical_representatives(grp, point[None])[0]
         orb = G.orbit(grp, point)
         keys = sorted(tuple(np.round(p, 9)) for p in orb)
         assert tuple(np.round(canon, 9)) == keys[0]

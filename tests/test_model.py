@@ -4,109 +4,113 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbidiff import model as M
+from orbidiff import riemann as R
+from orbidiff import tangent as T
 from orbidiff.errors import (EquivarianceViolation, RadiusTooLarge,
                              UnsupportedModel)
-from orbidiff.groups import generate_group, rotation_2d
+from orbidiff.groups import (FiniteActionGroup, OrthogonalElement, _snap_key,
+                             fixing_mask, generate_group, rotation_2d,
+                             stabilizer)
 from orbidiff.maps import identity_map, map_from_global
+
+
+def qdist(orbifold, a, b):
+    """The quotient distance of two rows (or one-row arrays): one entry of
+    quotient_distances on their canonicals."""
+    canon = orbifold.canonicals(np.vstack([a, b]).astype(float))
+    return orbifold.quotient_distances(canon[:1], canon[1:])[0, 0]
 
 
 class TestQuotientPoints:
     def test_equality_uses_canonical_member(self, mirror):
-        a = mirror.point([0.3, 0.4])
-        b = mirror.point([0.3, -0.4])
-        assert a == b
-        assert hash(a) == hash(b)
+        a, b = mirror.canonicals(np.array([[0.3, 0.4], [0.3, -0.4]]))
+        assert a.tobytes() == b.tobytes()
 
     def test_distinct_points_differ(self, mirror):
-        assert mirror.point([0.3, 0.4]) != mirror.point([0.31, 0.4])
+        a, b = mirror.canonicals(np.array([[0.3, 0.4], [0.31, 0.4]]))
+        assert _snap_key(a) != _snap_key(b)
 
     def test_canonical_is_lexicographically_least(self, disk_z4):
-        p = disk_z4.point([0.5, 0.2])
-        orbit_pts = disk_z4.group.matrices @ p.representative
+        row = np.array([0.5, 0.2])
+        rep = disk_z4.model.project_checked(row[None])[0]
+        orbit_pts = disk_z4.group.matrices @ rep
         keys = sorted(tuple(np.round(q, 9)) for q in orbit_pts)
-        assert tuple(np.round(p.canonical, 9)) == keys[0]
+        assert tuple(np.round(disk_z4.canonicals(row[None])[0], 9)) == keys[0]
 
 
 class TestQuotientDistance:
     def test_trivial_group_gives_model_distance(self, manifold):
-        a, b = manifold.point([0.1, 0.2]), manifold.point([-0.3, 0.4])
-        assert manifold.quotient_distance(a, b) == pytest.approx(
+        assert qdist(manifold, [0.1, 0.2], [-0.3, 0.4]) == pytest.approx(
             np.linalg.norm([0.4, -0.2]), abs=1e-15)
 
     def test_line_flip_example(self, line_flip):
         # min(|1 - (-2)|, |-1 - (-2)|) = 1
-        d = line_flip.quotient_distance(line_flip.point([1.0]),
-                                        line_flip.point([-2.0]))
+        d = qdist(line_flip, [1.0], [-2.0])
         assert d == pytest.approx(1.0, abs=1e-12)
 
     def test_football_pole_to_pole(self, football3):
-        d = football3.quotient_distance(football3.point([0, 0, 1.0]),
-                                        football3.point([0, 0, -1.0]))
+        d = qdist(football3, [0, 0, 1.0], [0, 0, -1.0])
         assert d == pytest.approx(np.pi, abs=1e-12)
 
     def test_symmetry_is_exact(self, disk_z4, rng):
         for _ in range(20):
-            a, b = disk_z4.random_point(rng), disk_z4.random_point(rng)
-            assert disk_z4.quotient_distance(a, b) == \
-                disk_z4.quotient_distance(b, a)
+            a, b = disk_z4.random_row(rng), disk_z4.random_row(rng)
+            assert qdist(disk_z4, a, b) == qdist(disk_z4, b, a)
 
     def test_zero_iff_equal(self, mirror):
-        a = mirror.point([0.2, 0.3])
-        b = mirror.point([0.2, -0.3])
-        assert mirror.quotient_distance(a, b) == 0.0
-        c = mirror.point([0.2, 0.31])
-        assert mirror.quotient_distance(a, c) > 0.0
+        assert qdist(mirror, [0.2, 0.3], [0.2, -0.3]) == 0.0
+        assert qdist(mirror, [0.2, 0.3], [0.2, 0.31]) > 0.0
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_triangle_inequality(self, seed):
         orbifold = M.disk_mod_rotation(4)
         gen = np.random.default_rng(seed)
-        a, b, c = (orbifold.random_point(gen) for _ in range(3))
-        dab = orbifold.quotient_distance(a, b)
-        dbc = orbifold.quotient_distance(b, c)
-        dac = orbifold.quotient_distance(a, c)
+        a, b, c = (orbifold.random_row(gen) for _ in range(3))
+        dab = qdist(orbifold, a, b)
+        dbc = qdist(orbifold, b, c)
+        dac = qdist(orbifold, a, c)
         assert dac <= dab + dbc + 1e-12
 
 
 class TestIsotropy:
     def test_football_pole_order(self, football3):
-        assert football3.isotropy_at(football3.point([0, 0, 1.0])).order == 3
+        assert stabilizer(football3.group, [0, 0, 1.0]).order == 3
 
     def test_regular_point_is_free(self, football3):
-        assert football3.isotropy_at(football3.point([1.0, 0, 0])).order == 1
+        assert stabilizer(football3.group, [1.0, 0, 0]).order == 1
 
     def test_product_corner_order_four(self, line_flip):
         prod = M.product(line_flip, line_flip)
-        assert prod.isotropy_at(prod.point([0.0, 0.0])).order == 4
+        assert stabilizer(prod.group, [0.0, 0.0]).order == 4
 
     def test_conjugation_consistency(self, disk_z4, rng):
         for _ in range(10):
-            p = disk_z4.random_point(rng)
-            base = disk_z4.isotropy_at(p).order
+            x = disk_z4.model.project_checked(disk_z4.random_row(rng)[None])[0]
+            base = stabilizer(disk_z4.group, x).order
             for lab in range(disk_z4.group.order):
-                moved = disk_z4.point(disk_z4.group.act(lab, p.representative))
-                assert disk_z4.isotropy_at(moved).order == base
+                moved = disk_z4.group.act(lab, x)
+                assert stabilizer(disk_z4.group, moved).order == base
 
 
 class TestBuildChart:
     def test_regular_chart_is_free(self, football3):
-        ch = M.build_chart(football3, football3.point([1.0, 0, 0]))
+        ch = M.build_chart(football3, [1.0, 0, 0])
         assert ch.isotropy.order == 1
         assert ch.radius < 0.5 * M.separation(football3, ch.center)
 
     def test_pole_chart_carries_isotropy(self, football3):
-        ch = M.build_chart(football3, football3.point([0, 0, 1.0]))
+        ch = M.build_chart(football3, [0, 0, 1.0])
         assert ch.isotropy.order == 3
 
     def test_dihedral_origin_chart(self):
         orbifold = M.disk_mod_dihedral(4)
-        ch = M.build_chart(orbifold, orbifold.point([0.0, 0.0]))
+        ch = M.build_chart(orbifold, [0.0, 0.0])
         assert ch.isotropy.order == 8
 
     def test_radius_too_large(self, football3):
         with pytest.raises(RadiusTooLarge):
-            M.build_chart(football3, football3.point([1.0, 0, 0]), radius=1.2)
+            M.build_chart(football3, [1.0, 0, 0], radius=1.2)
 
     def test_dimension_mismatch_rejected(self):
         group = generate_group([np.eye(2)])
@@ -115,6 +119,58 @@ class TestBuildChart:
         bad_group = generate_group([rotation_2d(2 * np.pi / 3)])
         with pytest.raises(UnsupportedModel):
             M.GoodOrbifold(M.ModelSpace(M.FLAT, 3, 1.0), bad_group)
+
+    @pytest.mark.parametrize("offset,effective", [(0.0, False), (5e-10, False),
+                                                  (2e-9, True)])
+    def test_an_element_acting_as_the_identity_is_refused(self, offset,
+                                                         effective):
+        # a two-element table whose second matrix is the identity moved by
+        # offset in one entry; below EPS_GRP it acts as the identity
+        second = np.eye(2)
+        second[0, 1] = offset
+        group = FiniteActionGroup(
+            [OrthogonalElement(np.eye(2), 0), OrthogonalElement(second, 1)],
+            np.array([[0, 1], [1, 0]]))
+        space = M.ModelSpace(M.FLAT, 2, 1.0)
+        if effective:
+            assert M.GoodOrbifold(space, group).group is group
+        else:
+            with pytest.raises(EquivarianceViolation, match="not effective"):
+                M.GoodOrbifold(space, group)
+
+
+class TestRowEntryPoints:
+    """The entry points that take one model row project it at entry, and
+    refuse a row the projection leaves outside the model."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), delta=st.floats(-1e-10, 1e-10))
+    @settings(max_examples=25, deadline=None)
+    def test_build_chart_centres_at_the_projected_row(self, seed, delta):
+        orbifold = M.football(3)
+        v = np.random.default_rng(seed).normal(size=3)
+        row = v / np.linalg.norm(v) * (1.0 + delta)
+        centre = M.build_chart(orbifold, row).center
+        assert centre.tobytes() == \
+            orbifold.model.project_checked(row[None])[0].tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1.001, 4.0))
+    @settings(max_examples=10, deadline=None)
+    def test_a_flat_row_outside_the_model_is_refused(self, seed, scale):
+        orbifold = M.disk_mod_rotation(4)
+        v = np.random.default_rng(seed).normal(size=2)
+        row = v / np.linalg.norm(v) * scale
+        exp_map = R.ExpMap.closed_form(orbifold)
+        calls = [
+            lambda: M.build_chart(orbifold, row),
+            lambda: T.admissible_space(orbifold, row),
+            lambda: R.exp_local_homeo_check(exp_map, row, 0.1,
+                                            np.random.default_rng(seed)),
+            lambda: R.exp_stratum_check(exp_map, row, np.zeros(2),
+                                        np.linspace(0.0, 1.0, 3)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="is not in the model space"):
+                call()
 
 
 class TestStrata:
@@ -135,7 +191,8 @@ class TestStrata:
 
     def test_signatures_constant_within_stratum(self, mirror):
         for layer in M.strata(mirror, resolution=15):
-            sigs = {M.signature_at(mirror, p) for p in layer.sample_points}
+            masks = fixing_mask(mirror.group, layer.sample_points)
+            sigs = {tuple(np.flatnonzero(m).tolist()) for m in masks}
             assert len(sigs) == 1
 
     def test_resolution_recorded(self, manifold):
@@ -224,26 +281,26 @@ class TestModelMembership:
     def test_points_names_the_first_row_outside(self, disk_z4):
         rows = np.array([[0.1, 0.2], [3.0, 0.0], [0.0, 4.0]])
         with pytest.raises(ValueError, match=r"point \[3\. 0\.\] is not in"):
-            disk_z4.points(rows)
-        assert len(disk_z4.points(rows[:1])) == 1
+            disk_z4.canonicals(rows)
+        assert len(disk_z4.canonicals(rows[:1])) == 1
 
 
 class TestProduct:
     def test_corner_isotropy_is_product(self, line_flip):
         prod = M.product(line_flip, line_flip)
         assert prod.group.order == 4
-        assert prod.isotropy_at(prod.point([0.0, 0.0])).order == 4
-        assert prod.isotropy_at(prod.point([0.5, 0.0])).order == 2
+        assert stabilizer(prod.group, [0.0, 0.0]).order == 4
+        assert stabilizer(prod.group, [0.5, 0.0]).order == 2
 
     def test_trivial_factor_keeps_orders(self, line_flip):
         triv = M.manifold_disk(1)
         prod = M.product(line_flip, triv)
-        assert prod.isotropy_at(prod.point([0.0, 0.3])).order == 2
+        assert stabilizer(prod.group, [0.0, 0.3]).order == 2
 
     def test_order_six_product(self, line_flip):
         z3 = M.disk_mod_rotation(3)
         prod = M.product(line_flip, z3)
-        assert prod.isotropy_at(prod.point([0.0, 0.0, 0.0])).order == 6
+        assert stabilizer(prod.group, [0.0, 0.0, 0.0]).order == 6
 
     def test_sphere_products_unsupported(self, football3, line_flip):
         with pytest.raises(UnsupportedModel):
@@ -253,8 +310,7 @@ class TestProduct:
 class TestSuborbifolds:
     def test_diagonal_halves_corner_isotropy(self, line_flip):
         diag = M.diagonal_suborbifold(line_flip)
-        assert diag.ambient.isotropy_at(
-            diag.ambient.point([0.0, 0.0])).order == 4
+        assert stabilizer(diag.ambient.group, [0.0, 0.0]).order == 4
         assert diag.isotropy_order_at(np.zeros(2)) == 2
 
     def test_manifold_diagonal_trivial(self):

@@ -8,11 +8,12 @@ from orbidiff import tangent as T
 from orbidiff.errors import (CoverGap, NotCloseToIdentity, NotSPD,
                              OutOfDomain, ThetaNotIdentity)
 from orbidiff.groups import GroupHom, rotation_about_z, row_apply, row_dot
+from test_model import qdist
 
 
 class TestPartitionOfUnity:
     def test_single_covering_chart_gives_constant_one(self, manifold):
-        chart = M.build_chart(manifold, manifold.point([0.0, 0.0]),
+        chart = M.build_chart(manifold, [0.0, 0.0],
                               radius=0.999)
         pou = R.equivariant_partition_of_unity(manifold, [chart])
         for y in manifold.model.grid(9):
@@ -39,7 +40,7 @@ class TestPartitionOfUnity:
                         pts, chart.center).min()) <= chart.radius + 1e-12
 
     def test_cover_gap_detected(self, football3):
-        tiny = [M.build_chart(football3, football3.point([0, 0, 1.0]),
+        tiny = [M.build_chart(football3, [0, 0, 1.0],
                               radius=0.2)]
         with pytest.raises(CoverGap):
             R.equivariant_partition_of_unity(football3, tiny)
@@ -120,15 +121,16 @@ def _constant_metric(mat):
 
 class TestExpMap:
     def test_zero_vector_is_fixed(self, football3, football3_exp):
-        p = football3.point([0.3, 0.4, np.sqrt(1 - 0.25)])
-        q = football3_exp.exp(p, np.zeros(3))
-        assert football3.quotient_distance(p, q) == 0.0
+        row = np.array([[0.3, 0.4, np.sqrt(1 - 0.25)]])
+        q = football3_exp.lift_exp(football3.model.project_checked(row),
+                                   np.zeros((1, 3)))
+        assert qdist(football3, row, q) == 0.0
 
     def test_sphere_half_pi_from_pole(self, football3, football3_exp):
-        pole = football3.point([0, 0, 1.0])
+        pole = np.array([[0, 0, 1.0]])
         v = np.array([1.0, 0.0, 0.0]) * (np.pi / 2)
-        out = football3_exp.exp(pole, v)
-        assert football3.quotient_distance(pole, out) == pytest.approx(
+        out = football3_exp.lift_exp(pole, v[None])
+        assert qdist(football3, pole, out) == pytest.approx(
             np.pi / 2, abs=1e-12)
 
     def test_representative_independence(self, football3_exp, rng):
@@ -166,49 +168,55 @@ class TestExpMap:
         assert got < 1e-9
 
     def test_out_of_domain_on_sphere(self, football3, football3_exp):
-        pole = football3.point([0, 0, 1.0])
+        pole = np.array([[0, 0, 1.0]])
         with pytest.raises(OutOfDomain):
-            football3_exp.exp(pole, np.array([3.2, 0.0, 0.0]))
+            football3_exp.lift_exp(pole, np.array([[3.2, 0.0, 0.0]]))
 
     def test_log_inverts_exp(self, football3, football3_exp, rng):
+        model, grp = football3.model, football3.group
         for _ in range(10):
-            p = football3.random_point(rng)
-            frame = football3.model.tangent_basis(p.representative)
-            v = rng.normal(size=2) @ frame * 0.4
-            q = football3_exp.exp(p, v)
-            back = football3_exp.log(p, q)
-            image = football3_exp.exp(p, back.vector)
-            assert football3.quotient_distance(q, image) < 1e-12
+            x = model.project_checked(football3.random_row(rng)[None])
+            v = rng.normal(size=2) @ model.tangent_basis(x[0]) * 0.4
+            q = football3.canonicals(football3_exp.lift_exp(x, v[None]))
+            # log points at the representative of q nearest to x
+            reps = grp.matrices @ q[0]
+            near = reps[np.argmin(model.distances(reps, x[0]))]
+            back = football3_exp.lift_log(x, near[None])
+            image = football3_exp.lift_exp(x, back)
+            assert qdist(football3, q, image) < 1e-12
 
 
 def _reference_well_defined_residual(exp_map, rng, count):
-    """exp_well_defined_residual before it redrew triples leaving the model."""
+    """exp_well_defined_residual before it redrew triples leaving the model:
+    one exponential call per endpoint, OutOfDomain on the first that leaves."""
     orbifold = exp_map.orbifold
+    model = orbifold.model
     grp = orbifold.group
     worst = 0.0
     for _ in range(count):
-        p = orbifold.random_point(rng)
-        frame = orbifold.model.tangent_basis(p.representative)
+        x = model.project_checked(orbifold.random_row(rng)[None])
+        frame = model.tangent_basis(x[0])
         v = rng.normal(size=frame.shape[0]) @ frame
         v = v / max(np.linalg.norm(v), 1e-12) * rng.uniform(0.0, 0.4)
         lab = int(rng.integers(0, grp.order))
-        q1 = exp_map.exp(p, v)
-        moved = orbifold.point(grp.act(lab, p.representative))
-        q2 = exp_map.exp(moved, grp.act(lab, v))
-        worst = max(worst, orbifold.quotient_distance(q1, q2))
+        q1 = exp_map.lift_exp(x, v[None])
+        R._require_in_model(model, q1)
+        moved = model.project_checked(grp.act(lab, x[0])[None])
+        q2 = exp_map.lift_exp(moved, grp.act(lab, v)[None])
+        R._require_in_model(model, q2)
+        worst = max(worst, qdist(orbifold, q1, q2))
     return worst
 
 
 class TestHomeoAndStrata:
     def test_flat_regular_point_passes(self, manifold):
         exp_map = R.ExpMap.closed_form(manifold)
-        rep = R.exp_local_homeo_check(exp_map, manifold.point([0.1, 0.0]),
+        rep = R.exp_local_homeo_check(exp_map, [0.1, 0.0],
                                       0.25, np.random.default_rng(1))
         assert rep.passed
 
     def test_football_pole_passes(self, football3, football3_exp):
-        rep = R.exp_local_homeo_check(football3_exp,
-                                      football3.point([0, 0, 1.0]), 0.3,
+        rep = R.exp_local_homeo_check(football3_exp, [0, 0, 1.0], 0.3,
                                       np.random.default_rng(2))
         assert rep.passed
         assert rep.injectivity_witness is None
@@ -223,7 +231,7 @@ class TestHomeoAndStrata:
             return football3_exp.lift_exp(x, v)
 
         rep = R.exp_local_homeo_check(
-            football3_exp, football3.point([0, 0, 1.0]), eps,
+            football3_exp, [0, 0, 1.0], eps,
             np.random.default_rng(3), exp_override=quantized)
         assert not rep.injective
         assert rep.injectivity_witness is not None
@@ -237,7 +245,7 @@ class TestHomeoAndStrata:
             return football3_exp.lift_exp(x, 0.3 * np.asarray(v, dtype=float))
 
         rep = R.exp_local_homeo_check(
-            football3_exp, football3.point([0, 0, 1.0]), eps,
+            football3_exp, [0, 0, 1.0], eps,
             np.random.default_rng(4), exp_override=shrunk)
         assert rep.injective
         assert not rep.surjective
@@ -246,18 +254,18 @@ class TestHomeoAndStrata:
 
     def test_mirror_stratum_preserved(self, mirror):
         exp_map = R.ExpMap.closed_form(mirror)
-        p = mirror.point([0.2, 0.0])
+        p = np.array([0.2, 0.0])
         v = T.admissible_space(mirror, p)[0] * 0.3
         assert R.exp_stratum_check(exp_map, p, v, np.linspace(0, 1, 11))
 
     def test_regular_point_stays_regular(self, mirror):
         exp_map = R.ExpMap.closed_form(mirror)
-        p = mirror.point([0.2, 0.35])
+        p = np.array([0.2, 0.35])
         assert R.exp_stratum_check(exp_map, p, np.array([0.05, 0.02]),
                                    np.linspace(0, 1, 9))
 
     def test_pole_only_zero_is_admissible(self, football3, football3_exp):
-        pole = football3.point([0, 0, 1.0])
+        pole = np.array([0, 0, 1.0])
         assert T.admissible_space(football3, pole).shape[0] == 0
         assert R.exp_stratum_check(football3_exp, pole, np.zeros(3),
                                    np.linspace(0, 1, 5))
@@ -272,7 +280,7 @@ class TestChartMapE:
         assert P.cs_distance(f, idm, s=0, per_axis=4).value == 0.0
 
     def test_constant_field_translates_flat_chart(self, manifold):
-        atlas = (M.build_chart(manifold, manifold.point([0.0, 0.0]),
+        atlas = (M.build_chart(manifold, [0.0, 0.0],
                                radius=0.999),)
         exp_map = R.ExpMap.closed_form(manifold)
         shift = np.array([0.05, -0.02])
@@ -332,7 +340,8 @@ class TestChartMapE:
                 else:
                     expected = (target - dot * y) * theta / np.sin(theta)
                 worst = max(worst,
-                            float(np.abs(sigma.value(y) - expected).max()))
+                            float(np.abs(sigma.values(y[None])[0]
+                                         - expected).max()))
         assert worst < 1e-8
         assert sigma.equivariance_residual(per_axis=3) < 1e-8
 
@@ -481,13 +490,15 @@ class TestTransitions:
         worst = 0.0
         for chart in football3_atlas:
             for y in chart.sample_points(per_axis=3):
-                target = diff @ football3.model.geo_exp(y, sigma.value(y))
+                target = diff @ football3.model.geo_exp(
+                    y, sigma.values(y[None])[0])
                 dot = float(np.clip(y @ target, -1, 1))
                 theta = np.arccos(dot)
                 expected = np.zeros(3) if theta < 1e-9 else \
                     (target - dot * y) * theta / np.sin(theta)
                 worst = max(worst,
-                            float(np.abs(out.value(y) - expected).max()))
+                            float(np.abs(out.values(y[None])[0]
+                                         - expected).max()))
         assert worst < 1e-10
 
     def test_transition_roundtrip(self, football3, football3_atlas,

@@ -158,7 +158,7 @@ def reference_build_atlas(orb, resolution=16, max_charts=128):
         for i, s in enumerate(samples):
             if done[i]:
                 continue
-            charts.append(M.build_chart(orb, orb.point(s)))
+            charts.append(M.build_chart(orb, s))
             done |= covered(charts[-1:], samples)
     return tuple(charts)
 
