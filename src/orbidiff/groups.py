@@ -170,7 +170,7 @@ class FiniteActionGroup:
 
     def act(self, label: int, points: np.ndarray) -> np.ndarray:
         """Apply element to one point (n,) or a batch (k, n)."""
-        return np.asarray(points, dtype=float) @ self.matrix(label).T
+        return row_apply(self.matrix(label), points)
 
     def __iter__(self):
         return iter(self.elements)
@@ -344,7 +344,11 @@ def fixed_subspace(group: FiniteActionGroup) -> np.ndarray:
 
 def row_apply(m: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """(..., n, n) matrices applied to (..., n) rows, broadcasting; each row
-    is bit for bit ``m @ row``, whatever the number of rows in the call."""
+    is bit for bit ``m @ row``, whatever the number of rows in the call.
+
+    The library's products of rows by matrices go through this kernel (or
+    ``translates``), never ``pts @ m.T``, whose last bits depend on the row
+    count; so results may be stacked and reduced across charts freely."""
     pts = np.ascontiguousarray(pts, dtype=float)
     return (m @ pts[..., None])[..., 0]
 

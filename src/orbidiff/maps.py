@@ -20,8 +20,8 @@ from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
                      canonical_representatives, fixing_mask,
                      inner_automorphisms, row_apply, row_dot, translates)
-from .model import (FLAT, DerivedChart, GoodOrbifold, build_atlas, chart_hits,
-                    first_hits, stacked_charts)
+from .model import (FLAT, DerivedChart, GoodOrbifold, atlas_grid, build_atlas,
+                    chart_hits, first_hits, stacked_charts)
 
 LIFT_TOL = 1e-9          # equivariance tolerance on validated lifts
 COMPOSE_TOL = 1e-8       # equivariance tolerance after composition
@@ -50,52 +50,69 @@ def _func_groups(funcs: Sequence[Callable]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _by_func(funcs: Sequence[Callable], grids: Sequence[np.ndarray],
-             run: Callable[[Callable, np.ndarray], list[np.ndarray]]
-             ) -> list[list[np.ndarray]]:
-    """run(func, rows) once per distinct func, on the grids paired with it
-    stacked in order; entry i is run's arrays cut back to grids[i]."""
-    out: list[list[np.ndarray]] = [[] for _ in funcs]
+def _grid_charts(charts: Sequence[DerivedChart], per_axis: int) -> np.ndarray:
+    """The chart of each row of atlas_grid(charts, per_axis)."""
+    return np.repeat(np.arange(len(charts)),
+                     [len(ch.sample_points(per_axis=per_axis)) for ch in charts])
+
+
+def _by_func(funcs: Sequence[Callable], charts: Sequence[DerivedChart],
+             per_axis: int, run: Callable[[Callable, np.ndarray], list[np.ndarray]]
+             ) -> list[np.ndarray]:
+    """run(func, rows) once per distinct func, on the stacked grids of the
+    charts paired with it; each of run's arrays comes back over all the rows
+    of atlas_grid(charts, per_axis), in chart order."""
+    pts = atlas_grid(charts, per_axis)
+    chart = _grid_charts(charts, per_axis)
+    out: list[np.ndarray] = []
     for idx in _func_groups(funcs):
-        arrays = run(funcs[idx[0]], np.concatenate([grids[i] for i in idx]))
-        cuts = np.cumsum([len(grids[i]) for i in idx])[:-1]
-        for i, *parts in zip(idx, *(np.split(a, cuts) for a in arrays)):
-            out[i] = parts
+        rows = np.flatnonzero(np.isin(chart, idx))
+        arrays = run(funcs[idx[0]], pts[rows])
+        out = out or [np.empty((len(pts), *a.shape[1:])) for a in arrays]
+        for whole, part in zip(out, arrays):
+            whole[rows] = part
     return out
 
 
 def _isotropy_values(charts: Sequence[DerivedChart], func: Callable,
-                     per_axis: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per chart, func on its grid, (k, ...), and on the grid's isotropy
-    translates, (k, isotropy order, ...): entry [:, a] is func at
-    matrix(a) @ pts.
+                     per_axis: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """func on atlas_grid(charts, per_axis), (k, ...), and on the isotropy
+    translates of its rows, (r, ...), with the grid row and local label of
+    each translate: translate i is func at matrix(label[i]) @ grid[sample[i]].
 
     One func call takes every chart's translates and then its grid, in
     chart order.
     """
-    rows, shapes = [], []
+    rows, is_grid, sample, label = [], [], [], []
+    start = 0
     for ch in charts:
         pts = ch.sample_points(per_axis=per_axis)
         trans = translates(ch.isotropy, pts)
-        rows += [trans.reshape(-1, trans.shape[2]), pts]
-        shapes.append(trans.shape[:2])
+        k, order, n = trans.shape
+        rows += [trans.reshape(-1, n), pts]
+        is_grid += [np.zeros(k * order, dtype=bool), np.ones(k, dtype=bool)]
+        sample.append(np.repeat(np.arange(start, start + k), order))
+        label.append(np.tile(np.arange(order), k))
+        start += k
     out = np.asarray(func(np.concatenate(rows)), dtype=float)
-    parts = np.split(out, np.cumsum([len(r) for r in rows])[:-1])
-    return [(vals, moved.reshape(*shape, *moved.shape[1:]))
-            for moved, vals, shape in zip(parts[0::2], parts[1::2], shapes)]
+    is_grid = np.concatenate(is_grid)
+    return (out[is_grid], out[~is_grid], np.concatenate(sample),
+            np.concatenate(label))
 
 
 def _theta_residuals(charts: Sequence[DerivedChart], func: Callable,
                      target_group: FiniteActionGroup, per_axis: int
-                     ) -> list[np.ndarray]:
-    """Per chart, (isotropy order, target order): entry [a, m] is the
-    largest |func(g_a y) - T_m func(y)| over the chart samples y."""
-    out = []
-    for vals, moved in _isotropy_values(charts, func, per_axis):
-        # one product per chart grid: its bits depend on the row count
-        image = vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
-        out.append(np.stack([np.abs(image - moved[None, :, a]).max(axis=(1, 2))
-                             for a in range(moved.shape[1])]))
+                     ) -> np.ndarray:
+    """(charts, largest isotropy order, target order): entry [c, a, m] is
+    the largest |func(g_a y) - T_m func(y)| over chart c's samples y, and 0
+    past chart c's isotropy order."""
+    vals, moved, sample, label = _isotropy_values(charts, func, per_axis)
+    image = row_apply(target_group.matrices[:, None], vals)
+    gaps = np.abs(moved - image[:, sample]).max(axis=2)
+    out = np.zeros((len(charts), max(ch.isotropy.order for ch in charts),
+                    target_group.order))
+    np.maximum.at(out, (_grid_charts(charts, per_axis)[sample], label), gaps.T)
     return out
 
 
@@ -111,6 +128,7 @@ def derive_theta(charts: Sequence[DerivedChart], func: Callable,
     out = []
     for chart, residuals in zip(charts, _theta_residuals(charts, func,
                                                          target_group, per_axis)):
+        residuals = residuals[:chart.isotropy.order]
         table = residuals.argmin(axis=1)
         for a, best in enumerate(table):
             if residuals[a, best] > tol:
@@ -218,29 +236,23 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
     """
     per_chart = [0.0] * len(f.lifts)
     for idx in _func_groups([entry.func for entry in f.lifts]):
-        values = _isotropy_values([f.lifts[i].chart for i in idx],
-                                  f.lifts[idx[0]].func, per_axis)
-        for i, (vals, moved) in zip(idx, values):
-            theta = f.lifts[i].theta
-            for a in range(moved.shape[1]):
-                tg = theta.matrix(a)
-                per_chart[i] = max(per_chart[i],
-                                   float(np.abs(moved[:, a] - vals @ tg.T).max()))
+        residuals = _theta_residuals([f.lifts[i].chart for i in idx],
+                                     f.lifts[idx[0]].func, f.target.group, per_axis)
+        for i, res in zip(idx, residuals):
+            table = f.lifts[i].theta.table
+            per_chart[i] = float(res[np.arange(len(table)), table].max())
 
     commutation = 0.0
-    grp = f.source.group
     for i, ei in enumerate(f.lifts):
         pts = ei.chart.sample_points(per_axis=per_axis)
+        trans = translates(f.source.group, pts)
         hits = chart_hits(f.source, f.atlas, pts)
         for j, lab in np.argwhere(hits[:, :, i + 1:].any(axis=0).T).tolist():
             ej = f.lifts[i + 1 + j]
             inside = np.flatnonzero(hits[:, lab, i + 1 + j])[:8]
-            # values come from grp.act on the whole grid, whose last bits
-            # depend on its row count; the reports hold those bits
-            moved = grp.act(lab, pts)
             try:
                 qa = f.target.canonicals(ei.func(pts[inside]))
-                qb = f.target.canonicals(ej.func(moved[inside]))
+                qb = f.target.canonicals(ej.func(trans[inside, lab]))
             except ValueError as exc:
                 raise ImageEscapesChart(str(exc)) from exc
             # entry (k, k) compares the two images of sample k
@@ -560,38 +572,32 @@ def cs_distance(f: OrbifoldMapData, g: OrbifoldMapData, s: int = 0,
     tgt = f.target.group
     model = f.source.model
 
-    def jets(funcs: list[Callable], charts: list[DerivedChart]) -> list[list[np.ndarray]]:
-        """Per chart, its func's values on the chart grid and, at s > 0, its
-        FD derivatives on the coarser per_axis=3 subgrid that bounds their
-        cost; one _lift_jet per distinct func and grid kind."""
-        out = _by_func(funcs, [ch.sample_points(per_axis=per_axis) for ch in charts],
+    def jets(funcs: list[Callable], charts: list[DerivedChart]) -> list[np.ndarray]:
+        """Its func's values on each chart grid and, at s > 0, its FD
+        derivatives on the coarser per_axis=3 grids that bound their cost,
+        stacked in chart order; one _lift_jet per distinct func and grid
+        kind."""
+        out = _by_func(funcs, charts, per_axis,
                        lambda func, pts: _lift_jet(model, func, pts, 0, FD_STEP))
         if s:
-            grids = [ch.sample_points(per_axis=3) for ch in charts]
-            derivs = _by_func(funcs, grids, lambda func, pts:
-                              _lift_jet(model, func, pts, s, FD_STEP)[1:])
-            out = [vals + more for vals, more in zip(out, derivs)]
+            out += _by_func(funcs, charts, 3, lambda func, pts:
+                            _lift_jet(model, func, pts, s, FD_STEP)[1:])
         return out
 
     def one_sided(a: OrbifoldMapData, b: OrbifoldMapData) -> list[float]:
         charts = [ea.chart for ea in a.lifts]
-        ja_all = jets([ea.func for ea in a.lifts], charts)
-        jb_all = jets([b.lift_at(ch).func for ch in charts], charts)
-        out = []
-        for ja, jb in zip(ja_all, jb_all):
-            best = np.inf
-            for lab in range(tgt.order):
-                m = tgt.matrix(lab)
-                worst = 0.0
-                for ka, kb in zip(ja, jb):
-                    # Euclidean norm over vector components, sup over the
-                    # rest; kb @ m.T is one product per chart, as its bits
-                    # depend on the row count
-                    gaps = np.linalg.norm(ka - kb @ m.T, axis=-1)
-                    worst = max(worst, float(gaps.max()))
-                best = min(best, worst)
-            out.append(best)
-        return out
+        ja = jets([ea.func for ea in a.lifts], charts)
+        jb = jets([b.lift_at(ch).func for ch in charts], charts)
+        # worst[m, c]: the sup over chart c of |a - T_m b|, Euclidean over
+        # vector components
+        worst = np.zeros((tgt.order, len(charts)))
+        for ka, kb, grid in zip(ja, jb, (per_axis, 3, 3)):
+            rows = kb.reshape(-1, kb.shape[-1])
+            gaps = np.linalg.norm(ka.reshape(rows.shape)
+                                  - row_apply(tgt.matrices[:, None], rows), axis=-1)
+            np.maximum.at(worst.T, _grid_charts(charts, grid),
+                          gaps.reshape(tgt.order, len(kb), -1).max(axis=2).T)
+        return worst.min(axis=0).tolist()
 
     fw = one_sided(f, g)
     bw = one_sided(g, f)
@@ -710,11 +716,11 @@ class IdentityLiftGroup:
         for ch in self.atlas:
             pts = ch.sample_points(per_axis=4)
             vals = np.asarray(f.lift_at(ch).func(pts), dtype=float)
-            hits = [loc for loc, m in enumerate(ch.isotropy.matrices)
-                    if float(np.abs(vals - pts @ m.T).max()) <= 1e-8]
-            if not hits:
+            hits = np.abs(translates(ch.isotropy, pts)
+                          - vals[:, None]).max(axis=(0, 2)) <= 1e-8
+            if not hits.any():
                 return None
-            out.append(hits[0])
+            out.append(int(hits.argmax()))
         return tuple(out)
 
 

@@ -342,10 +342,6 @@ class DerivedChart:
         c.setflags(write=False)
         object.__setattr__(self, "center", c)
 
-    def contains(self, point: np.ndarray, slack: float = 1e-9) -> bool:
-        return self.orbifold.model.distance(self.center, point) <= \
-            self.radius * (1.0 + slack)
-
     def sample_points(self, per_axis: int = 5, shrink: float = 0.95) -> np.ndarray:
         """The chart's ball grid, built on the first call for each
         (per_axis, shrink) and returned read-only from then on."""
@@ -547,7 +543,7 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     close = _close_pairs(points, thresh)
     labels = np.arange(len(points))
     for lab in range(group.order):
-        moved = points @ group.matrix(lab).T
+        moved = row_apply(group.matrix(lab), points)
         # each block of moved rows is merged as it comes, which bounds the
         # edges held at once
         for lo in range(0, len(points), _EDGE_ROWS):
@@ -560,9 +556,10 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     np.minimum.at(least, labels, ranks)
     comp = least[labels]        # a component's least key rank names it
     order = np.lexsort((ranks, comp, sig_rank[codes]))
-    cuts = np.flatnonzero(np.diff(comp[order])) + 1
-    return [Stratum(orbifold, sigs[codes[rows[0]]], cid, points[rows], resolution)
-            for cid, rows in enumerate(np.split(order, cuts))]
+    bounds = [0, *(np.flatnonzero(np.diff(comp[order])) + 1).tolist(), len(order)]
+    return [Stratum(orbifold, sigs[codes[order[lo]]], cid, points[order[lo:hi]],
+                    resolution)
+            for cid, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 def _close_pairs(points: np.ndarray, thresh: float):

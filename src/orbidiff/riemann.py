@@ -182,11 +182,9 @@ def average_metric(chart: DerivedChart, raw: Callable[[np.ndarray], np.ndarray],
 
 def metric_invariance_residual(chart: DerivedChart, entry: Callable) -> float:
     """max |g^T entry(g y) g - entry(y)| over the chart grid and isotropy."""
-    (base, moved), = _isotropy_values([chart], entry, per_axis=4)
-    worst = 0.0
-    for a, g in enumerate(chart.isotropy.matrices):
-        worst = max(worst, float(np.abs(g.T @ moved[:, a] @ g - base).max()))
-    return worst
+    base, moved, sample, label = _isotropy_values([chart], entry, per_axis=4)
+    g = chart.isotropy.matrices[label]
+    return float(np.abs(np.swapaxes(g, 1, 2) @ moved @ g - base[sample]).max())
 
 
 # -- exponential maps --------------------------------------------------------------
@@ -443,11 +441,10 @@ def E_inverse(f: OrbifoldMapData, exp_map: ExpMap,
     if eps_inj is None:
         eps_inj = np.pi / 2 if orbifold.model.kind == SPHERE \
             else 0.5 * orbifold.model.radius
-    grids = [entry.chart.sample_points(per_axis=4) for entry in f.lifts]
-    images = _by_func([entry.func for entry in f.lifts], grids,
-                      lambda func, pts: [np.asarray(func(pts), dtype=float)])
-    worst = float(orbifold.model.row_distances(
-        np.concatenate(grids), np.concatenate([img for img, in images])).max())
+    images, = _by_func([entry.func for entry in f.lifts], f.atlas, 4,
+                       lambda func, pts: [np.asarray(func(pts), dtype=float)])
+    worst = float(orbifold.model.row_distances(atlas_grid(f.atlas, 4),
+                                               images).max())
     if worst >= eps_inj:
         raise NotCloseToIdentity(
             f"lift displacement {worst:.4f} reaches the injectivity scale "
@@ -662,11 +659,11 @@ def conjugate_identity_lifts(id_group: IdentityLiftGroup,
         moved = row_apply(grp.matrices[germs][:, None], back)
         vals = np.asarray(g.global_lift(moved.reshape(-1, moved.shape[2])),
                           dtype=float).reshape(len(germs), len(pts), -1)
-        targets = [pts @ chart.isotropy.matrix(loc).T
-                   for loc in range(chart.isotropy.order)]
-        match = {germ: next((loc for loc, t in enumerate(targets)
-                             if float(np.abs(v - t).max()) <= tol), None)
-                 for germ, v in zip(germs, vals)}
+        # hits[germ, loc]: the germ's values are isotropy element loc's
+        hits = np.abs(vals[:, :, None] - translates(chart.isotropy, pts)
+                      ).max(axis=(1, 3)) <= tol
+        match = {germ: int(row.argmax()) if row.any() else None
+                 for germ, row in zip(germs, hits)}
         for n in alive:
             loc = match[germ_of[n]]
             if loc is None:

@@ -103,27 +103,15 @@ class Orbisection:
         pts, vals = self.grid_values(per_axis)
         trans = translates(grp, pts)
         moved = self.values(trans.reshape(-1, trans.shape[2])).reshape(trans.shape)
-        # g s(y) is a matrix product, whose bits depend on its row count: one
-        # product per chart grid
-        cuts = np.cumsum([len(ch.sample_points(per_axis=per_axis))
-                          for ch in self.atlas])[:-1]
-        worst = 0.0
-        for chart_moved, chart_vals in zip(np.split(moved, cuts), np.split(vals, cuts)):
-            for lab in range(grp.order):
-                g = grp.matrix(lab)
-                worst = max(worst, float(np.abs(chart_moved[:, lab]
-                                                - chart_vals @ g.T).max()))
-        return worst
+        return float(np.abs(moved - translates(grp, vals)).max(initial=0.0))
 
     def center_fixed_residual(self) -> float:
         """Distance of each chart-center value from its fixed subspace."""
-        worst = 0.0
-        centres = stacked_charts(self.orbifold, self.atlas)[0]
-        for chart, v in zip(self.atlas, self.values(centres)):
-            for a in range(chart.isotropy.order):
-                worst = max(worst, float(
-                    np.abs(chart.isotropy.matrix(a) @ v - v).max()))
-        return worst
+        orders = [chart.isotropy.order for chart in self.atlas]
+        vals = np.repeat(self.values(stacked_charts(self.orbifold, self.atlas)[0]),
+                         orders, axis=0)
+        mats = np.concatenate([chart.isotropy.matrices for chart in self.atlas])
+        return float(np.abs(row_apply(mats, vals) - vals).max(initial=0.0))
 
     def __add__(self, other: "Orbisection") -> "Orbisection":
         return linear_combination(self, other, 1.0, 1.0)

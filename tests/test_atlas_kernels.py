@@ -37,6 +37,7 @@ from test_batched_lifts import (STEP, chain, reference_ball_grid,
                                 reference_lift_jet, reference_seminorm,
                                 reference_tangent_basis)
 from test_field_kernels import CASES, assert_bitwise, case, draw_points
+from test_kernels import in_chart
 
 # the coordinate axes and their negatives: at +-e0 and +-e1 the walk skips
 # an axis, at the poles +-e2 it stops after two
@@ -84,9 +85,8 @@ def reference_commutation(f, per_axis):
                         ei.chart.radius + ej.chart.radius:
                     continue
                 pts = ei.chart.sample_points(per_axis=per_axis)
-                moved = grp.act(lab, pts)
-                inside = [k for k, p in enumerate(moved)
-                          if ej.chart.contains(p, slack=0.0)][:8]
+                moved = np.array([row_apply(grp.matrix(lab), p) for p in pts])
+                inside = [k for k, p in enumerate(moved) if in_chart(ej.chart, p)][:8]
                 if not inside:
                     continue
                 ya = np.asarray(ei.func(pts[inside]), dtype=float)
@@ -123,6 +123,14 @@ def reference_extension(underlying, small, small_lift, big, target, y, steps=64)
     return prev
 
 
+def one_row_images(mats, rows):
+    """(T, n, n) matrices applied to (..., n) rows, one row per row_apply
+    call: entry [t, ...] is mats[t] @ row."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    return np.stack([row_apply(mats, r) for r in flat], axis=1).reshape(
+        len(mats), *rows.shape)
+
+
 def reference_cs_distance(f, g, s, per_axis, step=FD_STEP):
     """cs_distance one chart at a time: four _lift_jet calls per chart."""
     model = f.source.model
@@ -139,12 +147,12 @@ def reference_cs_distance(f, g, s, per_axis, step=FD_STEP):
             if s:
                 ja += P._lift_jet(model, ea.func, dpts, s, step)[1:]
                 jb += P._lift_jet(model, eb.func, dpts, s, step)[1:]
+            images = [one_row_images(tgt.matrices, kb) for kb in jb]
             best = np.inf
             for lab in range(tgt.order):
-                m = tgt.matrix(lab)
                 worst = 0.0
-                for ka, kb in zip(ja, jb):
-                    gaps = np.linalg.norm(ka - kb @ m.T, axis=-1)
+                for ka, kb in zip(ja, images):
+                    gaps = np.linalg.norm(ka - kb[lab], axis=-1)
                     worst = max(worst, float(gaps.max()))
                 best = min(best, worst)
             out.append(best)
@@ -161,7 +169,7 @@ def reference_theta_residuals(chart, func, target_group, per_axis):
     k, order, n = trans.shape
     moved = np.asarray(func(trans.reshape(-1, n)), dtype=float).reshape(k, order, -1)
     vals = np.asarray(func(pts), dtype=float)
-    image = vals[None, :, :] @ np.swapaxes(target_group.matrices, 1, 2)
+    image = one_row_images(target_group.matrices, vals)
     return np.stack([np.abs(image - moved[None, :, a]).max(axis=(1, 2))
                      for a in range(order)])
 
@@ -262,7 +270,7 @@ def reference_underlying(f, y):
     for entry in f.lifts:
         for lab in range(grp.order):
             rep = grp.act(lab, canon)
-            if entry.chart.contains(rep, slack=0.0):
+            if in_chart(entry.chart, rep):
                 return np.asarray(entry.func(rep[None]), dtype=float)[0]
     raise ChartMismatch(f"no chart of the atlas covers {np.round(canon, 6)}")
 
@@ -428,7 +436,8 @@ def test_equivariance_residual_matches_the_per_chart_products():
         for lab in range(grp.order):
             g = grp.matrix(lab)
             moved = sigma.values(row_apply(g, pts))
-            worst = max(worst, float(np.abs(moved - vals @ g.T).max()))
+            worst = max(worst, float(np.abs(moved - one_row_images(
+                g[None], vals)[0]).max()))
     assert sigma.equivariance_residual(per_axis=4) == worst
 
 
@@ -692,7 +701,8 @@ def test_transition_and_composite_thetas_match_the_per_chart_residuals(
     residuals = P._theta_residuals(atlas, h.global_lift, grp, 3)
     for chart, entry, got in zip(atlas, h.lifts, residuals):
         want = reference_theta_residuals(chart, h.global_lift, grp, 3)
-        assert_bitwise(got, want)
+        assert_bitwise(got[:len(want)], want)
+        assert not got[len(want):].any()
         assert entry.theta.table == tuple(want.argmin(axis=1).tolist())
     for composite in (P.compose(f, g), P.compose(split, g)):
         for chart, entry in zip(atlas, composite.lifts):
@@ -730,16 +740,19 @@ def test_isotropy_values_meet_rows_in_the_per_chart_order():
         seen.append(np.array(pts))
         return np.array(pts)
 
-    values = P._isotropy_values(atlas, func, 3)
+    vals, moved, sample, label = P._isotropy_values(atlas, func, 3)
     want = []
-    for chart, (vals, moved) in zip(atlas, values):
+    for chart in atlas:
         pts = chart.sample_points(per_axis=3)
-        trans = translates(chart.isotropy, pts)
-        want += [trans.reshape(-1, 3), pts]
-        assert_bitwise(vals, pts)
-        assert_bitwise(moved, trans)
+        want += [translates(chart.isotropy, pts).reshape(-1, 3), pts]
     assert len(seen) == 1
     assert_bitwise(seen[0], np.concatenate(want))
+    assert_bitwise(vals, M.atlas_grid(atlas, 3))
+    assert_bitwise(moved, np.concatenate(want[0::2]))
+    # translate i is matrix(label[i]) of its chart's isotropy at grid row sample[i]
+    chart = P._grid_charts(atlas, 3)[sample]
+    mats = np.stack([atlas[c].isotropy.matrix(a) for c, a in zip(chart, label)])
+    assert_bitwise(moved, row_apply(mats, vals[sample]))
 
 
 @pytest.mark.parametrize("name", ["football3", "S2/Oh", "disk_Z4"])

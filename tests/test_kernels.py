@@ -68,6 +68,11 @@ def reference_signature(grp, point, tol=G.EPS_GRP):
     return tuple(np.nonzero(moved < tol)[0].tolist())
 
 
+def in_chart(chart, point):
+    """The one-point chart test: point within the chart radius of its centre."""
+    return chart.orbifold.model.distance(chart.center, point) <= chart.radius
+
+
 def reference_overlap_graph(orbifold, atlas):
     grp = orbifold.group
     model = orbifold.model
@@ -85,8 +90,7 @@ def reference_overlap_graph(orbifold, atlas):
                 for s in singular:
                     for mu in range(grp.order):
                         w = grp.act(mu, np.asarray(s))
-                        if ci.contains(w, slack=0.0) and \
-                                cj.contains(grp.act(lab, w), slack=0.0):
+                        if in_chart(ci, w) and in_chart(cj, grp.act(lab, w)):
                             sing.append(w)
                 edges.append(P.OverlapEdge(
                     i, j, lab, np.reshape(sing, (-1, grp.dimension))))
@@ -146,6 +150,50 @@ def test_kernels_match_across_blocks(name, block, monkeypatch):
     pts[::3] = np.round(pts[::3])
     pts[1::3] *= G.EPS_GRP
     assert_matches_reference(grp, pts)
+
+
+# -- row kernels: a row's bits do not depend on the call ------------------------
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", ["Z5", "D6", "football5", "S2/Oh"])
+@given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 64),
+       data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_row_kernels_give_a_row_its_bits_alone(name, seed, size, data):
+    """row_apply, row_dot, translates and row_distances give a row the same
+    bits at any position of a batch of any size as in a one-row call."""
+    grp = group(name)
+    n = grp.dimension
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(size, n)) * 10.0 ** rng.integers(-3, 4, size=(size, 1))
+    b = rng.normal(size=(size, n))
+    m = rng.normal(size=(n, n))
+    i = data.draw(st.integers(0, size - 1), label="row")
+    one = slice(i, i + 1)
+    assert _bits(G.row_apply(m, a)[i]) == _bits(G.row_apply(m, a[one])[0]) \
+        == _bits(m @ a[i])
+    assert _bits(G.row_apply(grp.matrices[:, None], a)[:, i]) == \
+        _bits([g @ a[i] for g in grp.matrices])
+    assert _bits(G.row_dot(a, b)[i]) == _bits(G.row_dot(a[one], b[one])[0]) \
+        == _bits(np.dot(a[i], b[i]))
+    assert _bits(G.translates(grp, a)[i]) == _bits(G.translates(grp, a[one])[0]) \
+        == _bits([g @ a[i] for g in grp.matrices])
+    flat = M.ModelSpace(M.FLAT, n, radius=2.0)
+    assert _bits(flat.row_distances(a, b)[i]) == \
+        _bits(flat.row_distances(a[one], b[one])[0])
+    if n == 3:
+        # unit rows, every other b a rounding step from orthogonal to its a,
+        # where the distance kernel switches branch
+        u = a / np.linalg.norm(a, axis=1, keepdims=True)
+        v = b - (b * u).sum(axis=1, keepdims=True) * u
+        v[::2] += rng.uniform(-1e-15, 1e-15, size=(len(v[::2]), 1)) * u[::2]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        sphere = M.ModelSpace(M.SPHERE, 2)
+        assert _bits(sphere.row_distances(u, v)[i]) == \
+            _bits(sphere.row_distances(u[one], v[one])[0])
 
 
 def test_close_mask_memory_does_not_grow_with_order_squared():

@@ -25,7 +25,7 @@ from orbidiff import riemann as R
 from orbidiff import tangent as T
 from orbidiff.errors import ChartMismatch
 from orbidiff.groups import rotation_2d, rotation_about_z, row_apply
-from test_kernels import POLYHEDRAL
+from test_kernels import POLYHEDRAL, in_chart
 
 
 def _sphere(name):
@@ -218,7 +218,7 @@ def reference_source_chart(atlas, grp, z):
     """The first chart_hits hit of z, one one-point chart test per (chart, label)."""
     for k, ck in enumerate(atlas):
         for lab in range(grp.order):
-            if ck.contains(grp.act(lab, z), slack=0.0):
+            if in_chart(ck, grp.act(lab, z)):
                 return k, lab
     return None
 
