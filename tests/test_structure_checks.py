@@ -242,7 +242,7 @@ def reference_conjugate_identity_lift(id_group, assignment, g, tol=1e-8):
         match = None
         for loc in range(chart.isotropy.order):
             m = chart.isotropy.matrix(loc)
-            if float(np.abs(vals - pts @ m.T).max()) <= tol:
+            if float(np.abs(vals - row_apply(m, pts)).max()) <= tol:
                 match = loc
                 break
         if match is None:
