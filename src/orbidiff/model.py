@@ -295,7 +295,11 @@ class GoodOrbifold:
 
         Rows are canonical representatives, deduplicated.  For each
         non-identity element we sample its fixed subspace intersected with the
-        model (flat: the fixed subspace ball; sphere: its unit sphere).
+        model.  Flat: the coefficient grid of the fixed subspace, kept inside
+        0.98R.  Sphere: a fixed line gives its two unit vectors; a fixed
+        k-space (k > 1) gives the rows of its coefficient grid on the boundary
+        of the cube [-1, 1]^k, which radial projection maps one to one onto
+        the fixed (k-1)-sphere (4(r-1) rows on a mirror circle).
         """
         # every candidate lies in the model: norm below 0.98R, or a unit vector
         cands: list[np.ndarray] = []
@@ -318,7 +322,7 @@ class GoodOrbifold:
             elif k > 1:
                 axis = np.linspace(-1, 1, max(resolution, 3))
                 coeffs = np.array(list(itertools.product(axis, repeat=k)))
-                coeffs = coeffs[np.sqrt(row_dot(coeffs, coeffs)) > 1e-9]
+                coeffs = coeffs[np.abs(coeffs).max(axis=1) == 1.0]
                 cands.extend(self.model.project(row_apply(basis.T, coeffs)))
         pts = np.reshape(cands, (-1, self.model.ambient_dim))
         reps = canonical_representatives(

@@ -204,8 +204,10 @@ def _suite_group(ctx: _Context, records):
     rng = ctx.rng(1)
     mismatches = 0
     model = ctx.orbifold.model
-    for _ in range(8):
-        x = model.project_checked(ctx.orbifold.random_row(rng)[None])[0]
+    draws = [model.project_checked(ctx.orbifold.random_row(rng)[None])[0]
+             for _ in range(8)]
+    # random rows are regular; the singular rows are where stabilizers grow
+    for x in [*draws, *ctx.orbifold.singular_points(16)]:
         orb_size = orbit(grp, x).shape[0]
         stab_size = stabilizer(grp, x).order
         if orb_size * stab_size != grp.order:

@@ -23,8 +23,8 @@ from orbidiff import tangent as T
 from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
 from orbidiff.errors import NotCloseToIdentity, OutOfDomain
 from orbidiff.groups import row_apply
-from test_field_kernels import (CASES, THIRD_TURN, assert_bitwise, case,
-                                draw_points)
+from test_field_kernels import (CASES, QUARTER_TURN, THIRD_TURN, assert_bitwise,
+                                case, draw_points)
 
 STEP = 1e-5
 
@@ -101,9 +101,14 @@ def reference_sphere_grid(resolution):
     return np.stack(out)
 
 
-def reference_singular_points(orbifold, resolution):
-    """GoodOrbifold.singular_points with one product, norm or projection per
-    candidate."""
+def reference_singular_candidates(orbifold, resolution, dense=False):
+    """The candidate rows of GoodOrbifold.singular_points, one product, norm
+    or projection per candidate.
+
+    On the sphere a fixed k-space (k > 1) gives the coefficient rows on the
+    boundary of [-1, 1]^k; ``dense`` gives its whole nonzero coefficient grid
+    instead, the sampling the boundary rows replaced.
+    """
     model, group = orbifold.model, orbifold.group
     cands = []
     for lab in range(1, group.order):
@@ -125,12 +130,25 @@ def reference_singular_points(orbifold, resolution):
             axis = np.linspace(-1, 1, max(resolution, 3))
             for coeffs in itertools.product(axis, repeat=basis.shape[0]):
                 c = np.asarray(coeffs)
-                if np.linalg.norm(c) > 1e-9:
+                if np.abs(c).max() == 1.0 or (dense and np.linalg.norm(c) > 1e-9):
                     cands.append(reference_project(model, c @ basis))
-    pts = np.reshape(cands, (-1, model.ambient_dim))
+    return np.reshape(cands, (-1, model.ambient_dim))
+
+
+def reference_singular_points(orbifold, resolution, dense=False):
+    """GoodOrbifold.singular_points with one product, norm or projection per
+    candidate."""
+    group = orbifold.group
+    pts = reference_singular_candidates(orbifold, resolution, dense)
     reps = G.canonical_representatives(
         group, pts[G.fixing_mask(group, pts).sum(axis=1) > 1])
     return reps[M._first_by_key(reps)[0]]
+
+
+def reference_dense_singular_points(orbifold, resolution):
+    """reference_singular_points with every fixed plane of the sphere sampled
+    through its whole coefficient grid, not only the grid's boundary."""
+    return reference_singular_points(orbifold, resolution, dense=True)
 
 
 def reference_lift_exp(model, x, v):
@@ -363,6 +381,69 @@ def test_chart_samples_and_singular_points_match_reference(name):
     for resolution in (3, 16):
         assert_bitwise(orbifold.singular_points(resolution),
                        reference_singular_points(orbifold, resolution))
+
+
+SWAP_XY = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+MIRROR_GROUPS = {
+    "S2/D2h": [np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0]),
+               np.diag([1.0, 1.0, -1.0])],
+    "S2/C2v": [np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0])],
+    "S2/Td": [THIRD_TURN, np.diag([1.0, -1.0, -1.0]), SWAP_XY],
+    "S2/Th": [THIRD_TURN, np.diag([1.0, -1.0, -1.0]), -np.eye(3)],
+    "S2/D3d": [G.rotation_about_z(2.0 * np.pi / 3.0), np.diag([1.0, -1.0, -1.0]),
+               -np.eye(3)],
+    "S2/Oh": [THIRD_TURN, QUARTER_TURN, -np.eye(3)],
+}
+
+
+def sphere_structure(orbifold):
+    """Atlas, strata, identity lifts and overlap edges, as comparable values."""
+    grp = orbifold.group
+    atlas = M.build_atlas(orbifold, resolution=16)
+    edges = P.overlap_graph(orbifold, atlas)
+    return {
+        "centres": [chart.center.tobytes() for chart in atlas],
+        "radii": [chart.radius for chart in atlas],
+        "strata": [(layer.signature, layer.component_id)
+                   for layer in M.strata(orbifold, resolution=32)],
+        "assignments": P.enumerate_identity_lifts(orbifold, atlas,
+                                                  edges=edges).assignments,
+        "edges": [(e.i, e.j, e.eta, np.unique(G.fixing_mask(grp, e.singular_points),
+                                              axis=0).tolist()) for e in edges],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_GROUPS))
+def test_mirror_circle_boundary_rows_keep_the_sphere_structure(name, monkeypatch):
+    def build():
+        return M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
+                              G.generate_group(MIRROR_GROUPS[name]), name=name)
+
+    got = sphere_structure(build())
+    monkeypatch.setattr(M.GoodOrbifold, "singular_points",
+                        lambda self, resolution=16:
+                        reference_dense_singular_points(self, resolution))
+    assert got == sphere_structure(build())
+
+
+def widest_gap(angles):
+    angles = np.sort(angles)
+    return max(np.diff(angles).max(), 2.0 * np.pi - angles[-1] + angles[0])
+
+
+@pytest.mark.parametrize("mirror", [np.diag([1.0, 1.0, -1.0]), SWAP_XY],
+                         ids=["z = 0", "x = y"])
+def test_mirror_circle_rows_are_dense_rows_with_no_wider_gap(mirror):
+    group = G.generate_group([mirror])
+    orbifold = M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2), group, name="S2/mirror")
+    plane = np.linalg.svd(mirror - np.eye(3))[2][1:]
+    for resolution in range(3, 65):
+        got = orbifold.singular_points(resolution)
+        dense = G.canonical_representatives(
+            group, reference_singular_candidates(orbifold, resolution, dense=True))
+        assert {row.tobytes() for row in got} <= {row.tobytes() for row in dense}
+        assert widest_gap(np.arctan2(*row_apply(plane, got).T[::-1])) <= \
+            widest_gap(np.arctan2(*row_apply(plane, dense).T[::-1]))
 
 
 def test_sphere_grid_matches_the_point_loop():

@@ -3,13 +3,14 @@ replaced.
 
 The reference functions below are those loops, kept as oracles.  Every
 result is an integer table, so the array code must give the same tables in
-the same order.  Planted defects show that the identity-lift group checks
-and the suites' |G|/|Z(G)| comparisons can fail.
+the same order.  Planted defects show that the identity-lift group checks,
+the suites' |G|/|Z(G)| comparisons and the orbit-stabilizer record can fail.
 """
 
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -253,3 +254,20 @@ def test_suite_records_fail_when_a_conjugation_table_is_dropped(monkeypatch):
     records = {(suite, rec.name): rec for suite, rec in report.records}
     for key in (("group", "inner_automorphism_count"), ("maps", "theta_choices")):
         assert "  pass: false" in records[key].lines()
+
+
+def test_orbit_stabilizer_record_fails_when_a_stabilizer_drops_a_label(monkeypatch):
+    # random rows are regular, where the dropped label is never there to drop;
+    # the cone points of the football are not
+    def dropping(grp, point):
+        labels = G.stabilizer(grp, point).parent_labels
+        return types.SimpleNamespace(order=len(labels) - (len(labels) > 1))
+
+    config = parse_config(DEFAULT_FOOTBALL3)
+    rec, = [rec for _, rec in S.run_suite(config, suites=("group",)).records
+            if rec.name == "orbit_stabilizer"]
+    assert rec.passed
+    monkeypatch.setattr(S, "stabilizer", dropping)
+    rec, = [rec for _, rec in S.run_suite(config, suites=("group",)).records
+            if rec.name == "orbit_stabilizer"]
+    assert "  pass: false" in rec.lines()
