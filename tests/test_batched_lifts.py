@@ -436,6 +436,7 @@ def widest_gap(angles):
 def test_mirror_circle_rows_are_dense_rows_with_no_wider_gap(mirror):
     group = G.generate_group([mirror])
     orbifold = M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2), group, name="S2/mirror")
+    # the fixed plane: the right singular vectors of singular value 0
     plane = np.linalg.svd(mirror - np.eye(3))[2][1:]
     for resolution in range(3, 65):
         got = orbifold.singular_points(resolution)
