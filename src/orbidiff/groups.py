@@ -289,9 +289,10 @@ class GroupHom:
     def matrix(self, label: int) -> np.ndarray:
         return self.target.matrix(self.table[label])
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
-        """True when every source element maps to the same matrix in the target."""
+        """True when every source element maps to the same matrix in the
+        target; computed on first use."""
         images = self.target.matrices[list(self.table)]
         return float(np.abs(self.source.matrices - images).max()) < EPS_GRP
 

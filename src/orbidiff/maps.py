@@ -61,12 +61,17 @@ def _by_func(funcs: Sequence[Callable], charts: Sequence[DerivedChart],
              ) -> list[np.ndarray]:
     """run(func, rows) once per distinct func, on the stacked grids of the
     charts paired with it; each of run's arrays comes back over all the rows
-    of atlas_grid(charts, per_axis), in chart order."""
+    of atlas_grid(charts, per_axis), in chart order.  A func's rows are those
+    whose entry in one per-row owner index is its group."""
     pts = atlas_grid(charts, per_axis)
-    chart = _grid_charts(charts, per_axis)
+    func_groups = _func_groups(funcs)
+    owner = np.empty(len(charts), dtype=int)
+    for k, idx in enumerate(func_groups):
+        owner[idx] = k
+    owner = owner[_grid_charts(charts, per_axis)]
     out: list[np.ndarray] = []
-    for idx in _func_groups(funcs):
-        rows = np.flatnonzero(np.isin(chart, idx))
+    for k, idx in enumerate(func_groups):
+        rows = np.flatnonzero(owner == k)
         arrays = run(funcs[idx[0]], pts[rows])
         out = out or [np.empty((len(pts), *a.shape[1:])) for a in arrays]
         for whole, part in zip(out, arrays):
@@ -562,6 +567,12 @@ def cs_distance(f: OrbifoldMapData, g: OrbifoldMapData, s: int = 0,
     grid of lift and FD-derivative differences; the report takes the max over
     charts.  Orders above 2 are rejected: finite differences there cannot
     support the library's tolerances in double precision.
+
+    The jets of each (funcs, charts) pair are built once per call and read by
+    both one-sided passes, so a lift runs once per grid kind when f and g
+    share their chart objects; a g whose lifts sit on other chart objects
+    (found by ``lift_at``'s centre match) has its jets built on each side's
+    charts.
     """
     if s not in (0, 1, 2):
         raise ValueError("s must be 0, 1, or 2")
@@ -572,17 +583,22 @@ def cs_distance(f: OrbifoldMapData, g: OrbifoldMapData, s: int = 0,
     tgt = f.target.group
     model = f.source.model
 
+    built: dict[tuple, list[np.ndarray]] = {}
+
     def jets(funcs: list[Callable], charts: list[DerivedChart]) -> list[np.ndarray]:
         """Its func's values on each chart grid and, at s > 0, its FD
         derivatives on the coarser per_axis=3 grids that bound their cost,
         stacked in chart order; one _lift_jet per distinct func and grid
-        kind."""
-        out = _by_func(funcs, charts, per_axis,
-                       lambda func, pts: _lift_jet(model, func, pts, 0, FD_STEP))
-        if s:
-            out += _by_func(funcs, charts, 3, lambda func, pts:
-                            _lift_jet(model, func, pts, s, FD_STEP)[1:])
-        return out
+        kind, on the first request for these funcs and charts."""
+        key = (tuple(map(id, funcs)), tuple(map(id, charts)))
+        if key not in built:
+            out = _by_func(funcs, charts, per_axis, lambda func, pts:
+                           _lift_jet(model, func, pts, 0, FD_STEP))
+            if s:
+                out += _by_func(funcs, charts, 3, lambda func, pts:
+                                _lift_jet(model, func, pts, s, FD_STEP)[1:])
+            built[key] = out
+        return built[key]
 
     def one_sided(a: OrbifoldMapData, b: OrbifoldMapData) -> list[float]:
         charts = [ea.chart for ea in a.lifts]

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
                      UnsupportedModel)
 from . import groups
-from .groups import (EPS_GRP, FiniteActionGroup, _snap,
+from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, _snap,
                      canonical_representatives, cyclic_rotation_group,
                      dihedral_group, fixing_mask, football_rotation_group,
                      generate_group, group_from_elements, orbit, row_apply,
@@ -94,13 +94,16 @@ class ModelSpace:
         of a to the matching row of b.
 
         This is the library's one distance kernel.  Each entry is the same
-        bits whatever rows share the call: ``np.linalg.norm`` sums each row's
-        squares on their own, and ``row_dot`` takes each sign as ``np.dot``.
+        bits whatever rows share the call: the sums of squares (written out
+        on the flat branch, the expression ``np.linalg.norm`` runs along an
+        axis) add each row's squares on their own, and ``row_dot`` takes
+        each sign as ``np.dot``.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind == FLAT:
-            return np.linalg.norm(a - b, axis=-1)
+            d = a - b
+            return np.sqrt(np.add.reduce(d * d, axis=-1))
         # chord-based great-circle distance: full precision at both ends,
         # unlike arccos of the dot product which loses ~1e-8 near zero
         near = row_dot(a, b) >= 0.0
@@ -332,7 +335,11 @@ class GoodOrbifold:
 
 @dataclass(frozen=True)
 class DerivedChart:
-    """Metric ball chart around a model point, with its isotropy subgroup."""
+    """Metric ball chart around a model point, with its isotropy subgroup.
+
+    The sample grids and the isotropy's inclusion into the group are built
+    on first use and kept on the chart.
+    """
 
     orbifold: GoodOrbifold
     center: np.ndarray
@@ -356,6 +363,12 @@ class DerivedChart:
             pts.setflags(write=False)
             self._grids[key] = pts
         return self._grids[key]
+
+    @functools.cached_property
+    def inclusion(self) -> GroupHom:
+        """The inclusion of the isotropy into the orbifold's group, built and
+        validated once."""
+        return GroupHom.inclusion(self.isotropy, self.orbifold.group)
 
     def __repr__(self) -> str:
         return (f"DerivedChart(center={np.round(self.center, 4)}, "

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import (ChartMismatch, CoverGap, ImageEscapesChart,
                      NotCloseToIdentity, NotSPD, OutOfDomain, ThetaNotIdentity)
 from . import groups
-from .groups import (EPS_GRP, GroupHom, fixing_mask, row_apply, row_dot,
-                     stabilizer, translates)
+from .groups import (EPS_GRP, fixing_mask, row_apply, row_dot, stabilizer,
+                     translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData, _by_func,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
@@ -37,8 +37,9 @@ INNER_FRACTION = 0.55       # verify_diffeo's inner ball, per chart radius
 # -- partitions of unity ---------------------------------------------------------
 
 def _bump(u: np.ndarray) -> np.ndarray:
-    """Cubic cutoff in the radius-squared variable; C^2 across the edge."""
-    return np.where(u < 1.0, (1.0 - np.minimum(u, 1.0)) ** 3, 0.0)
+    """Cubic cutoff in the radius-squared variable; C^2 across the edge,
+    and 0 at and past it, at inf and at NaN (``fmin`` takes the 1 there)."""
+    return (1.0 - np.fmin(u, 1.0)) ** 3
 
 
 @dataclass(frozen=True)
@@ -69,26 +70,31 @@ class PartitionOfUnity:
     def _raw(self, pts: np.ndarray) -> np.ndarray:
         """(k, n) -> (k, charts) group-averaged bumps, before normalizing: one
         distance call per block of about ``groups._BLOCK`` (translate, chart)
-        pairs, summing over the group along the last axis as the one-point sum did."""
+        pairs, summing over the group along the last axis as the one-point sum did.
+        Raises OutOfDomain on rows of the wrong width and on the first row
+        holding a NaN or an infinity."""
         model = self.orbifold.model
         grp = self.orbifold.group
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != model.ambient_dim:
             raise OutOfDomain(f"partition points have shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise OutOfDomain(f"partition point {bad} is not finite: {pts[bad]}")
         centres, radii = self._charts
         step = max(1, groups._BLOCK // (grp.order * len(self.atlas)))
         out = np.empty((len(pts), len(self.atlas)))
         for lo in range(0, len(pts), step):
             trans = translates(grp, pts[lo:lo + step])[:, None]
             u = (model.distances(trans, centres) / radii) ** 2
-            out[lo:lo + step] = _bump(u).sum(axis=2) / grp.order
+            out[lo:lo + step] = np.add.reduce(_bump(u), axis=2) / grp.order
         return out
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """(k, n) -> (k, charts): every normalized weight at every point."""
         raw = self._raw(pts)
         total = _row_totals(raw)[:, None]
-        return np.divide(raw, total, out=np.zeros_like(raw), where=total > 0.0)
+        return np.divide(raw, total, out=np.zeros(raw.shape), where=total > 0.0)
 
     def total(self, y: np.ndarray) -> float:
         return float(_row_totals(self.values(np.asarray(y, dtype=float)[None]))[0])
@@ -389,8 +395,7 @@ def E_apply(sigma: Orbisection, exp_map: ExpMap,
     def func(pts: np.ndarray) -> np.ndarray:
         return exp_map.lift_exp(pts, sigma.field(pts))
 
-    lifts = [ChartLift(ch, func, GroupHom.inclusion(ch.isotropy, orbifold.group))
-             for ch in sigma.atlas]
+    lifts = [ChartLift(ch, func, ch.inclusion) for ch in sigma.atlas]
     return OrbifoldMapData(orbifold, orbifold, lifts, degree=2,
                            name=name or f"E[{sigma.name}]",
                            global_lift=func,

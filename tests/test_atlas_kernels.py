@@ -30,7 +30,8 @@ from orbidiff import tangent as T
 from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
 from orbidiff.errors import (BranchAmbiguity, ChartMismatch,
                              EquivarianceViolation, ImageEscapesChart,
-                             NotCloseToIdentity, OutOfDomain)
+                             NotCloseToIdentity, OutOfDomain,
+                             ThetaNotIdentity)
 from orbidiff.groups import (FD_STEP, GroupHom, row_apply, row_dot, stabilizer,
                              translates)
 from test_batched_lifts import (STEP, chain, reference_ball_grid,
@@ -671,18 +672,107 @@ def test_cs_distance_matches_the_per_chart_jets(name, s):
 
 
 def test_cs_distance_runs_each_distinct_lift_once(monkeypatch):
-    _, f, _, split, idm, _ = _maps("football3")
+    _, f, g, split, idm, _ = _maps("football3")
+    # g's lifts on new chart objects with f's centres and radii, which
+    # lift_at finds by centre
+    copies = [M.DerivedChart(e.chart.orbifold, e.chart.center, e.chart.radius,
+                             e.chart.isotropy) for e in g.lifts]
+    moved = P.OrbifoldMapData(
+        g.source, g.target,
+        [P.ChartLift(ch, e.func, e.theta) for ch, e in zip(copies, g.lifts)],
+        degree=g.degree)
+    want = [reference_cs_distance(f, moved, s, 4) for s in (0, 1)]
     calls = Counter()
     lift_jet = P._lift_jet
     monkeypatch.setattr(P, "_lift_jet", lambda model, func, *a: calls.update(
         [id(func)]) or lift_jet(model, func, *a))
     P.cs_distance(f, split, s=1, per_axis=4)
-    # the lifts of f and g and split's own lift per odd chart, each once per
-    # side for the values and once for the derivatives
-    assert len(calls) == 2 + len(f.lifts) // 2 and set(calls.values()) == {4}
+    # the lifts of f and g and split's own lift per odd chart, each once for
+    # the values and once for the derivatives, read by both sides
+    assert len(calls) == 2 + len(f.lifts) // 2 and set(calls.values()) == {2}
     calls.clear()
     P.cs_distance(f, idm, s=0, per_axis=4)
-    assert len(calls) == 1 + len(idm.lifts) and set(calls.values()) == {2}
+    assert len(calls) == 1 + len(idm.lifts) and set(calls.values()) == {1}
+    # each side's jets are built on its own charts, so f's one lift and g's
+    # one lift each run on both chart lists
+    for s in (0, 1):
+        calls.clear()
+        report = P.cs_distance(f, moved, s=s, per_axis=4)
+        assert calls == {id(f.global_lift): 2 + 2 * s,
+                         id(g.global_lift): 2 + 2 * s}
+        assert (report.per_chart, report.value) == want[s]
+
+
+def test_E_apply_validates_each_charts_inclusion_once(monkeypatch):
+    orbifold = M.football(3)
+    atlas = M.build_atlas(orbifold, resolution=20)
+    exp_map = R.ExpMap.closed_form(orbifold)
+    sigma = T.random_orbisection(orbifold, atlas, np.random.default_rng(4), 0.04)
+    built = Counter()
+    post_init = GroupHom.__post_init__
+
+    def counted(self):
+        built["GroupHom"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(GroupHom, "__post_init__", counted)
+    first = R.E_apply(sigma, exp_map)
+    assert built["GroupHom"] == len(atlas)
+    built.clear()
+    second = R.E_apply(T.scale(sigma, 0.5), exp_map)
+    assert built["GroupHom"] == 0
+    monkeypatch.undo()
+    for f in (first, second):
+        for ch, entry in zip(atlas, f.lifts):
+            assert entry.theta is ch.inclusion
+            assert entry.theta.table == \
+                GroupHom.inclusion(ch.isotropy, orbifold.group).table
+    sigma_back = R.E_inverse(second, exp_map)
+    assert sigma_back.atlas == tuple(atlas)
+
+
+def test_E_inverse_refuses_a_twisted_map_every_time():
+    """The half turn about the x axis inverts each cone's rotations, so its
+    homomorphisms are not the identity there."""
+    orbifold, atlas = case("football3")
+    exp_map, f, _, _, _, _ = _maps("football3")
+    flip = np.diag([1.0, -1.0, -1.0])
+    twisted = P.map_from_global(orbifold, orbifold,
+                                lambda pts: row_apply(flip, pts), atlas,
+                                inverse=lambda pts: row_apply(flip, pts))
+    for _ in range(2):
+        with pytest.raises(ThetaNotIdentity):
+            R.E_inverse(twisted, exp_map)
+        assert R.E_inverse(f, exp_map).atlas == f.atlas
+    assert all(e.theta.is_identity for e in f.lifts)
+    assert not all(e.theta.is_identity for e in twisted.lifts)
+
+
+@pytest.mark.parametrize("per_axis", [3, 4])
+def test_by_func_with_interleaved_funcs_matches_per_chart_calls(per_axis):
+    _, atlas = case("football3")
+    assert len(atlas) >= 4
+
+    def f1(pts):
+        return pts * 2.0 + 1.0
+
+    def f2(pts):
+        return pts * pts - 0.5
+
+    funcs = [(f1, f2)[k % 2] for k in range(len(atlas))]
+    ran = []
+
+    def run(func, pts):
+        ran.append(func)
+        vals = func(pts)
+        return [vals, vals[:, :1] * 3.0]
+
+    got = P._by_func(funcs, atlas, per_axis, run)
+    assert ran == [f1, f2]
+    want = [run(func, ch.sample_points(per_axis=per_axis))
+            for func, ch in zip(funcs, atlas)]
+    for k, arr in enumerate(got):
+        assert_bitwise(arr, np.concatenate([w[k] for w in want]))
 
 
 @pytest.mark.parametrize("name", ["football3", "S2/Oh", "disk_Z4"])

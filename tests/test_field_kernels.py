@@ -54,6 +54,11 @@ def case(name):
 
 # -- per-point references --------------------------------------------------------
 
+def reference_bump(u):
+    """The cubic cutoff written out: (1 - u)^3 below 1, else 0."""
+    return np.where(u < 1, (1 - np.minimum(u, 1)) ** 3, 0)
+
+
 def reference_raw_weights(orbifold, atlas):
     model, grp = orbifold.model, orbifold.group
 
@@ -61,7 +66,7 @@ def reference_raw_weights(orbifold, atlas):
         def w(y):
             pts = grp.matrices @ np.asarray(y, dtype=float)
             u = (model.distances(pts, chart.center) / chart.radius) ** 2
-            return float(R._bump(u).sum() / grp.order)
+            return float(reference_bump(u).sum() / grp.order)
         return w
 
     return [raw_weight(ch) for ch in atlas]
@@ -338,6 +343,29 @@ def test_distances_do_not_depend_on_the_rows_beside():
         assert_bitwise(whole, reference_sphere_distances(pts, q))
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 8, 9, 12])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_flat_distances_are_the_norm_of_the_difference(width, data):
+    """The flat branch is np.linalg.norm(a - b, axis=-1) bit for bit, NaN
+    and infinities included, across the 8-coordinate pairwise threshold."""
+    model = M.ModelSpace(M.FLAT, width, radius=1.0)
+    coords = st.one_of(st.floats(allow_nan=True, allow_infinity=True,
+                                 width=64),
+                       st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+    rows = data.draw(st.integers(0, 5))
+    a = np.array(data.draw(st.lists(coords, min_size=rows * width,
+                                    max_size=rows * width)),
+                 dtype=float).reshape(rows, width)
+    b = np.array(data.draw(st.lists(coords, min_size=width, max_size=width)),
+                 dtype=float)
+    with np.errstate(all="ignore"):
+        want = np.linalg.norm(a - b, axis=-1)
+        assert_bitwise(model.row_distances(a, b), want)
+        assert_bitwise(model.row_distances(a[:, None], b[None, None]),
+                       want[:, None])
+
+
 def test_distance_is_distances_row_by_row():
     # near-orthogonal sphere rows, where the two branches differ by an ulp,
     # and random flat rows, where a 1-D dot product and a row norm add the
@@ -472,6 +500,30 @@ def test_partition_refuses_rows_of_the_wrong_width():
         pou.values(np.zeros(2))
     with pytest.raises(CoverGap):
         R.PartitionOfUnity(orbifold, ())
+    # a NaN or an infinity names the first row holding one, before any
+    # arithmetic can warn on it
+    for bad in (np.nan, np.inf, -np.inf):
+        rows = np.full((4, 2), 0.1)
+        rows[2, 1] = rows[3, 0] = bad
+        with pytest.raises(OutOfDomain, match="partition point 2 is not finite"):
+            pou.values(rows)
+        with pytest.raises(OutOfDomain, match="partition point 0 is not finite"):
+            pou.total(rows[3])
+        with pytest.raises(OutOfDomain, match="partition point 2 is not finite"):
+            pou.verify(rows)
+
+
+# the cutoff's edges: zero, the least subnormal, one ulp either side of the
+# rim, past it, infinity and NaN
+BUMP_POINTS = [0.0, -0.0, 5e-324, 0.5, float(np.nextafter(1.0, 0.0)), 1.0,
+               float(np.nextafter(1.0, 2.0)), 2.0, np.inf, np.nan]
+
+
+@given(st.lists(st.floats(min_value=0.0), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_bump_is_the_written_cubic(values):
+    u = np.array(BUMP_POINTS + values)
+    assert_bitwise(R._bump(u), reference_bump(u))
 
 
 def test_empty_inputs_give_empty_matrices():
