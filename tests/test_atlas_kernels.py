@@ -727,8 +727,6 @@ def test_E_apply_validates_each_charts_inclusion_once(monkeypatch):
             assert entry.theta is ch.inclusion
             assert entry.theta.table == \
                 GroupHom.inclusion(ch.isotropy, orbifold.group).table
-    sigma_back = R.E_inverse(second, exp_map)
-    assert sigma_back.atlas == tuple(atlas)
 
 
 def test_E_inverse_refuses_a_twisted_map_every_time():
