@@ -178,9 +178,14 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
             continue
         mat = _matrix(value, amb, f"orbifold.generator[{len(generators)}]")
         if not is_orthogonal(mat):
+            # np.round(x, 6) overflows past about 1e302; entries past 1e15
+            # show as given
+            shown = mat.copy()
+            small = np.abs(mat) < 1e15
+            shown[small] = np.round(mat[small], 6)
             raise ConfigInvalid(
                 f"orbifold.generator[{len(generators)}] (line {lineno}): matrix "
-                f"{np.round(mat, 6).tolist()} is not orthogonal within 1e-12")
+                f"{shown.tolist()} is not orthogonal within 1e-12")
         generators.append(mat)
 
     atlas = by_name.get("atlas", [])

@@ -34,6 +34,10 @@ def is_orthogonal(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
+    # entries of an orthogonal matrix lie in [-1, 1]; larger or non-finite
+    # ones would overflow or make NaN in the product, with a warning
+    if not (np.abs(m) <= 1.0 + ORTHO_TOL).all():
+        return False
     return float(np.abs(m.T @ m - np.eye(m.shape[0])).max()) < ORTHO_TOL
 
 
@@ -379,9 +383,27 @@ def fixing_mask(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
                            for b in np.array_split(pts, range(step, len(pts), step))])
 
 
-def _distinct_translates(trans: np.ndarray, tol: float) -> np.ndarray:
+def _certify_distinct(trans: np.ndarray, tol: float) -> np.ndarray:
+    """(k, order, n) -> (k,): True where no two of a row's translates lie
+    within tol of each other on every axis.
+
+    Two such translates project onto u = cos(1..n) within |u|₁·tol of each
+    other, so a row passes when every gap between its sorted projections is
+    at least the margin 2·|u|₁·tol.  The factor 2 absorbs the rounding of
+    the projections; past coordinates of about 1e6, where that rounding
+    could exceed tol, the margin grows with the batch's largest coordinate.
+    A row holding a NaN fails."""
+    n = trans.shape[2]
+    u = np.cos(np.arange(1.0, n + 1.0))
+    proj = np.sort(trans @ u, axis=1)
+    scale = np.fmax.reduce(np.abs(trans), axis=None, initial=0.0)   # skips NaN
+    margin = 2.0 * np.abs(u).sum() * max(tol, n * np.finfo(float).eps * scale)
+    return (np.diff(proj, axis=1) >= margin).all(axis=1)
+
+
+def _pairwise_walk(trans: np.ndarray, tol: float) -> np.ndarray:
     """(k, order) mask of the translates kept by a walk in label order that
-    drops each translate within tol of one already kept."""
+    drops each translate within tol of one already kept; O(order²) per row."""
     k, order, n = trans.shape
     keep = np.ones((k, order), dtype=bool)
     step = max(1, _BLOCK // (k * order))
@@ -396,11 +418,29 @@ def _distinct_translates(trans: np.ndarray, tol: float) -> np.ndarray:
     return keep
 
 
+def _distinct_translates(trans: np.ndarray, tol: float) -> np.ndarray:
+    """(k, order) mask of the translates kept by a walk in label order that
+    drops each translate within tol of one already kept.
+
+    A row that ``_certify_distinct`` clears keeps every translate, at
+    O(order log order) cost; only the others, on or within about tol of a
+    fixed set, go through ``_pairwise_walk``.  Rows are independent, so the
+    mask is the walk's on every row."""
+    keep = np.ones(trans.shape[:2], dtype=bool)
+    near = ~_certify_distinct(trans, tol)
+    if near.any():
+        keep[near] = _pairwise_walk(trans[near], tol)
+    return keep
+
+
 def canonical_representatives(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
     """(k, n) -> (k, n): the distinct translate with the lexicographically
-    least snapped coordinates; ties go to the lower group label."""
+    least snapped coordinates; ties go to the lower group label.
+
+    Blocks of ``_BLOCK // order`` rows keep the translates near ``_BLOCK``
+    rows; the pairwise walk bounds its own mask for the rows it gets."""
     out = np.empty(np.shape(pts))
-    chunk = max(1, _BLOCK // group.order ** 2)
+    chunk = max(1, _BLOCK // group.order)
     for lo in range(0, len(pts), chunk):
         trans = translates(group, pts[lo:lo + chunk])
         keys = np.where(_distinct_translates(trans, EPS_GRP)[..., None],

@@ -291,6 +291,23 @@ class GoodOrbifold:
                 out[lo:lo + rows, co:co + cols] = np.minimum(d_ab, d_ba.T)
         return out
 
+    def quotient_pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(N, n), (N, n) canonical rows -> (N,): entry k is entry (k, k) of
+        ``quotient_distances(a, b)``, bit for bit, without the other pairs.
+        Blocks of rows keep each block's translates near ``groups._BLOCK``."""
+        n = self.model.ambient_dim
+        a = np.asarray(a, dtype=float).reshape(-1, n)
+        b = np.asarray(b, dtype=float).reshape(-1, n)
+        step = max(1, groups._BLOCK // self.group.order)
+        dist = self.model.row_distances
+        out = np.empty(len(a))
+        for lo in range(0, len(a), step):
+            ab, bb = a[lo:lo + step], b[lo:lo + step]
+            d_ab = dist(translates(self.group, ab), bb[:, None]).min(axis=1)
+            d_ba = dist(translates(self.group, bb), ab[:, None]).min(axis=1)
+            out[lo:lo + step] = np.minimum(d_ab, d_ba)
+        return out
+
     # -- singular structure ----------------------------------------------------
 
     def singular_points(self, resolution: int = 16) -> np.ndarray:

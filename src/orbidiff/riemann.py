@@ -337,9 +337,7 @@ def exp_local_homeo_check(exp_map: ExpMap, row: np.ndarray, eps: float,
     canon = orbifold.canonicals(np.concatenate([ends, base_row]))
     pair_rows, images, base = canon[:2 * pairs], canon[2 * pairs:-1], canon[-1:]
 
-    # entry (k, k) compares the two images of pair k
-    same = np.diagonal(orbifold.quotient_distances(pair_rows[0::2],
-                                                   pair_rows[1::2])) < 1e-9
+    same = orbifold.quotient_pair_distances(pair_rows[0::2], pair_rows[1::2]) < 1e-9
     injective = not same.any()
     witness = None
     if not injective:

@@ -890,6 +890,25 @@ def test_homeo_check_matches_the_one_point_loop(name, base, planted):
         assert not got.injective and got.pairs_checked < 60
 
 
+def test_homeo_check_measures_its_pairs_without_the_pair_matrix(monkeypatch):
+    # the injectivity probe once built the (60, 60) quotient distance matrix
+    # to read its diagonal
+    orbifold, _ = case("S2/Oh")
+    calls = {"matrix": [], "pairs": []}
+    matrix, pairs = M.GoodOrbifold.quotient_distances, \
+        M.GoodOrbifold.quotient_pair_distances
+    monkeypatch.setattr(M.GoodOrbifold, "quotient_distances",
+                        lambda self, a, b: calls["matrix"].append((len(a), len(b)))
+                        or matrix(self, a, b))
+    monkeypatch.setattr(M.GoodOrbifold, "quotient_pair_distances",
+                        lambda self, a, b: calls["pairs"].append(len(a))
+                        or pairs(self, a, b))
+    R.exp_local_homeo_check(R.ExpMap.closed_form(orbifold), [0.0, 0.0, 1.0], 0.3,
+                            np.random.default_rng(11))
+    assert calls["pairs"] == [R.HOMEO_PAIRS]
+    assert (R.HOMEO_PAIRS, R.HOMEO_PAIRS) not in calls["matrix"]
+
+
 def test_homeo_check_refuses_an_image_outside_the_model():
     orbifold, _ = case("disk_Z4")
     exp_map = R.ExpMap.closed_form(orbifold)

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbidiff import cli
 from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
@@ -413,3 +419,92 @@ def test_cli_import_loads_no_scipy_subpackage():
         env=env, capture_output=True, text=True, check=True).stdout.split()
     heavy = ("scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.special")
     assert not [m for m in loaded if m.startswith(heavy)]
+
+
+@pytest.mark.parametrize("entry", ["1e308", "-1e308", "inf", "nan"])
+def test_huge_or_non_finite_generators_are_refused_quietly(entry):
+    # the orthogonality test once overflowed in its product, and the message
+    # overflowed in rounding, each with a RuntimeWarning
+    text = FLAT_Z2.replace("generator = -1", f"generator = {entry}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigInvalid, match="not orthogonal") as info:
+            parse_config(text)
+    assert f"[[{float(entry)}]]" in str(info.value)
+
+
+# -- fuzzed [orbifold] sections ------------------------------------------------
+
+ENTRY = ["0", "1", "-1", "0.5", "-0.5", "0.8660254037844387",
+         "-0.8660254037844387", "2", "1e-13", "1e308", "nan", "inf", "-inf",
+         "x", "1,0", "0x1"]
+# orthogonal generators by width, among them rotations of order 3, 4 and 6
+# that can close into infinite groups (refused past max_order)
+ORTHOGONAL = {
+    1: ["-1", "1"],
+    2: ["0 -1 1 0", "1 0 0 -1", "-0.5 -0.8660254037844387 0.8660254037844387 -0.5",
+        "0.5 -0.8660254037844387 0.8660254037844387 0.5"],
+    3: ["0 0 1 1 0 0 0 1 0", "0 -1 0 1 0 0 0 0 1", "-1 0 0 0 -1 0 0 0 -1",
+        "1 0 0 0 1 0 0 0 -1",
+        "0.5 -0.8660254037844387 0 0.8660254037844387 0.5 0 0 0 1",
+        "1 0 0 0 0.5 -0.8660254037844387 0 0.8660254037844387 0.5"],
+}
+
+
+@st.composite
+def generator_values(draw, width):
+    """An orthogonal matrix (of the model's width when it has one), one with
+    a token replaced, or a run of tokens."""
+    kind = draw(st.sampled_from(["orthogonal"] * 4 + ["spoiled", "tokens"]))
+    if kind == "tokens":
+        return " ".join(draw(st.lists(st.sampled_from(ENTRY), max_size=10)))
+    widths = [width] if width in ORTHOGONAL and draw(st.integers(0, 3)) else ORTHOGONAL
+    tokens = draw(st.sampled_from([m for w in widths for m in ORTHOGONAL[w]])).split()
+    if kind == "spoiled":
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(ENTRY))
+    return " ".join(tokens)
+
+
+@st.composite
+def orbifold_sections(draw):
+    model, dimension = draw(st.one_of(
+        st.sampled_from([("flat", "1"), ("flat", "2"), ("flat", "3"),
+                         ("sphere", "2")]),
+        st.tuples(st.sampled_from(["flat", "sphere", "torus", ""]),
+                  st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "x", ""]))))
+    width = int(dimension) + (model == "sphere") if dimension.isdigit() else None
+    gens = draw(st.lists(generator_values(width), max_size=3))
+    return "".join(["[orbifold]\nname = fuzz\n", f"model = {model}\n",
+                    f"dimension = {dimension}\n", "max_order = 48\n",
+                    *(f"generator = {g}\n" for g in gens)])
+
+
+# small grids keep each run short; the fuzz varies only [orbifold]
+FUZZ_REST = """
+[atlas]
+resolution = 9
+max_charts = 64
+
+[grids]
+strata_resolution = 16
+verify_resolution = 8
+
+[run]
+seed = 3
+"""
+
+
+@given(section=orbifold_sections())
+@settings(max_examples=40, deadline=10000)
+def test_fuzzed_orbifold_sections_exit_without_a_traceback(section):
+    # numpy warnings are errors here: one would be a traceback under -W error
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg_file = Path(tmp) / "fuzz.cfg"
+        cfg_file.write_text(section + FUZZ_REST)
+        code = cli.main(["run", "--config", str(cfg_file), "--suite", "group",
+                         "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

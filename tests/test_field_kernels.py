@@ -283,6 +283,32 @@ def test_atlas_prefixes_around_eight_charts_match_reference():
         assert pou.verify(pts[::4]) == reference_verify(orbifold, ref, pts[::4])
 
 
+@pytest.mark.parametrize("block", [G._BLOCK, 50, 7])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_pair_distances_are_the_matrix_diagonal(name, block, monkeypatch):
+    # rows on mirrors and axes, random rows and near-orthogonal pairs, where
+    # the sign of a dot product picks the distance branch; small blocks
+    # split the rows
+    monkeypatch.setattr(G, "_BLOCK", block)
+    orbifold, _ = case(name)
+    rng = np.random.default_rng(5)
+    n = orbifold.model.ambient_dim
+    pts = model_points(orbifold, rng.uniform(-1.0, 1.0, size=(80, n)))
+    pts[::4] = model_points(orbifold, np.round(pts[::4]))
+    if n == 3:
+        u = pts[:40]
+        v = rng.normal(size=u.shape)
+        v -= G.row_dot(v, u)[:, None] * u
+        pts[40:] = v / np.linalg.norm(v, axis=1, keepdims=True)
+    canon = orbifold.canonicals(pts)
+    a, b = canon[:40], canon[40:]
+    got = orbifold.quotient_pair_distances(a, b)
+    assert_bitwise(got, np.diagonal(orbifold.quotient_distances(a, b)))
+    assert_bitwise(got, [reference_quotient_distance(orbifold, x, y)
+                         for x, y in zip(a, b)])
+    assert orbifold.quotient_pair_distances(a[:0], b[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("p", [2, 5])
 def test_near_orthogonal_pairs_match_reference(p):
     # rotated translates end up orthogonal to b within rounding, where the

@@ -196,13 +196,19 @@ def test_row_kernels_give_a_row_its_bits_alone(name, seed, size, data):
             _bits(sphere.row_distances(u[one], v[one])[0])
 
 
-def test_close_mask_memory_does_not_grow_with_order_squared():
-    # Z_1024 built directly: generate_group takes minutes at this order
+@functools.cache
+def z1024():
+    # built directly: generate_group takes minutes at this order
     p = 1024
     labels = np.arange(p)
-    grp = G.FiniteActionGroup(
+    return G.FiniteActionGroup(
         [G.OrthogonalElement(G.rotation_2d(2.0 * np.pi * a / p), a) for a in labels],
         (labels[:, None] + labels[None]) % p)
+
+
+def test_close_mask_memory_does_not_grow_with_order_squared():
+    grp = z1024()
+    p = grp.order
     pts = np.array([[0.6, 0.1], [0.0, 0.0], [0.3 * G.EPS_GRP, 0.0], [-0.2, 0.5]])
     tracemalloc.start()
     try:
@@ -216,6 +222,108 @@ def test_close_mask_memory_does_not_grow_with_order_squared():
     assert len(orb) == p and canon[0].tobytes() == orb[0].tobytes()
     assert len(G.orbit(grp, pts[2])) == 1
     assert np.array_equal(canon[1], [0.0, 0.0])
+
+
+# -- the distinct-translate certificate -----------------------------------------
+
+def projection_gaps(trans):
+    """Least gap between each row's sorted translate projections onto
+    cos(1..n), and the certificate margin 2·|u|₁·EPS_GRP (rows below 1e6)."""
+    u = np.cos(np.arange(1.0, trans.shape[2] + 1.0))
+    proj = np.sort(trans @ u, axis=1)
+    return np.diff(proj, axis=1).min(axis=1), 2.0 * np.abs(u).sum() * G.EPS_GRP
+
+
+def assert_walk_gets_the_uncertified_rows(grp, pts):
+    """canonical_representatives hands the pairwise walk exactly the rows
+    with two translate projections within the margin, and each result is
+    the reference's bit for bit."""
+    seen = []
+    walk = G._pairwise_walk
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(G, "_pairwise_walk",
+                  lambda trans, tol: seen.append(trans) or walk(trans, tol))
+        canon = G.canonical_representatives(grp, pts)
+    trans = G.translates(grp, pts)
+    gaps, margin = projection_gaps(trans)
+    near = gaps < margin
+    walked = np.concatenate(seen) if seen else trans[:0]
+    assert walked.tobytes() == trans[near].tobytes()
+    for k, p in enumerate(pts):
+        assert canon[k].tobytes() == reference_orbit(grp, p)[0].tobytes()
+    return near
+
+
+@pytest.mark.parametrize("name", ["S2/O", "S2/D2h"])
+def test_only_rows_near_a_fixed_set_reach_the_walk(name):
+    grp = group(name)
+    pts = M.ModelSpace(M.SPHERE, 2).grid(32)
+    near = assert_walk_gets_the_uncertified_rows(grp, pts)
+    # the grid rows on mirrors and rotation axes, and no other
+    assert 0 < near.sum() < 0.25 * len(pts)
+    assert (G.fixing_mask(grp, pts[near]).sum(axis=1) > 1).all()
+
+
+# offsets of a few EPS_GRP either side of a fixed set, where translates come
+# within tol of some but not all others; at 0.5 two of them are tol apart
+OFFSETS = np.array([k * s for k in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0)
+                    for s in (1.0, -1.0)]) * G.EPS_GRP
+
+
+def near_fixed_rows(where):
+    """(group, rows) at each offset from a mirror of S²/D2h, from the
+    quarter-turn axis of S²/O, or from the fixed origin of Z_1024."""
+    off = OFFSETS[:, None]
+    if where == "mirror":
+        return group("S2/D2h"), np.array([0.6, 0.8, 0.0]) + off * [0.0, 0.0, 1.0]
+    if where == "axis":
+        return group("S2/O"), np.array([0.0, 0.0, 1.0]) + off * [1.0, 0.3, 0.0]
+    return z1024(), np.concatenate([off * [1.0, 0.0], off * [0.7, -1.0]])
+
+
+@pytest.mark.parametrize("where", ["mirror", "axis", "origin"])
+def test_rows_beside_a_fixed_set_match_the_reference(where):
+    grp, pts = near_fixed_rows(where)
+    assert_walk_gets_the_uncertified_rows(grp, pts)
+    for p in pts:
+        assert G.orbit(grp, p).tobytes() == reference_orbit(grp, p).tobytes()
+
+
+def test_rows_far_from_the_origin_match_the_reference():
+    # two translates closer than EPS_GRP, at coordinates where rounding the
+    # projections moves them by more than that: with the margin fixed at
+    # 2·|u|₁·EPS_GRP, 2,666 of 200,000 such rows passed the certificate
+    # (x86-64, OpenBLAS)
+    grp = G.generate_group([np.diag([1.0, -1.0])])
+    rng = np.random.default_rng(0)
+    x = rng.uniform(1e7, 1e9, 600)
+    y = rng.choice([-1.0, 1.0], 600) * rng.uniform(0.25, 0.49, 600) * G.EPS_GRP
+    pts = np.stack([x, y], axis=1)
+    canon = G.canonical_representatives(grp, pts)
+    for k, p in enumerate(pts):
+        ref = reference_orbit(grp, p)
+        assert len(ref) == 1
+        assert canon[k].tobytes() == ref[0].tobytes()
+        assert G.orbit(grp, p).tobytes() == ref.tobytes()
+
+
+def _zero_margin(trans, tol, certify=G._certify_distinct):
+    return certify(trans, 0.0)
+
+
+def _never_certified(trans, tol):
+    return np.zeros(len(trans), dtype=bool)
+
+
+@pytest.mark.parametrize("plant", [_zero_margin, _never_certified])
+def test_planted_certificate_defects_are_caught(plant, monkeypatch):
+    # a zero margin clears rows whose translates are closer than tol but not
+    # equal; a certificate that never passes sends every row to the walk
+    monkeypatch.setattr(G, "_certify_distinct", plant)
+    grp, pts = near_fixed_rows("axis")
+    pts = np.concatenate([M.ModelSpace(M.SPHERE, 2).grid(16), pts])
+    with pytest.raises(AssertionError):
+        assert_walk_gets_the_uncertified_rows(grp, pts)
 
 
 def test_singular_points_are_fixed_canonical_and_distinct():
