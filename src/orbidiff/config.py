@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, UnsupportedModel
 from .groups import generate_group, is_orthogonal, trivial_group
-from .model import FLAT, SPHERE, GoodOrbifold, ModelSpace
+from .model import GoodOrbifold, ModelSpace
 
 ALL_SUITES = ("group", "strata", "maps", "tangent", "riemann", "theorem1",
               "corollary2")
@@ -46,9 +46,7 @@ class SuiteConfig:
     """Validated configuration for one verification run."""
 
     name: str
-    model_kind: str
-    dimension: int
-    radius: float
+    model: ModelSpace
     generators: list[np.ndarray]
     max_order: int
     atlas_resolution: int
@@ -67,12 +65,11 @@ class SuiteConfig:
         return self.tolerances[key] * scale
 
     def build_orbifold(self) -> GoodOrbifold:
-        model = ModelSpace(self.model_kind, self.dimension, self.radius)
         if self.generators:
             group = generate_group(self.generators, max_order=self.max_order)
         else:
-            group = trivial_group(model.ambient_dim)
-        return GoodOrbifold(model, group, name=self.name)
+            group = trivial_group(self.model.ambient_dim)
+        return GoodOrbifold(self.model, group, name=self.name)
 
 
 def at_least(value: int, low: int, where: str) -> int:
@@ -161,17 +158,15 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
     if "orbifold" not in by_name:
         raise ConfigInvalid("missing required section [orbifold]")
     orb = by_name["orbifold"]
-    kind = _one(orb, "model", where="orbifold")
-    if kind not in (FLAT, SPHERE):
-        raise ConfigInvalid(f"orbifold.model: unknown model {kind!r} "
-                            f"(expected flat or sphere)")
-    dimension = _count(orb, "dimension", None, "orbifold")
-    if kind == SPHERE and dimension != 2:
-        raise ConfigInvalid("orbifold.dimension: sphere models support dimension 2")
-    radius = finite_positive(
-        _one(orb, "radius", default=1.0, cast=float, where="orbifold"),
-        "orbifold.radius")
-    amb = dimension + 1 if kind == SPHERE else dimension
+    try:
+        # the model's refusals name the field: model, dimension or radius
+        model = ModelSpace(_one(orb, "model", where="orbifold"),
+                           _count(orb, "dimension", None, "orbifold"),
+                           _one(orb, "radius", default=1.0, cast=float,
+                                where="orbifold"))
+    except UnsupportedModel as exc:
+        raise ConfigInvalid(f"orbifold.{exc}") from exc
+    amb = model.ambient_dim
     generators = []
     for key, value, lineno in orb:
         if key != "generator":
@@ -209,9 +204,7 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
 
     return SuiteConfig(
         name=_one(orb, "name", default=name_hint, where="orbifold"),
-        model_kind=kind,
-        dimension=dimension,
-        radius=radius,
+        model=model,
         generators=generators,
         max_order=_count(orb, "max_order", 4096, "orbifold"),
         atlas_resolution=_count(atlas, "resolution", 16, "atlas"),

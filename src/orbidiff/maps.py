@@ -20,7 +20,7 @@ from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
                      canonical_representatives, fixing_mask,
                      inner_automorphisms, row_apply, row_dot, translates)
-from .model import (FLAT, DerivedChart, GoodOrbifold, atlas_grid, build_atlas,
+from .model import (DerivedChart, GoodOrbifold, atlas_grid, build_atlas,
                     chart_hits, first_hits, stacked_charts)
 
 LIFT_TOL = 1e-9          # equivariance tolerance on validated lifts
@@ -260,9 +260,8 @@ def check_equivariance(f: OrbifoldMapData, per_axis: int = 5) -> EquivarianceRep
                 qb = f.target.canonicals(ej.func(trans[inside, lab]))
             except ValueError as exc:
                 raise ImageEscapesChart(str(exc)) from exc
-            # entry (k, k) compares the two images of sample k
-            gaps = f.target.quotient_distances(qa, qb)
-            commutation = max(commutation, float(np.diagonal(gaps).max()))
+            gaps = f.target.quotient_pair_distances(qa, qb)
+            commutation = max(commutation, float(gaps.max()))
     return EquivarianceReport(tuple(per_chart), commutation, per_axis)
 
 
@@ -465,12 +464,8 @@ def extend_lift(underlying: Callable[[np.ndarray], np.ndarray],
         pts = np.asarray(pts, dtype=float)
         dist = model.row_distances(big.center, pts)
         far = np.flatnonzero(dist > small.radius * 0.9)
-        direction = model.geo_log(big.center, pts[far])
-        norm = (dist[far] if model.kind == FLAT
-                else np.sqrt(row_dot(direction, direction)))
-        direction = direction / norm[:, None]
-        radii = np.linspace(small.radius * 0.9, dist[far], EXTENSION_STEPS, axis=1)
-        path = model.geo_exp(big.center, radii[..., None] * direction[:, None])
+        path = model.radial_paths(big.center, pts[far], dist[far],
+                                  small.radius * 0.9, EXTENSION_STEPS)
         model.project_checked(path.reshape(-1, model.ambient_dim))
         start = pts.copy()
         start[far] = path[:, 0]
@@ -502,12 +497,6 @@ def _steps(model, pts: np.ndarray, step: float) -> np.ndarray:
     """(..., n) points -> (..., dim, 2, n): each point moved by +step and
     -step along every axis of its tangent frame, in one geo_exp call."""
     dim = model.dimension
-    if model.kind == FLAT:
-        offsets = np.zeros((dim, 2, dim))
-        axes = np.arange(dim)
-        offsets[axes, 0, axes] = step
-        offsets[axes, 1, axes] = -step
-        return pts[..., None, None, :] + offsets
     n = pts.shape[-1]
     frames = model.tangent_frames(pts.reshape(-1, n)).reshape(*pts.shape[:-1], dim, n)
     return model.geo_exp(pts[..., None, None, :],
@@ -791,7 +780,7 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
 
 def _require_covering(orbifold: GoodOrbifold, charts: Sequence[DerivedChart],
                       resolution: int):
-    grid = orbifold.model.verification_domain(orbifold.model.grid(resolution))
+    grid = orbifold.model.verification_grid(resolution)
     covered = chart_hits(orbifold, charts, grid, 1.0 + 1e-9).any(axis=(1, 2))
     if not covered.all():
         raise AtlasNotCovering(

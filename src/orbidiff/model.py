@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,10 +36,11 @@ _EDGE_ROWS = 256              # moved points per neighbour query in strata
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Flat ball of a given radius, or the unit round sphere.
+    """Flat ball of a given radius, or the unit round sphere S^2; the one
+    place that tells the geometries apart.
 
     ``dimension`` is the manifold dimension; sphere points live in
-    ``dimension + 1`` ambient coordinates.
+    ``dimension + 1`` ambient coordinates.  A refusal names its field first.
     """
 
     kind: str
@@ -47,11 +49,20 @@ class ModelSpace:
 
     def __post_init__(self):
         if self.kind not in (FLAT, SPHERE):
-            raise UnsupportedModel(f"unknown model kind {self.kind!r}")
+            raise UnsupportedModel(f"model: unknown model {self.kind!r} "
+                                   f"(expected flat or sphere)")
         if self.dimension < 1:
-            raise UnsupportedModel("model dimension must be positive")
-        if self.kind == FLAT and self.radius <= 0:
-            raise UnsupportedModel("flat ball radius must be positive")
+            raise UnsupportedModel("dimension: must be positive")
+        if self.kind == SPHERE and self.dimension != 2:
+            raise UnsupportedModel("dimension: sphere models support dimension 2")
+        if self.kind == SPHERE and self.radius != 1.0:
+            raise UnsupportedModel(
+                f"radius: sphere models have radius 1, got {self.radius}")
+        # distances square differences of up to the diameter
+        if not (self.radius > 0 and math.isfinite(4.0 * self.radius * self.radius)):
+            raise UnsupportedModel(
+                f"radius: must be positive with a finite squared diameter, "
+                f"got {self.radius}")
 
     @property
     def ambient_dim(self) -> int:
@@ -123,7 +134,54 @@ class ModelSpace:
         return pts[np.linalg.norm(pts, axis=1)
                    <= self.radius * FLAT_DOMAIN_FACTOR + 1e-12]
 
+    def verification_grid(self, resolution: int) -> np.ndarray:
+        """The grid's rows in the verification domain."""
+        return self.verification_domain(self.grid(resolution))
+
     # -- geodesics (round metric on the sphere, Euclidean on the ball) ------
+
+    @property
+    def exp_bound(self) -> float:
+        """Tangent length of the cut locus (none on a flat ball)."""
+        return np.pi if self.kind == SPHERE else np.inf
+
+    @property
+    def injectivity_scale(self) -> float:
+        """Largest displacement that E_inverse inverts."""
+        return np.pi / 2 if self.kind == SPHERE else 0.5 * self.radius
+
+    def tangent_part(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(..., n) vectors at (..., n) rows -> v - (v.x) x on the sphere."""
+        v = np.asarray(v, dtype=float)
+        if self.kind == FLAT:
+            return v
+        return v - row_dot(v, x)[..., None] * x
+
+    def tangent_subspace(self, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Gram-Schmidt of the tangent parts of basis rows at the row x, in
+        order, skipping a remainder shorter than 1e-9."""
+        if self.kind == FLAT:
+            return basis
+        out = []
+        for r in basis:
+            r = self.tangent_part(x, r)
+            for o in out:
+                r = r - np.dot(r, o) * o
+            nr = float(np.linalg.norm(r))
+            if nr > 1e-9:
+                out.append(r / nr)
+        return np.stack(out) if out else np.zeros((0, self.ambient_dim))
+
+    def radial_paths(self, center: np.ndarray, rows: np.ndarray,
+                     lengths: np.ndarray, start: float, steps: int) -> np.ndarray:
+        """(k, n) rows at (k,) distances from center -> (k, steps, n) points
+        on the geodesic through each, from radius start out to the row."""
+        direction = self.geo_log(center, rows)
+        norm = (lengths if self.kind == FLAT
+                else np.sqrt(row_dot(direction, direction)))
+        direction = direction / norm[:, None]
+        radii = np.linspace(start, lengths, steps, axis=1)
+        return self.geo_exp(center, radii[..., None] * direction[:, None])
 
     def geo_exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Geodesic exponential of (..., n) rows; exp(x, 0) == x exactly."""
@@ -170,7 +228,7 @@ class ModelSpace:
         """
         x = np.asarray(x, dtype=float)
         if self.kind == FLAT:
-            return np.tile(np.eye(self.dimension), (len(x), 1, 1))
+            return np.repeat(np.eye(self.dimension)[None], len(x), axis=0)
         dim = self.dimension
         frames = np.zeros((len(x), dim, self.ambient_dim))
         filled = np.zeros(len(x), dtype=int)
@@ -194,8 +252,6 @@ class ModelSpace:
             pts = np.array(list(itertools.product(axis, repeat=self.dimension)))
             keep = np.linalg.norm(pts, axis=1) < self.radius * 0.98 + 1e-12
             return pts[keep]
-        if self.dimension != 2:
-            raise UnsupportedModel("sphere grids are implemented for S^2 only")
         thetas = np.linspace(0.0, np.pi, resolution)
         phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
         st, ct = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
@@ -495,7 +551,7 @@ def build_atlas(orbifold: GoodOrbifold, resolution: int = 16,
 
     @functools.cache    # the default passes repeat COVERAGE_RESOLUTION
     def ordered_samples(res: int) -> np.ndarray:
-        grid = model.verification_domain(model.grid(res))
+        grid = model.verification_grid(res)
         pts = np.concatenate([model.verification_domain(orbifold.singular_points(res)),
                               canonical_representatives(orbifold.group, grid)])
         idx, ranks = _first_by_key(pts)

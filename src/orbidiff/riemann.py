@@ -22,8 +22,8 @@ from .groups import (EPS_GRP, fixing_mask, row_apply, row_dot, stabilizer,
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData, _by_func,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
-from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, atlas_grid,
-                    chart_hits, first_hits, stacked_charts)
+from .model import (DerivedChart, GoodOrbifold, atlas_grid, chart_hits,
+                    first_hits, stacked_charts)
 from .tangent import (Orbisection, random_orbisection, scale as scale_section,
                       seminorm)
 
@@ -126,8 +126,7 @@ def equivariant_partition_of_unity(orbifold: GoodOrbifold,
     CoverGap when the un-normalized total vanishes on the verification grid.
     """
     pou = PartitionOfUnity(orbifold, tuple(atlas))
-    model = orbifold.model
-    grid = model.verification_domain(model.grid(24))
+    grid = orbifold.model.verification_grid(24)
     gaps = np.flatnonzero(_row_totals(pou._raw(grid)) < 1e-12)
     if gaps.size:
         raise CoverGap(f"partition weights vanish near {np.round(grid[gaps[0]], 4)}")
@@ -206,23 +205,19 @@ class ExpMap:
     def closed_form(orbifold: GoodOrbifold) -> "ExpMap":
         return ExpMap(orbifold)
 
-    @property
-    def domain_bound(self) -> float:
-        return np.pi if self.orbifold.model.kind == SPHERE else np.inf
-
     def lift_exp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(k, n) base points and (k, n) vectors -> (k, n) endpoints."""
+        """(k, n) base points and (k, n) vectors -> (k, n) endpoints of the
+        vectors' tangent parts; a zero vector keeps its base point."""
+        model = self.orbifold.model
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         speed = np.sqrt(row_dot(v, v))
-        moving = speed != 0.0
-        if self.orbifold.model.kind == FLAT:
-            return np.where(moving[:, None], x + v, x)
-        past = np.flatnonzero(moving & (speed >= np.pi))
-        if past.size:
-            raise OutOfDomain(f"|v| = {speed[past[0]]:.4f} is at or past the cut locus")
-        v = v - row_dot(v, x)[:, None] * x
-        return np.where(moving[:, None], self.orbifold.model.geo_exp(x, v), x)
+        past = speed >= model.exp_bound
+        if past.any():
+            raise OutOfDomain(f"|v| = {speed[past.argmax()]:.4f} is at or past "
+                              f"the cut locus")
+        return np.where((speed != 0.0)[:, None],
+                        model.geo_exp(x, model.tangent_part(x, v)), x)
 
     def lift_log(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(k, n) base points and (k, n) targets -> (k, n) vectors."""
@@ -268,9 +263,8 @@ def exp_well_defined_residual(exp_map: ExpMap, rng: np.random.Generator) -> floa
         limit = WELL_DEFINED_SCALE
         ends.append(pair)
     canon = orbifold.canonicals(np.reshape(ends, (-1, model.ambient_dim)))
-    # entry (k, k) compares the two images of triple k
-    gaps = orbifold.quotient_distances(canon[0::2], canon[1::2])
-    return float(np.diagonal(gaps).max(initial=0.0))
+    gaps = orbifold.quotient_pair_distances(canon[0::2], canon[1::2])
+    return float(gaps.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -384,7 +378,7 @@ def E_apply(sigma: Orbisection, exp_map: ExpMap,
     chart.  Raises OutOfDomain when the section leaves the exp domain.
     """
     orbifold = sigma.orbifold
-    bound = exp_map.domain_bound
+    bound = exp_map.orbifold.model.exp_bound
     if seminorm(sigma, 0) >= bound:
         raise OutOfDomain(
             f"section sup norm {seminorm(sigma, 0):.4f} reaches the exp "
@@ -442,8 +436,7 @@ def E_inverse(f: OrbifoldMapData, exp_map: ExpMap,
     if f.global_lift is None:
         raise ChartMismatch("E_inverse needs a map with a global lift")
     if eps_inj is None:
-        eps_inj = np.pi / 2 if orbifold.model.kind == SPHERE \
-            else 0.5 * orbifold.model.radius
+        eps_inj = orbifold.model.injectivity_scale
     images, = _by_func([entry.func for entry in f.lifts], f.atlas, 4,
                        lambda func, pts: [np.asarray(func(pts), dtype=float)])
     worst = float(orbifold.model.row_distances(atlas_grid(f.atlas, 4),

@@ -337,7 +337,8 @@ def _suite_maps(ctx: _Context, records):
             "d0 satisfies the triangle inequality on a sampled triple",
             max(dfg - dfi - dgi, 0.0), ctx.tol("metric_axioms"))
 
-    # polynomial averaging battery: exact at the coefficient level
+    # polynomial averaging battery, exact at the coefficient level; it needs
+    # flat chart coordinates, so a sphere borrows a flat mirror chart
     if ctx.orbifold.model.kind == FLAT:
         poly_chart = max(ctx.atlas, key=lambda c: c.isotropy.order)
     else:
@@ -415,9 +416,8 @@ def _suite_tangent(ctx: _Context, records):
     for ch in ctx.atlas:
         basis = admissible_space(orbifold, ch.center)
         fixed = fixed_subspace(stabilizer(orbifold.group, ch.center))
-        expect = fixed.shape[0]
-        if orbifold.model.kind != FLAT:
-            expect -= 1  # the base point direction is not tangent
+        # ambient directions normal to the model are not tangent
+        expect = fixed.shape[0] - orbifold.model.ambient_dim + orbifold.dimension
         if basis.shape[0] != max(expect, 0):
             mism += 1
     _record_exact(records, "tangent", "admissible_dimensions",
@@ -447,8 +447,7 @@ def _suite_riemann(ctx: _Context, records):
     orbifold = ctx.orbifold
     try:
         pou = equivariant_partition_of_unity(orbifold, ctx.atlas)
-        grid = orbifold.model.verification_domain(
-            orbifold.model.grid(ctx.config.verify_resolution))
+        grid = orbifold.model.verification_grid(ctx.config.verify_resolution)
         sum_res, equi_res = pou.verify(grid[::3])
         _record(records, "riemann", "partition_sum",
                 "partition weights sum to one on the verification grid",
@@ -690,7 +689,7 @@ def dump_fields(config: SuiteConfig, which: str, grid: int | None = None,
         atlas = build_atlas(orbifold, resolution=config.atlas_resolution,
                             max_charts=config.max_charts)
     res = grid or config.verify_resolution
-    pts = orbifold.model.verification_domain(orbifold.model.grid(res))
+    pts = orbifold.model.verification_grid(res)
     out = io.StringIO()
     writer = csv.writer(out)
     coords = [f"x{i}" for i in range(orbifold.model.ambient_dim)]

@@ -15,10 +15,9 @@ import numpy as np
 
 from .errors import NotDifferentiable
 from .groups import (EPS_GRP, FD_STEP, FiniteActionGroup, _snap_key,
-                     fixed_subspace, row_apply, row_dot, stabilizer, translates)
+                     fixed_subspace, row_apply, stabilizer, translates)
 from .maps import _lift_jet
-from .model import (FLAT, SPHERE, DerivedChart, GoodOrbifold, atlas_grid,
-                    stacked_charts)
+from .model import DerivedChart, GoodOrbifold, atlas_grid, stacked_charts
 
 CURVE_FD_STEP = 1e-4       # one-sided differencing step for lift classification
 CURVE_FD_TOL = 1e-6        # derivative agreement tolerance
@@ -34,18 +33,8 @@ def admissible_space(orbifold: GoodOrbifold, row: np.ndarray) -> np.ndarray:
     take values.
     """
     x = orbifold.model.project_checked(np.asarray(row, dtype=float)[None])[0]
-    basis = fixed_subspace(stabilizer(orbifold.group, x))
-    if orbifold.model.kind == FLAT:
-        return basis
-    rows = [b - np.dot(b, x) * x for b in basis]
-    out = []
-    for r in rows:
-        for o in out:
-            r = r - np.dot(r, o) * o
-        nr = float(np.linalg.norm(r))
-        if nr > 1e-9:
-            out.append(r / nr)
-    return np.stack(out) if out else np.zeros((0, orbifold.model.ambient_dim))
+    return orbifold.model.tangent_subspace(
+        x, fixed_subspace(stabilizer(orbifold.group, x)))
 
 
 def project_equivariant(group: FiniteActionGroup, field: Callable,
@@ -53,16 +42,16 @@ def project_equivariant(group: FiniteActionGroup, field: Callable,
     """Group-average a raw vector field into an equivariant one.
 
     s_bar(y) = (1/|G|) sum_g g^-1 s(g y); idempotent on equivariant input.
-    With a sphere model the input is first projected to the tangent plane,
-    which the averaging preserves.  Both fields map (k, n) rows to (k, n)
+    With a model the input is first reduced to its tangent part, which the
+    averaging preserves.  Both fields map (k, n) rows to (k, n)
     rows; the raw field gets the k |G| translates in one call.
     """
     def averaged(pts: np.ndarray) -> np.ndarray:
         trans = translates(group, pts)
         k, order, n = trans.shape
         vals = np.asarray(field(trans.reshape(-1, n)), dtype=float).reshape(k, order, n)
-        if model is not None and model.kind == SPHERE:
-            vals = vals - row_dot(vals, trans)[..., None] * trans
+        if model is not None:
+            vals = model.tangent_part(trans, vals)
         terms = row_apply(np.swapaxes(group.matrices, 1, 2), vals)
         acc = terms[:, 0]
         for lab in range(1, order):
@@ -330,10 +319,7 @@ def curve_tangent(curve: CurveInOrbifold, t: float) -> np.ndarray:
     base = orbifold.model.project_checked(curve.segment_at(t)(t)[None])[0]
 
     def tangent(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if orbifold.model.kind == SPHERE:
-            v = v - np.dot(v, base) * base
-        return v
+        return orbifold.model.tangent_part(base, v)
 
     lo, hi = curve.t_range
     h = CURVE_FD_STEP

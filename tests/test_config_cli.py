@@ -95,6 +95,20 @@ class TestParsing:
         with pytest.raises(ConfigInvalid, match="dimension"):
             parse_config(text)
 
+    @pytest.mark.parametrize("radius", ["3.0", "0.5", "nan"])
+    def test_sphere_radius_other_than_one_exits_two(self, radius, tmp_path,
+                                                    capsys):
+        # a sphere config at radius 3 once ran the unit sphere and exited 0
+        cfg_file = tmp_path / "s2.cfg"
+        cfg_file.write_text(DEFAULT_FOOTBALL3.replace(
+            "dimension = 2", f"dimension = 2\nradius = {radius}"))
+        code = cli.main(["run", "--config", str(cfg_file), "--out",
+                         str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error: orbifold.radius: ")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_recorded_verbatim(self):
         cfg = parse_config(FLAT_Z2)
         report = run_suite(cfg, suites=("group",))
@@ -474,8 +488,11 @@ def orbifold_sections(draw):
                   st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "x", ""]))))
     width = int(dimension) + (model == "sphere") if dimension.isdigit() else None
     gens = draw(st.lists(generator_values(width), max_size=3))
+    radius = draw(st.sampled_from(["", "1", "1.0", "2.0", "3.0", "0", "-1",
+                                   "1e-300", "1e308", "nan", "inf", "x"]))
     return "".join(["[orbifold]\nname = fuzz\n", f"model = {model}\n",
                     f"dimension = {dimension}\n", "max_order = 48\n",
+                    f"radius = {radius}\n" if radius else "",
                     *(f"generator = {g}\n" for g in gens)])
 
 

@@ -120,6 +120,17 @@ class TestBuildChart:
         with pytest.raises(UnsupportedModel):
             M.GoodOrbifold(M.ModelSpace(M.FLAT, 3, 1.0), bad_group)
 
+    @pytest.mark.parametrize("kind,dimension,radius", [
+        (M.FLAT, 2, float("nan")), (M.FLAT, 2, float("inf")),
+        (M.FLAT, 1, 1e200), (M.SPHERE, 2, 3.0), (M.SPHERE, 2, float("nan")),
+        (M.SPHERE, 3, 1.0), (M.SPHERE, 1, 1.0)])
+    def test_the_model_refuses_what_it_cannot_be(self, kind, dimension, radius):
+        # a NaN, infinite or overflowing flat radius, a sphere of another
+        # radius or dimension were once accepted; an infinite radius gave
+        # empty grids, and 1e200 overflowed in the grid's distances
+        with pytest.raises(UnsupportedModel):
+            M.ModelSpace(kind, dimension, radius)
+
     @pytest.mark.parametrize("offset,effective", [(0.0, False), (5e-10, False),
                                                   (2e-9, True)])
     def test_an_element_acting_as_the_identity_is_refused(self, offset,

@@ -158,8 +158,8 @@ class TestExpMap:
             _reference_well_defined_residual(
                 exp_map, np.random.default_rng(6005), 50)
         measured = []
-        distances = M.GoodOrbifold.quotient_distances
-        monkeypatch.setattr(M.GoodOrbifold, "quotient_distances",
+        distances = M.GoodOrbifold.quotient_pair_distances
+        monkeypatch.setattr(M.GoodOrbifold, "quotient_pair_distances",
                             lambda self, a, b: measured.append(len(a))
                             or distances(self, a, b))
         got = R.exp_well_defined_residual(exp_map, np.random.default_rng(6005))
