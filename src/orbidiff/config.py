@@ -122,9 +122,11 @@ def _one(entries, key, default=None, cast=str, where=""):
         raise ConfigInvalid(f"{where}.{key}: {exc}") from exc
 
 
-def _count(entries, key, default, where, low=1) -> int:
-    """An integer key that must be at least ``low``."""
+def _count(entries, key, default, where, low=1, high=None) -> int:
+    """An integer key that must be at least ``low`` (and at most ``high``)."""
     value = _one(entries, key, default=default, cast=int, where=where)
+    if high is not None and value > high:
+        raise ConfigInvalid(f"{where}.{key}: must be at most {high}, got {value}")
     return at_least(value, low, f"{where}.{key}")
 
 
@@ -159,9 +161,10 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
         raise ConfigInvalid("missing required section [orbifold]")
     orb = by_name["orbifold"]
     try:
-        # the model's refusals name the field: model, dimension or radius
+        # the model's refusals name the field: model, dimension or radius;
+        # past 3 dimensions the default flat grids reach 64^4 rows
         model = ModelSpace(_one(orb, "model", where="orbifold"),
-                           _count(orb, "dimension", None, "orbifold"),
+                           _count(orb, "dimension", None, "orbifold", high=3),
                            _one(orb, "radius", default=1.0, cast=float,
                                 where="orbifold"))
     except UnsupportedModel as exc:

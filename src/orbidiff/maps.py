@@ -631,21 +631,19 @@ def overlap_graph(orbifold: GoodOrbifold,
     where identity-lift germs are actually constrained.
     """
     grp = orbifold.group
-    model = orbifold.model
     singular = orbifold.singular_points(48)
     trans = translates(grp, singular)
     # inside[c][s, mu]: the translate mu . s of singular point s lies in chart c
     inside = np.moveaxis(chart_hits(orbifold, atlas, singular), 2, 0).copy()
-    centers = translates(grp, stacked_charts(orbifold, atlas)[0])
+    centres, radii = stacked_charts(orbifold, atlas)
+    gaps = orbifold.translate_distances(centres, centres, lambda d, cols: d)
+    near = gaps < (radii[:, None] + radii)[..., None]
+    near[np.tril_indices(len(atlas))] = False     # each pair once, i < j
     edges = []
-    for i, ci in enumerate(atlas):
-        for j in range(i + 1, len(atlas)):
-            cj = atlas[j]
-            near = model.distances(centers[i], cj.center) < ci.radius + cj.radius
-            for lab in np.flatnonzero(near):
-                # eta . (mu . s) is the translate (eta mu) . s
-                hit = inside[i] & inside[j][:, grp.cayley[lab]]
-                edges.append(OverlapEdge(i, j, int(lab), trans[hit]))
+    for i, j, lab in np.argwhere(near):
+        # eta . (mu . s) is the translate (eta mu) . s
+        hit = inside[i] & inside[j][:, grp.cayley[lab]]
+        edges.append(OverlapEdge(int(i), int(j), int(lab), trans[hit]))
     return tuple(edges)
 
 

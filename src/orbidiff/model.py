@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -323,29 +323,46 @@ class GoodOrbifold:
         v = rng.normal(size=self.model.ambient_dim)
         return v / np.linalg.norm(v)
 
+    def translate_distances(self, rows: np.ndarray, targets: np.ndarray,
+                            reduce: Callable[[np.ndarray, slice], np.ndarray]
+                            ) -> np.ndarray:
+        """(k, n) rows, (t, n) targets -> (k, t, ...): the library's one
+        kernel of distances from every translate of a row to every target.
+
+        Each tile of rows by targets holds about ``groups._BLOCK`` entries
+        d[i, j, g], the model distance from g . rows[i] to targets[j], with
+        the group on the last axis; ``reduce(d, cols)`` gets the tile and the
+        slice of targets it covers, and acts on the last axis only.  An empty
+        side still makes one tile, so the result keeps reduce's shape.
+        """
+        rows = np.asarray(rows, dtype=float).reshape(-1, self.model.ambient_dim)
+        targets = np.asarray(targets, dtype=float).reshape(-1, 1, rows.shape[1])
+        width = max(1, min(len(targets), groups._BLOCK // self.group.order))
+        step = max(1, groups._BLOCK // (self.group.order * width))
+        out = None
+        for lo in range(0, max(len(rows), 1), step):
+            trans = translates(self.group, rows[lo:lo + step])[:, None]
+            for co in range(0, max(len(targets), 1), width):
+                cols = slice(co, co + width)
+                tile = reduce(self.model.row_distances(trans, targets[cols]), cols)
+                if out is None:     # reduce decides the trailing shape
+                    out = np.empty((len(rows), len(targets), *tile.shape[2:]),
+                                   tile.dtype)
+                out[lo:lo + step, cols] = tile
+        return out
+
     def quotient_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, n), (M, n) canonical rows -> (N, M) nearest-orbit distances.
 
         Entry (i, j) is the least distance from a translate of a_i to b_j or
-        from a translate of b_j to a_i.  Tiles of rows of a by rows of b keep
-        each tile's pair distances near ``groups._BLOCK`` entries.
+        from a translate of b_j to a_i.
         """
-        n = self.model.ambient_dim
-        a = np.asarray(a, dtype=float).reshape(-1, n)
-        b = np.asarray(b, dtype=float).reshape(-1, n)
-        order = self.group.order
-        cols = max(1, min(len(b), groups._BLOCK // order))
-        rows = max(1, groups._BLOCK // (order * cols))
-        dist = self.model.row_distances
-        out = np.empty((len(a), len(b)))
-        for co in range(0, len(b), cols):
-            tb = translates(self.group, b[co:co + cols])
-            for lo in range(0, len(a), rows):
-                ta = translates(self.group, a[lo:lo + rows])
-                d_ab = dist(ta[..., None, :], b[co:co + cols]).min(axis=1)
-                d_ba = dist(tb[..., None, :], a[lo:lo + rows]).min(axis=1)
-                out[lo:lo + rows, co:co + cols] = np.minimum(d_ab, d_ba.T)
-        return out
+        def nearest(d, cols):
+            # a min over a short contiguous last axis runs one inner loop
+            # per entry; with the labels in front it runs one per label
+            return np.moveaxis(d, -1, 0).copy().min(axis=0)
+        return np.minimum(self.translate_distances(a, b, nearest),
+                          self.translate_distances(b, a, nearest).T)
 
     def quotient_pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, n), (N, n) canonical rows -> (N,): entry k is entry (k, k) of
@@ -471,21 +488,10 @@ def stacked_charts(orbifold: GoodOrbifold, atlas: Sequence[DerivedChart]
 def chart_hits(orbifold: GoodOrbifold, atlas: Sequence[DerivedChart],
                rows: np.ndarray, factor: float = 1.0) -> np.ndarray:
     """(k, n) rows -> (k, order, charts) mask: entry [i, g, c] is whether
-    translate g of row i lies within factor x radius of chart c's centre.
-
-    Each block of rows makes one ``translates`` call and one distance call
-    of about ``groups._BLOCK`` entries.
-    """
-    rows = np.asarray(rows, dtype=float)
-    order = orbifold.group.order
+    translate g of row i lies within factor x radius of chart c's centre."""
     centres, radii = stacked_charts(orbifold, atlas)
-    step = max(1, groups._BLOCK // (order * max(1, len(atlas))))
-    out = np.empty((len(rows), order, len(atlas)), dtype=bool)
-    for lo in range(0, len(rows), step):
-        trans = translates(orbifold.group, rows[lo:lo + step])
-        out[lo:lo + step] = orbifold.model.row_distances(
-            trans[:, :, None], centres) <= radii * factor
-    return out
+    return np.swapaxes(orbifold.translate_distances(
+        rows, centres, lambda d, cols: d <= radii[cols, None] * factor), 1, 2)
 
 
 def first_hits(hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

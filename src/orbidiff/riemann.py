@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import (ChartMismatch, CoverGap, ImageEscapesChart,
                      NotCloseToIdentity, NotSPD, OutOfDomain, ThetaNotIdentity)
-from . import groups
 from .groups import (EPS_GRP, fixing_mask, row_apply, row_dot, stabilizer,
                      translates)
-from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData, _by_func,
+from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
 from .model import (DerivedChart, GoodOrbifold, atlas_grid, chart_hits,
@@ -61,34 +60,26 @@ class PartitionOfUnity:
         if not self.weights:
             object.__setattr__(self, "weights", tuple(
                 functools.partial(self._weight, j) for j in range(len(self.atlas))))
-        centres, radii = stacked_charts(self.orbifold, self.atlas)
-        object.__setattr__(self, "_charts", (centres[:, None], radii[:, None]))
+        object.__setattr__(self, "_charts", stacked_charts(self.orbifold, self.atlas))
 
     def _weight(self, j: int, y: np.ndarray) -> float:
         return float(self.values(np.asarray(y, dtype=float)[None])[0, j])
 
     def _raw(self, pts: np.ndarray) -> np.ndarray:
-        """(k, n) -> (k, charts) group-averaged bumps, before normalizing: one
-        distance call per block of about ``groups._BLOCK`` (translate, chart)
-        pairs, summing over the group along the last axis as the one-point sum did.
+        """(k, n) -> (k, charts) group-averaged bumps, before normalizing,
+        summing over the group along the last axis as the one-point sum did.
         Raises OutOfDomain on rows of the wrong width and on the first row
         holding a NaN or an infinity."""
-        model = self.orbifold.model
-        grp = self.orbifold.group
         pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != model.ambient_dim:
+        if pts.ndim != 2 or pts.shape[1] != self.orbifold.model.ambient_dim:
             raise OutOfDomain(f"partition points have shape {pts.shape}")
         if not np.isfinite(pts).all():
             bad = int(np.argmin(np.isfinite(pts).all(axis=1)))
             raise OutOfDomain(f"partition point {bad} is not finite: {pts[bad]}")
         centres, radii = self._charts
-        step = max(1, groups._BLOCK // (grp.order * len(self.atlas)))
-        out = np.empty((len(pts), len(self.atlas)))
-        for lo in range(0, len(pts), step):
-            trans = translates(grp, pts[lo:lo + step])[:, None]
-            u = (model.distances(trans, centres) / radii) ** 2
-            out[lo:lo + step] = np.add.reduce(_bump(u), axis=2) / grp.order
-        return out
+        order = self.orbifold.group.order
+        return self.orbifold.translate_distances(pts, centres, lambda d, cols: (
+            np.add.reduce(_bump((d / radii[cols, None]) ** 2), axis=-1) / order))
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         """(k, n) -> (k, charts): every normalized weight at every point."""
@@ -437,10 +428,8 @@ def E_inverse(f: OrbifoldMapData, exp_map: ExpMap,
         raise ChartMismatch("E_inverse needs a map with a global lift")
     if eps_inj is None:
         eps_inj = orbifold.model.injectivity_scale
-    images, = _by_func([entry.func for entry in f.lifts], f.atlas, 4,
-                       lambda func, pts: [np.asarray(func(pts), dtype=float)])
-    worst = float(orbifold.model.row_distances(atlas_grid(f.atlas, 4),
-                                               images).max())
+    grid = atlas_grid(f.atlas, 4)
+    worst = float(orbifold.model.row_distances(grid, f.global_lift(grid)).max())
     if worst >= eps_inj:
         raise NotCloseToIdentity(
             f"lift displacement {worst:.4f} reaches the injectivity scale "

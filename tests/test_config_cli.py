@@ -95,6 +95,15 @@ class TestParsing:
         with pytest.raises(ConfigInvalid, match="dimension"):
             parse_config(text)
 
+    @pytest.mark.parametrize("dimension", ["4", "1" + "0" * 30])
+    def test_flat_dimension_above_three(self, dimension):
+        # the 31-digit dimension once reached np.eye and exited 1
+        text = FLAT_Z2.replace("dimension = 1", f"dimension = {dimension}")
+        text = text.replace("generator = -1\n", "")
+        with pytest.raises(ConfigInvalid, match=(
+                rf"^orbifold\.dimension: must be at most 3, got {dimension}$")):
+            parse_config(text)
+
     @pytest.mark.parametrize("radius", ["3.0", "0.5", "nan"])
     def test_sphere_radius_other_than_one_exits_two(self, radius, tmp_path,
                                                     capsys):
@@ -485,7 +494,8 @@ def orbifold_sections(draw):
         st.sampled_from([("flat", "1"), ("flat", "2"), ("flat", "3"),
                          ("sphere", "2")]),
         st.tuples(st.sampled_from(["flat", "sphere", "torus", ""]),
-                  st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "x", ""]))))
+                  st.sampled_from(["1", "2", "3", "4", "1" + "0" * 30, "0", "-1",
+                                   "2.5", "x", ""]))))
     width = int(dimension) + (model == "sphere") if dimension.isdigit() else None
     gens = draw(st.lists(generator_values(width), max_size=3))
     radius = draw(st.sampled_from(["", "1", "1.0", "2.0", "3.0", "0", "-1",

@@ -349,9 +349,15 @@ def _edge_bytes(edges):
     (lambda: M.GoodOrbifold(M.ModelSpace(M.SPHERE, 2),
                             group("S2/O"), name="S2/O"), 16, False),
 ])
-def test_overlap_graph_matches_reference_loop(build, resolution, carries_singular):
+def test_overlap_graph_matches_reference_loop(build, resolution, carries_singular,
+                                              monkeypatch):
+    # blocks of 50 and 7 split the chart centres, as rows and as targets,
+    # and the singular points into tiles
     orbifold = build()
     atlas = M.build_atlas(orbifold, resolution=resolution)
-    edges = P.overlap_graph(orbifold, atlas)
-    assert _edge_bytes(edges) == _edge_bytes(reference_overlap_graph(orbifold, atlas))
-    assert any(e.singular_points.size for e in edges) == carries_singular
+    want = _edge_bytes(reference_overlap_graph(orbifold, atlas))
+    for block in (G._BLOCK, 50, 7):
+        monkeypatch.setattr(G, "_BLOCK", block)
+        edges = P.overlap_graph(orbifold, atlas)
+        assert _edge_bytes(edges) == want
+        assert any(e.singular_points.size for e in edges) == carries_singular

@@ -704,15 +704,18 @@ def chart_hit_case(name):
 
 @pytest.mark.parametrize("name", CHART_HIT_CASES)
 @pytest.mark.parametrize("factor", [1.0, 0.999, 1.0 + 1e-9])
-def test_chart_hits_match_the_one_point_loop(name, factor):
+def test_chart_hits_match_the_one_point_loop(name, factor, monkeypatch):
+    # blocks of 50 and 7 split the rows, and the charts too, into tiles
     orb, atlas, rows = chart_hit_case(name)
-    hits = M.chart_hits(orb, atlas, rows, factor)
     want = reference_chart_hits(orb, atlas, rows, factor)
-    assert hits.shape == want.shape and np.array_equal(hits, want)
-    source, deck = M.first_hits(hits)
-    assert [None if k < 0 else (k, lab)
-            for k, lab in zip(source.tolist(), deck.tolist())] == \
-        [reference_first_hit(w) for w in want]
+    first = [reference_first_hit(w) for w in want]
+    for block in (G._BLOCK, 50, 7):
+        monkeypatch.setattr(G, "_BLOCK", block)
+        hits = M.chart_hits(orb, atlas, rows, factor)
+        assert hits.shape == want.shape and np.array_equal(hits, want)
+        source, deck = M.first_hits(hits)
+        assert [None if k < 0 else (k, lab)
+                for k, lab in zip(source.tolist(), deck.tolist())] == first
 
 
 def test_chart_hit_cases_see_every_ordering():
