@@ -21,7 +21,9 @@ ORTHO_TOL = 1e-12     # orthogonality tolerance on inputs
 FD_STEP = 1e-5        # central finite-difference step, chart units
 FD_TOL = 1e-6         # tolerance when comparing FD Jacobians
 MAX_ORDER_DEFAULT = 4096
-_BLOCK = 1 << 14      # entries per block of a batched kernel's point-label mask
+# the library's one memory budget: entries per block of a batched kernel
+# (point-label masks, translate tiles, strata's candidate pairs)
+_BLOCK = 1 << 14
 
 
 def polar_orthonormalize(m: np.ndarray) -> np.ndarray:

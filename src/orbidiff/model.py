@@ -31,7 +31,26 @@ SPHERE = "sphere"
 CHART_RADIUS_FACTOR = 0.4     # default chart radius as a fraction of separation
 FLAT_DOMAIN_FACTOR = 0.75     # closed sub-ball used for covering-style checks
 COVERAGE_RESOLUTION = 16      # canonical grid for atlas covering checks
-_EDGE_ROWS = 256              # moved points per neighbour query in strata
+
+
+def _square_sums(d: np.ndarray) -> np.ndarray:
+    """(..., n) -> (...): the bits of ``np.add.reduce(d * d, axis=-1)``.
+
+    numpy adds fewer than 8 numbers left to right, but it reduces a short
+    contiguous last axis one output entry at a time; below 8 coordinates
+    the sum is written out a coordinate at a time instead.  From 8 on numpy
+    sums pairwise, and the reduce itself runs.  So does a call with a NaN
+    sum: which of two NaNs a sum keeps depends on the loop that adds them.
+    """
+    sq = d * d
+    if d.shape[-1] >= 8:
+        return np.add.reduce(sq, axis=-1)
+    total = sq[..., 0]
+    for a in range(1, d.shape[-1]):
+        total = total + sq[..., a]
+    if np.isnan(total).any():
+        return np.add.reduce(sq, axis=-1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -105,20 +124,18 @@ class ModelSpace:
         of a to the matching row of b.
 
         This is the library's one distance kernel.  Each entry is the same
-        bits whatever rows share the call: the sums of squares (written out
-        on the flat branch, the expression ``np.linalg.norm`` runs along an
-        axis) add each row's squares on their own, and ``row_dot`` takes
-        each sign as ``np.dot``.
+        bits whatever rows share the call: the sums of squares add each
+        row's squares on their own, and ``row_dot`` takes each sign as
+        ``np.dot``.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind == FLAT:
-            d = a - b
-            return np.sqrt(np.add.reduce(d * d, axis=-1))
+            return np.sqrt(_square_sums(a - b))
         # chord-based great-circle distance: full precision at both ends,
         # unlike arccos of the dot product which loses ~1e-8 near zero
         near = row_dot(a, b) >= 0.0
-        chord = np.linalg.norm(np.where(near[..., None], a - b, a + b), axis=-1)
+        chord = np.sqrt(_square_sums(np.where(near[..., None], a - b, a + b)))
         angle = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
         return np.where(near, angle, np.pi - angle)
 
@@ -619,6 +636,11 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     strata.  The resolution is recorded on every stratum.  Strata come by
     decreasing isotropy order, then signature, then least sample key; the
     samples of each come in key order.
+
+    The neighbour search queries each element's moved samples in runs of at
+    most ``groups._BLOCK`` candidate pairs (a run holds at least one row)
+    and merges each run's edges as it comes, so the memory it holds at once
+    does not grow with how densely a region is sampled.
     """
     model = orbifold.model
     group = orbifold.group
@@ -640,11 +662,14 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     labels = np.arange(len(points))
     for lab in range(group.order):
         moved = row_apply(group.matrix(lab), points)
-        # each block of moved rows is merged as it comes, which bounds the
-        # edges held at once
-        for lo in range(0, len(points), _EDGE_ROWS):
-            heads, tails = close(moved[lo:lo + _EDGE_ROWS])
+        ends = np.concatenate([[0], np.cumsum(close.candidates(moved))])
+        lo = 0
+        while lo < len(points):
+            hi = max(lo + 1, int(np.searchsorted(
+                ends, ends[lo] + groups._BLOCK, side="right")) - 1)
+            heads, tails = close(moved[lo:hi])
             labels = _merge(labels, codes, heads + lo, tails)
+            lo = hi
 
     sig_rank = np.argsort(sorted(range(len(sigs)),
                                  key=lambda c: (-len(sigs[c]), sigs[c])))
@@ -661,6 +686,10 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
 def _close_pairs(points: np.ndarray, thresh: float):
     """A cell list of the (k, n) sample rows: returns close(query), the index
     pairs (i, j) with |query[i] - points[j]| <= thresh, i ascending.
+    close.candidates(query) gives each query row's candidate count, the
+    samples close(query) measures it against; close's temporaries hold
+    about that many entries in all, so a caller bounds them by the rows it
+    passes at once.
 
     Samples are binned into cubes a hair wider than thresh, so that a pair
     within thresh sits in adjacent cells despite rounding, and sorted by
@@ -688,11 +717,20 @@ def _close_pairs(points: np.ndarray, thresh: float):
     sample_keys = sample_keys[order]
     cols = [np.ascontiguousarray(points[order, a]) for a in range(n)]
 
-    def close(query):
-        mids = (keys(query)[:, None] + steps).ravel()   # a range's middle cell
+    def ranges(query):
+        """(k, 3^(n-1)) first sorted sample and sample count of each query
+        row's key ranges."""
+        mids = keys(query)[:, None] + steps     # a range's middle cell
         lo = np.searchsorted(sample_keys, mids - 1)
-        counts = np.searchsorted(sample_keys, mids + 2) - lo
-        per_row = counts.reshape(len(query), len(steps)).sum(axis=1)
+        return lo, np.searchsorted(sample_keys, mids + 2) - lo
+
+    def candidates(query):
+        return ranges(query)[1].sum(axis=1)
+
+    def close(query):
+        lo, counts = ranges(query)
+        per_row = counts.sum(axis=1)
+        lo, counts = lo.ravel(), counts.ravel()
         pos = np.arange(counts.sum()) + np.repeat(lo + counts - np.cumsum(counts),
                                                   counts)
         sq = np.zeros(len(pos))
@@ -703,6 +741,7 @@ def _close_pairs(points: np.ndarray, thresh: float):
         keep = sq <= thresh * thresh
         return np.repeat(np.arange(len(query)), per_row)[keep], order[pos[keep]]
 
+    close.candidates = candidates
     return close
 
 

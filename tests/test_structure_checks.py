@@ -264,11 +264,11 @@ def assert_strata_match(orb, resolution):
 
 
 @given(name=st.sampled_from(sorted(ORBIFOLDS)), resolution=st.integers(3, 32),
-       rows=st.sampled_from([2, 5, 64, M._EDGE_ROWS]))
+       budget=st.sampled_from([1, 7, 256, G._BLOCK]))
 @settings(max_examples=40, deadline=None)
-def test_strata_match_union_find(name, resolution, rows):
-    # small blocks split the moved points of each element into many queries
-    with mock.patch.object(M, "_EDGE_ROWS", rows):
+def test_strata_match_union_find(name, resolution, budget):
+    # small budgets split the moved points of each element into many queries
+    with mock.patch.object(G, "_BLOCK", budget):
         assert_strata_match(orbifold(name), resolution)
 
 
@@ -279,11 +279,11 @@ def test_strata_at_suite_resolutions(name, resolution):
     assert_strata_match(orbifold(name), resolution)
 
 
-@pytest.mark.parametrize("rows", [7, M._EDGE_ROWS])
+@pytest.mark.parametrize("budget", [1, 7, 256, G._BLOCK])
 @pytest.mark.parametrize("name,resolution", [
     ("football3", 64), ("S2/O", 32), ("S2/D2h", 48), ("disk_D4", 25),
     ("line", 40), ("B3/T", 16)])
-def test_edge_set_matches_query_ball_point(name, resolution, rows):
+def test_edge_set_matches_query_ball_point(name, resolution, budget):
     orb = orbifold(name)
     seen = []
     merge = M._merge
@@ -292,7 +292,7 @@ def test_edge_set_matches_query_ball_point(name, resolution, rows):
         seen.append(np.stack([heads, tails]))
         return merge(labels, codes, heads, tails)
 
-    with mock.patch.object(M, "_EDGE_ROWS", rows), \
+    with mock.patch.object(G, "_BLOCK", budget), \
             mock.patch.object(M, "_merge", recording):
         M.strata(orb, resolution)
     points, _, _, thresh = reference_strata_input(orb, resolution)
@@ -302,6 +302,20 @@ def test_edge_set_matches_query_ball_point(name, resolution, rows):
     assert got.shape == want.shape
     assert np.array_equal(got[:, np.lexsort(got[::-1])],
                           want[:, np.lexsort(want[::-1])])
+
+
+def test_strata_memory_stays_within_the_candidate_budget():
+    # the football's grid is about ten times denser near the poles, where
+    # 256 rows at once would hold about 100k candidate pairs
+    orb = M.football(3)
+    tracemalloc.start()
+    try:
+        got = M.strata(orb, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
+    assert len(got) == 3
 
 
 def assert_close_pairs_match(points, query, thresh):
