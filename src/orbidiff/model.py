@@ -33,26 +33,6 @@ FLAT_DOMAIN_FACTOR = 0.75     # closed sub-ball used for covering-style checks
 COVERAGE_RESOLUTION = 16      # canonical grid for atlas covering checks
 
 
-def _square_sums(d: np.ndarray) -> np.ndarray:
-    """(..., n) -> (...): the bits of ``np.add.reduce(d * d, axis=-1)``.
-
-    numpy adds fewer than 8 numbers left to right, but it reduces a short
-    contiguous last axis one output entry at a time; below 8 coordinates
-    the sum is written out a coordinate at a time instead.  From 8 on numpy
-    sums pairwise, and the reduce itself runs.  So does a call with a NaN
-    sum: which of two NaNs a sum keeps depends on the loop that adds them.
-    """
-    sq = d * d
-    if d.shape[-1] >= 8:
-        return np.add.reduce(sq, axis=-1)
-    total = sq[..., 0]
-    for a in range(1, d.shape[-1]):
-        total = total + sq[..., a]
-    if np.isnan(total).any():
-        return np.add.reduce(sq, axis=-1)
-    return total
-
-
 @dataclass(frozen=True)
 class ModelSpace:
     """Flat ball of a given radius, or the unit round sphere S^2; the one
@@ -124,18 +104,20 @@ class ModelSpace:
         of a to the matching row of b.
 
         This is the library's one distance kernel.  Each entry is the same
-        bits whatever rows share the call: the sums of squares add each
-        row's squares on their own, and ``row_dot`` takes each sign as
-        ``np.dot``.
+        bits whatever rows share the call: the sums of squares (written out
+        on the flat branch, the expression ``np.linalg.norm`` runs along an
+        axis) add each row's squares on their own, and ``row_dot`` takes
+        each sign as ``np.dot``.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if self.kind == FLAT:
-            return np.sqrt(_square_sums(a - b))
+            d = a - b
+            return np.sqrt(np.add.reduce(d * d, axis=-1))
         # chord-based great-circle distance: full precision at both ends,
         # unlike arccos of the dot product which loses ~1e-8 near zero
         near = row_dot(a, b) >= 0.0
-        chord = np.sqrt(_square_sums(np.where(near[..., None], a - b, a + b)))
+        chord = np.linalg.norm(np.where(near[..., None], a - b, a + b), axis=-1)
         angle = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
         return np.where(near, angle, np.pi - angle)
 
@@ -658,16 +640,17 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     thresh = 1.6 * spacing
     if model.kind == SPHERE:
         thresh = 2.0 * np.sin(min(thresh, np.pi) / 2.0)  # chordal
-    close = _close_pairs(points, thresh)
+    ranges, pairs = _cell_list(points, thresh)
     labels = np.arange(len(points))
     for lab in range(group.order):
         moved = row_apply(group.matrix(lab), points)
-        ends = np.concatenate([[0], np.cumsum(close.candidates(moved))])
+        first, counts = ranges(moved)
+        ends = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
         lo = 0
         while lo < len(points):
             hi = max(lo + 1, int(np.searchsorted(
                 ends, ends[lo] + groups._BLOCK, side="right")) - 1)
-            heads, tails = close(moved[lo:hi])
+            heads, tails = pairs(moved[lo:hi], first[lo:hi], counts[lo:hi])
             labels = _merge(labels, codes, heads + lo, tails)
             lo = hi
 
@@ -684,12 +667,22 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
 
 
 def _close_pairs(points: np.ndarray, thresh: float):
-    """A cell list of the (k, n) sample rows: returns close(query), the index
-    pairs (i, j) with |query[i] - points[j]| <= thresh, i ascending.
-    close.candidates(query) gives each query row's candidate count, the
-    samples close(query) measures it against; close's temporaries hold
-    about that many entries in all, so a caller bounds them by the rows it
-    passes at once.
+    """close(query): the index pairs (i, j) with |query[i] - points[j]| <=
+    thresh, i ascending, from one `_cell_list` of the (k, n) sample rows."""
+    ranges, pairs = _cell_list(points, thresh)
+    return lambda query: pairs(query, *ranges(query))
+
+
+def _cell_list(points: np.ndarray, thresh: float):
+    """A cell list of the (k, n) sample rows: returns (ranges, pairs).
+
+    ranges(query) gives each query row's 3^(n-1) key ranges as two
+    (len(query), 3^(n-1)) arrays, the first sorted sample and the sample
+    count of each; a row's counts add up to its candidates.  pairs(query,
+    first, counts) measures each row against its candidates and returns the
+    index pairs (i, j) with |query[i] - points[j]| <= thresh, i ascending.
+    Its temporaries hold about counts.sum() entries, so a caller bounds
+    them by the rows it passes at once.
 
     Samples are binned into cubes a hair wider than thresh, so that a pair
     within thresh sits in adjacent cells despite rounding, and sorted by
@@ -718,21 +711,15 @@ def _close_pairs(points: np.ndarray, thresh: float):
     cols = [np.ascontiguousarray(points[order, a]) for a in range(n)]
 
     def ranges(query):
-        """(k, 3^(n-1)) first sorted sample and sample count of each query
-        row's key ranges."""
         mids = keys(query)[:, None] + steps     # a range's middle cell
-        lo = np.searchsorted(sample_keys, mids - 1)
-        return lo, np.searchsorted(sample_keys, mids + 2) - lo
+        first = np.searchsorted(sample_keys, mids - 1)
+        return first, np.searchsorted(sample_keys, mids + 2) - first
 
-    def candidates(query):
-        return ranges(query)[1].sum(axis=1)
-
-    def close(query):
-        lo, counts = ranges(query)
+    def pairs(query, first, counts):
         per_row = counts.sum(axis=1)
-        lo, counts = lo.ravel(), counts.ravel()
-        pos = np.arange(counts.sum()) + np.repeat(lo + counts - np.cumsum(counts),
-                                                  counts)
+        first, counts = first.ravel(), counts.ravel()
+        pos = np.arange(counts.sum()) + np.repeat(
+            first + counts - np.cumsum(counts), counts)
         sq = np.zeros(len(pos))
         for a in range(n):
             d = np.repeat(query[:, a], per_row) - cols[a][pos]
@@ -741,8 +728,7 @@ def _close_pairs(points: np.ndarray, thresh: float):
         keep = sq <= thresh * thresh
         return np.repeat(np.arange(len(query)), per_row)[keep], order[pos[keep]]
 
-    close.candidates = candidates
-    return close
+    return ranges, pairs
 
 
 def _merge(labels: np.ndarray, codes: np.ndarray, heads: np.ndarray,

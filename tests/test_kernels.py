@@ -196,34 +196,6 @@ def test_row_kernels_give_a_row_its_bits_alone(name, seed, size, data):
             _bits(sphere.row_distances(u[one], v[one])[0])
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       width=st.sampled_from([1, 2, 3, 4, 7, 8, 9]),
-       shape=st.lists(st.integers(1, 6), max_size=3))
-@settings(max_examples=60, deadline=None)
-def test_row_distances_sum_squares_as_the_reduce(seed, width, shape):
-    """The written-out sums of squares of row_distances give the bits of
-    np.add.reduce over the last axis (np.linalg.norm's sum on the sphere)
-    on tiles whose rows hold ±0, ±inf and NaN, on both sides of numpy's
-    8-term pairwise threshold."""
-    rng = np.random.default_rng(seed)
-    a, b = (rng.normal(size=(*shape, width))
-            * 10.0 ** rng.integers(-8, 9, size=(*shape, width)) for _ in range(2))
-    for x in (a, b):
-        odd = rng.random(x.shape) < 0.2
-        x[odd] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=odd.sum())
-    with np.errstate(all="ignore"):
-        d = a - b
-        assert _bits(M._square_sums(d)) == _bits(np.add.reduce(d * d, axis=-1))
-        assert _bits(M.ModelSpace(M.FLAT, width).row_distances(a, b)) == \
-            _bits(np.sqrt(np.add.reduce(d * d, axis=-1)))
-        if width == 3:
-            near = G.row_dot(a, b) >= 0.0
-            chord = np.linalg.norm(np.where(near[..., None], d, a + b), axis=-1)
-            angle = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
-            assert _bits(M.ModelSpace(M.SPHERE, 2).row_distances(a, b)) == \
-                _bits(np.where(near, angle, np.pi - angle))
-
-
 @functools.cache
 def z1024():
     # built directly: generate_group takes minutes at this order

@@ -264,7 +264,7 @@ def assert_strata_match(orb, resolution):
 
 
 @given(name=st.sampled_from(sorted(ORBIFOLDS)), resolution=st.integers(3, 32),
-       budget=st.sampled_from([1, 7, 256, G._BLOCK]))
+       budget=st.sampled_from([7, 256, 500, G._BLOCK]))
 @settings(max_examples=40, deadline=None)
 def test_strata_match_union_find(name, resolution, budget):
     # small budgets split the moved points of each element into many queries
@@ -279,7 +279,7 @@ def test_strata_at_suite_resolutions(name, resolution):
     assert_strata_match(orbifold(name), resolution)
 
 
-@pytest.mark.parametrize("budget", [1, 7, 256, G._BLOCK])
+@pytest.mark.parametrize("budget", [7, 256, 500, G._BLOCK])
 @pytest.mark.parametrize("name,resolution", [
     ("football3", 64), ("S2/O", 32), ("S2/D2h", 48), ("disk_D4", 25),
     ("line", 40), ("B3/T", 16)])
