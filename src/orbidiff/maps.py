@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (AtlasNotCovering, BranchAmbiguity, ChartMismatch,
                      EquivarianceViolation, ImageEscapesChart)
 from .groups import (FD_STEP, FiniteActionGroup, GroupHom, _snap_key,
-                     canonical_representatives, fixing_mask,
+                     canonical_representatives, distinct_rows, fixing_mask,
                      inner_automorphisms, row_apply, row_dot, translates)
 from .model import (DerivedChart, GoodOrbifold, atlas_grid, build_atlas,
                     chart_hits, first_hits, stacked_charts)
@@ -693,7 +693,8 @@ class IdentityLiftGroup:
 
     @property
     def is_abelian(self) -> bool:
-        used = [(grp.cayley, np.unique(col)) for grp, col in self._germs()]
+        used = [(grp.cayley, col[distinct_rows(col[:, None])[0]])
+                for grp, col in self._germs()]
         subs = [cay[np.ix_(u, u)] for cay, u in used]
         return all(np.array_equal(sub, sub.T) for sub in subs)
 
@@ -755,7 +756,7 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
         fixing = fixing_mask(grp, edge.singular_points)
         # the constraint depends on a point only through its stabilizer S:
         # eta g_a eta^-1 must be s g_b s^-1 for some s in S
-        for row in np.unique(fixing, axis=0):
+        for row in fixing[distinct_rows(fixing)[0]]:
             if row.sum() <= 1:
                 continue
             reach = np.zeros((grp.order, len(gj)), dtype=bool)

@@ -20,10 +20,10 @@ from .errors import (AtlasNotCovering, EquivarianceViolation, RadiusTooLarge,
 from . import groups
 from .groups import (EPS_GRP, FiniteActionGroup, GroupHom, _snap,
                      canonical_representatives, cyclic_rotation_group,
-                     dihedral_group, fixing_mask, football_rotation_group,
-                     generate_group, group_from_elements, orbit, row_apply,
-                     row_dot, sign_flip_group, stabilizer, translates,
-                     trivial_group)
+                     dihedral_group, distinct_rows, fixing_mask,
+                     football_rotation_group, generate_group,
+                     group_from_elements, orbit, row_apply, row_dot,
+                     sign_flip_group, stabilizer, translates, trivial_group)
 
 FLAT = "flat"
 SPHERE = "sphere"
@@ -472,7 +472,7 @@ def atlas_grid(atlas: Sequence[DerivedChart], per_axis: int = 5) -> np.ndarray:
 def _first_by_key(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first row with each snapped key, in order, and the
     lexicographic rank of that row's key among the distinct keys."""
-    _, first = np.unique(_snap(pts), axis=0, return_index=True)
+    first, _ = distinct_rows(_snap(pts))
     ranks = np.argsort(first)
     return first[ranks], ranks
 
@@ -631,10 +631,9 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
         orbifold.singular_points(resolution)])
     idx, ranks = _first_by_key(pts)
     points = pts[idx]
-    masks, codes = np.unique(fixing_mask(group, points), axis=0,
-                             return_inverse=True)
-    codes = codes.reshape(-1)
-    sigs = [tuple(np.flatnonzero(m).tolist()) for m in masks]
+    fixing = fixing_mask(group, points)
+    kinds, codes = distinct_rows(fixing)
+    sigs = [tuple(np.flatnonzero(m).tolist()) for m in fixing[kinds]]
 
     spacing = model.grid_spacing(resolution)
     thresh = 1.6 * spacing
@@ -664,13 +663,6 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     return [Stratum(orbifold, sigs[codes[order[lo]]], cid, points[order[lo:hi]],
                     resolution)
             for cid, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
-
-
-def _close_pairs(points: np.ndarray, thresh: float):
-    """close(query): the index pairs (i, j) with |query[i] - points[j]| <=
-    thresh, i ascending, from one `_cell_list` of the (k, n) sample rows."""
-    ranges, pairs = _cell_list(points, thresh)
-    return lambda query: pairs(query, *ranges(query))
 
 
 def _cell_list(points: np.ndarray, thresh: float):

@@ -497,7 +497,9 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
     images are canonicalised in one call each.  ``underlying_override``
     maps (k, n) source rows to (k, n) image rows in place of
     ``f.underlying_rows``, so that tests can plant a defective map while
-    keeping the harness honest.
+    keeping the harness honest; the displacement from the identity is then
+    the planted map's, the largest quotient distance from a grid point to
+    its image, since f's lifts no longer describe the map checked.
     """
     orbifold = f.source
     apply_f = underlying_override or f.underlying_rows
@@ -526,8 +528,11 @@ def verify_diffeo(f: OrbifoldMapData, per_axis: int = 5,
                             for chart in f.atlas])
     gap = _cover_gap(orbifold, orbifold.canonicals(inner), img)
 
-    d0 = cs_distance(f, identity_map(orbifold, f.atlas), s=0,
-                     per_axis=per_axis).value
+    if underlying_override is None:
+        d0 = cs_distance(f, identity_map(orbifold, f.atlas), s=0,
+                         per_axis=per_axis).value
+    else:
+        d0 = float(orbifold.quotient_pair_distances(src, img).max())
     margin = 0.5 * min((1.0 - INNER_FRACTION) * ch.radius for ch in f.atlas)
     return DiffeoVerification(injective, witness, gap, tol, d0, margin)
 

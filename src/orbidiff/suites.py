@@ -8,7 +8,6 @@ configuration so a run can be reproduced from its own output.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import itertools
 import math
@@ -16,7 +15,6 @@ import platform
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy
 
 from .config import SuiteConfig
 from .errors import CoverGap, OrbidiffError
@@ -83,6 +81,10 @@ class SuiteReport:
         return sum(0 if rec.passed else 1 for _, rec in self.records)
 
     def render(self) -> str:
+        # imported here, so that only a rendered report pays for them:
+        # hashlib loads OpenSSL (+3.6 MB resident), scipy +1.2 MB
+        import hashlib
+        import scipy
         sha = hashlib.sha256(self.config.raw_text.encode()).hexdigest()
         out = io.StringIO()
         out.write("orbidiff report\n")

@@ -302,8 +302,12 @@ def reference_verify_diffeo(f, per_axis=5, inner_fraction=0.55, rows=None):
                             for ch in f.atlas])
     gap = float(orbifold.quotient_distances(orbifold.canonicals(inner), img)
                 .min(axis=1).max(initial=0.0))
-    d0 = reference_cs_distance(f, P.identity_map(orbifold, f.atlas), 0,
-                               per_axis)[1]
+    if rows is None:
+        d0 = reference_cs_distance(f, P.identity_map(orbifold, f.atlas), 0,
+                                   per_axis)[1]
+    else:   # the planted map's own displacement, one grid point at a time
+        d0 = max(float(orbifold.quotient_distances(s[None], i[None])[0, 0])
+                 for s, i in zip(src, img))
     margin = 0.5 * min((1.0 - inner_fraction) * ch.radius for ch in f.atlas)
     return R.DiffeoVerification(hits.size == 0, witness, gap, 2.5 * spacing,
                                 d0, margin)

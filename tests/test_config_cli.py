@@ -431,17 +431,55 @@ def test_run_counts_below_one_exit_two_naming_the_key(key, default, value,
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_loads_no_scipy_subpackage():
-    # scipy.spatial alone took about 0.4 s of a 0.66 s start-up; the report
-    # header reads only the top-level scipy version
+S2_D2H = """\
+[orbifold]
+name = s2d2h
+model = sphere
+dimension = 2
+generator = -1 0 0 0 1 0 0 0 1
+generator = 1 0 0 0 -1 0 0 0 1
+generator = 1 0 0 0 1 0 0 0 -1
+"""
+
+STRUCTURE_PATH = """\
+import contextlib, io, sys
+import numpy as np
+from orbidiff import cli, groups, maps, model
+group = groups.generate_group([np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0]),
+                               np.diag([1.0, 1.0, -1.0])])
+orb = model.GoodOrbifold(model.ModelSpace(model.SPHERE, 2), group)
+atlas = model.build_atlas(orb, resolution=16)
+assert len(model.strata(orb, resolution=32)) == 7
+edges = maps.overlap_graph(orb, atlas)
+assert maps.enumerate_identity_lifts(orb, atlas, edges=edges).is_abelian
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["describe", "--config", sys.argv[1]]) == 0
+print(*sorted(sys.modules))
+"""
+
+
+def test_cli_import_loads_no_scipy_subpackage(tmp_path):
+    # scipy.spatial alone took about 0.4 s of a 0.66 s start-up; scipy and
+    # hashlib (OpenSSL) cost 1.2 and 3.6 MB of resident memory, and only a
+    # rendered report reads them; numpy.ma, 1.2 MB, came in through
+    # np.unique
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, orbidiff.cli; print(*sorted(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
-    heavy = ("scipy.spatial", "scipy.sparse", "scipy.linalg", "scipy.special")
-    assert not [m for m in loaded if m.startswith(heavy)]
+
+    def modules(script, *args):
+        return subprocess.run(
+            [sys.executable, "-c", script, *args], env=env,
+            capture_output=True, text=True, check=True).stdout.split()
+
+    loaded = modules("import sys, orbidiff.cli; print(*sorted(sys.modules))")
+    assert not [m for m in loaded if m in ("scipy", "_hashlib")
+                or m.startswith("scipy.")]
+    cfg = tmp_path / "s2d2h.cfg"
+    cfg.write_text(S2_D2H, encoding="utf-8")
+    loaded = modules(STRUCTURE_PATH, str(cfg))
+    assert "orbidiff.suites" in loaded
+    assert not [m for m in loaded if m in ("scipy", "_hashlib", "numpy.ma")
+                or m.startswith(("scipy.", "numpy.ma."))]
 
 
 @pytest.mark.parametrize("entry", ["1e308", "-1e308", "inf", "nan"])

@@ -127,6 +127,59 @@ class TestInnerAutomorphisms:
         assert len(autos) * G.center(grp).order == grp.order
 
 
+def assert_matches_unique(rows):
+    """G.distinct_rows against np.unique on rows; returns its arrays."""
+    rows = np.asarray(rows)
+    first, inverse = G.distinct_rows(rows)
+    _, want_first, want_inverse = np.unique(rows, axis=0, return_index=True,
+                                            return_inverse=True)
+    assert first.dtype == want_first.dtype and inverse.shape == (len(rows),)
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    return first, inverse
+
+
+# entries a hair apart that snapping merges, or keeps apart
+SNAPPED = st.builds(lambda base, nudge: base + nudge,
+                    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, -1.0]),
+                    st.sampled_from([0.0, 1e-12, -1e-12, 1e-6]))
+ENTRIES = {"bool": st.booleans(),
+           "int": st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62)),
+           "snapped": SNAPPED}
+
+
+class TestDistinctRows:
+    @given(kind=st.sampled_from(sorted(ENTRIES)), width=st.integers(1, 4),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_unique(self, kind, width, data):
+        rows = data.draw(st.lists(st.lists(ENTRIES[kind], min_size=width,
+                                           max_size=width), max_size=30))
+        rows = np.array(rows, dtype={"bool": bool, "int": np.int64,
+                                     "snapped": float}[kind])
+        rows = rows.reshape(-1, width)
+        if kind == "snapped":
+            rows = G._snap(rows)
+        first, inverse = assert_matches_unique(rows)
+        # each row's class holds an equal row, and each class starts there
+        assert np.array_equal(rows[first][inverse], rows)
+        assert np.array_equal(inverse[first], np.arange(len(first)))
+
+    def test_signed_zeros_are_one_row(self):
+        first, inverse = assert_matches_unique([[-0.0, 1.0], [0.0, 1.0],
+                                                [0.0, -0.0], [-0.0, 0.0]])
+        assert first.tolist() == [2, 0] and inverse.tolist() == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_one_row_all_equal_rows_and_no_rows(self, width):
+        first, inverse = assert_matches_unique(np.full((1, width), 7))
+        assert first.tolist() == [0] and inverse.tolist() == [0]
+        first, inverse = assert_matches_unique(np.full((5, width), 0.25))
+        assert first.tolist() == [0] and inverse.tolist() == [0] * 5
+        first, inverse = assert_matches_unique(np.zeros((0, width), dtype=bool))
+        assert first.size == inverse.size == 0
+
+
 class TestFixedSubspace:
     def test_sign_flip_has_zero_subspace(self):
         assert G.fixed_subspace(G.sign_flip_group()).shape[0] == 0

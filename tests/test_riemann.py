@@ -456,6 +456,23 @@ class TestVerifyDiffeo:
         assert not report.surjective
         assert not report.passed
 
+    def test_planted_squeeze_reports_its_own_displacement(self, football3,
+                                                          football3_atlas):
+        idm = P.identity_map(football3, football3_atlas)
+
+        def squeeze(rows):
+            # the polar angle theta -> 0.6 theta: injective, commutes with the
+            # rotations about z, and moves the south cone point by 0.4 pi
+            theta = 0.6 * np.arccos(np.clip(rows[:, 2], -1.0, 1.0))
+            phi = np.arctan2(rows[:, 1], rows[:, 0])
+            return np.column_stack([np.sin(theta) * np.cos(phi),
+                                    np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+        report = R.verify_diffeo(idm, per_axis=4, underlying_override=squeeze)
+        assert report.c0_distance_to_identity > 1.0
+        assert not report.margin_ok
+        assert not report.passed
+
 
 class TestTransitions:
     def test_same_chart_transition_is_identity(self, football3,

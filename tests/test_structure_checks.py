@@ -319,10 +319,13 @@ def test_strata_memory_stays_within_the_candidate_budget():
 
 
 def assert_close_pairs_match(points, query, thresh):
-    """M._close_pairs against cKDTree.query_ball_point; returns the pairs."""
+    """The index pairs (i, j) with |query[i] - points[j]| <= thresh, i
+    ascending, from one `M._cell_list` of the (k, n) sample rows, against
+    cKDTree.query_ball_point; returns the pairs."""
     points = np.asarray(points, dtype=float)
     query = np.asarray(query, dtype=float)
-    heads, tails = M._close_pairs(points, thresh)(query)
+    ranges, pairs = M._cell_list(points, thresh)
+    heads, tails = pairs(query, *ranges(query))
     assert np.all(np.diff(heads) >= 0)
     got = sorted(zip(heads.tolist(), tails.tolist()))
     want = sorted((i, j) for i, hits in enumerate(
