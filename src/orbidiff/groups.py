@@ -8,6 +8,7 @@ entries, so tables are reproducible bit for bit across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -21,8 +22,9 @@ ORTHO_TOL = 1e-12     # orthogonality tolerance on inputs
 FD_STEP = 1e-5        # central finite-difference step, chart units
 FD_TOL = 1e-6         # tolerance when comparing FD Jacobians
 MAX_ORDER_DEFAULT = 4096
-# the library's one memory budget: entries per block of a batched kernel
-# (point-label masks, translate tiles, strata's candidate pairs)
+# the library's one memory budget: float64 elements (128 KiB) in the largest
+# temporary of a batched kernel (translate blocks, the pairwise walk's mask,
+# translate-distance tiles, strata's key ranges and candidate pairs)
 _BLOCK = 1 << 14
 
 
@@ -41,6 +43,13 @@ def is_orthogonal(m: np.ndarray) -> bool:
     if not (np.abs(m) <= 1.0 + ORTHO_TOL).all():
         return False
     return float(np.abs(m.T @ m - np.eye(m.shape[0])).max()) < ORTHO_TOL
+
+
+def block_rows(*shape: int) -> int:
+    """Rows per block of a batched kernel whose largest temporary holds
+    ``shape`` float64 elements per row: ``_BLOCK`` elements in all, and at
+    least one row."""
+    return max(1, _BLOCK // math.prod(shape))
 
 
 def _snap(pts: np.ndarray) -> np.ndarray:
@@ -398,10 +407,14 @@ def translates(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
 def fixing_mask(group: FiniteActionGroup, pts: np.ndarray) -> np.ndarray:
     """(k, order) mask of the elements moving each point less than EPS_GRP."""
     pts = np.asarray(pts, dtype=float)
-    step = max(1, _BLOCK // group.order)   # blocks of points bound the memory
-    return np.concatenate([np.abs(translates(group, b) - b[:, None]).max(axis=2)
-                           < EPS_GRP
-                           for b in np.array_split(pts, range(step, len(pts), step))])
+    step = block_rows(group.order, group.dimension)
+    out = np.empty((len(pts), group.order), dtype=bool)
+    for lo in range(0, len(pts), step):
+        b = pts[lo:lo + step]
+        moves = translates(group, b)
+        moves -= b[:, None]
+        out[lo:lo + step] = np.abs(moves, out=moves).max(axis=2) < EPS_GRP
+    return out
 
 
 def _certify_distinct(trans: np.ndarray, tol: float) -> np.ndarray:
@@ -417,9 +430,17 @@ def _certify_distinct(trans: np.ndarray, tol: float) -> np.ndarray:
     n = trans.shape[2]
     u = np.cos(np.arange(1.0, n + 1.0))
     proj = np.sort(trans @ u, axis=1)
-    scale = np.fmax.reduce(np.abs(trans), axis=None, initial=0.0)   # skips NaN
+    scale = _abs_max(trans)
     margin = 2.0 * np.abs(u).sum() * max(tol, n * np.finfo(float).eps * scale)
     return (np.diff(proj, axis=1) >= margin).all(axis=1)
+
+
+def _abs_max(a: np.ndarray) -> float:
+    """The largest |entry| of a, NaN skipped, 0.0 for none: the value of
+    ``np.fmax.reduce(np.abs(a), axis=None, initial=0.0)``, without the
+    temporary |a|."""
+    return max(np.fmax.reduce(a, axis=None, initial=0.0),
+               -np.fmin.reduce(a, axis=None, initial=0.0)) + 0.0
 
 
 def _pairwise_walk(trans: np.ndarray, tol: float) -> np.ndarray:
@@ -427,13 +448,14 @@ def _pairwise_walk(trans: np.ndarray, tol: float) -> np.ndarray:
     drops each translate within tol of one already kept; O(order²) per row."""
     k, order, n = trans.shape
     keep = np.ones((k, order), dtype=bool)
-    step = max(1, _BLOCK // (k * order))
-    for lo in range(1, order, step):   # blocks of rows bound the memory
+    step = block_rows(k, order)
+    for lo in range(1, order, step):   # blocks of translates bound the memory
         hi = min(order, lo + step)
         # close[., r, i]: translate i comes before translate lo + r and is near it
         close = np.repeat(np.tri(hi - lo, hi, k=lo - 1, dtype=bool)[None], k, axis=0)
         for c in range(n):
-            close &= np.abs(trans[:, lo:hi, None, c] - trans[:, None, :hi, c]) < tol
+            gap = trans[:, lo:hi, None, c] - trans[:, None, :hi, c]
+            close &= np.abs(gap, out=gap) < tol
         for r in np.flatnonzero(close.any(axis=(0, 2))):
             keep[:, lo + r] = ~(close[:, r] & keep[:, :hi]).any(axis=1)
     return keep
@@ -458,14 +480,16 @@ def canonical_representatives(group: FiniteActionGroup, pts: np.ndarray) -> np.n
     """(k, n) -> (k, n): the distinct translate with the lexicographically
     least snapped coordinates; ties go to the lower group label.
 
-    Blocks of ``_BLOCK // order`` rows keep the translates near ``_BLOCK``
-    rows; the pairwise walk bounds its own mask for the rows it gets."""
+    Blocks of rows keep the translates, and the sort keys, within
+    ``_BLOCK`` elements; the pairwise walk bounds its own mask for the rows
+    it gets."""
     out = np.empty(np.shape(pts))
-    chunk = max(1, _BLOCK // group.order)
+    chunk = block_rows(group.order, group.dimension)
     for lo in range(0, len(pts), chunk):
         trans = translates(group, pts[lo:lo + chunk])
-        keys = np.where(_distinct_translates(trans, EPS_GRP)[..., None],
-                        _snap(trans), np.inf)
+        keys = np.round(trans, 9)
+        keys += 0.0     # _snap's keys: -0.0 becomes 0.0
+        keys[~_distinct_translates(trans, EPS_GRP)] = np.inf
         # lexsort is stable and takes its primary key last
         first = np.lexsort(np.moveaxis(keys, 2, 0)[::-1], axis=-1)[:, 0]
         out[lo:lo + chunk] = trans[np.arange(len(trans)), first]

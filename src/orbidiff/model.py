@@ -104,20 +104,24 @@ class ModelSpace:
         of a to the matching row of b.
 
         This is the library's one distance kernel.  Each entry is the same
-        bits whatever rows share the call: the sums of squares (written out
-        on the flat branch, the expression ``np.linalg.norm`` runs along an
-        axis) add each row's squares on their own, and ``row_dot`` takes
-        each sign as ``np.dot``.
+        bits whatever rows share the call: the sums of squares (the
+        expression ``np.linalg.norm`` runs along an axis, written out on one
+        array of differences squared in place) add each row's squares on
+        their own, and ``row_dot`` takes each sign as ``np.dot``.
         """
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
+        d = a - b
         if self.kind == FLAT:
-            d = a - b
-            return np.sqrt(np.add.reduce(d * d, axis=-1))
+            d *= d
+            return np.sqrt(np.add.reduce(d, axis=-1))
         # chord-based great-circle distance: full precision at both ends,
-        # unlike arccos of the dot product which loses ~1e-8 near zero
+        # unlike arccos of the dot product which loses ~1e-8 near zero; the
+        # chord is a + b where the rows are more than a right angle apart
         near = row_dot(a, b) >= 0.0
-        chord = np.linalg.norm(np.where(near[..., None], a - b, a + b), axis=-1)
+        np.add(a, b, out=d, where=~near[..., None])
+        d *= d
+        chord = np.sqrt(np.add.reduce(d, axis=-1))
         angle = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
         return np.where(near, angle, np.pi - angle)
 
@@ -328,16 +332,19 @@ class GoodOrbifold:
         """(k, n) rows, (t, n) targets -> (k, t, ...): the library's one
         kernel of distances from every translate of a row to every target.
 
-        Each tile of rows by targets holds about ``groups._BLOCK`` entries
-        d[i, j, g], the model distance from g . rows[i] to targets[j], with
-        the group on the last axis; ``reduce(d, cols)`` gets the tile and the
-        slice of targets it covers, and acts on the last axis only.  An empty
-        side still makes one tile, so the result keeps reduce's shape.
+        Each tile of rows by targets holds the entries d[i, j, g], the model
+        distance from g . rows[i] to targets[j], with the group on the last
+        axis; ``reduce(d, cols)`` gets the tile and the slice of targets it
+        covers, and acts on the last axis only.  A tile's differences of
+        coordinates, its largest temporary, hold about ``groups._BLOCK``
+        elements.  An empty side still makes one tile, so the result keeps
+        reduce's shape.
         """
-        rows = np.asarray(rows, dtype=float).reshape(-1, self.model.ambient_dim)
-        targets = np.asarray(targets, dtype=float).reshape(-1, 1, rows.shape[1])
-        width = max(1, min(len(targets), groups._BLOCK // self.group.order))
-        step = max(1, groups._BLOCK // (self.group.order * width))
+        n = self.model.ambient_dim
+        rows = np.asarray(rows, dtype=float).reshape(-1, n)
+        targets = np.asarray(targets, dtype=float).reshape(-1, 1, n)
+        width = min(max(len(targets), 1), groups.block_rows(self.group.order, n))
+        step = groups.block_rows(self.group.order, n, width)
         out = None
         for lo in range(0, max(len(rows), 1), step):
             trans = translates(self.group, rows[lo:lo + step])[:, None]
@@ -366,11 +373,12 @@ class GoodOrbifold:
     def quotient_pair_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(N, n), (N, n) canonical rows -> (N,): entry k is entry (k, k) of
         ``quotient_distances(a, b)``, bit for bit, without the other pairs.
-        Blocks of rows keep each block's translates near ``groups._BLOCK``."""
+        Blocks of rows keep each block's translates within ``groups._BLOCK``
+        elements."""
         n = self.model.ambient_dim
         a = np.asarray(a, dtype=float).reshape(-1, n)
         b = np.asarray(b, dtype=float).reshape(-1, n)
-        step = max(1, groups._BLOCK // self.group.order)
+        step = groups.block_rows(self.group.order, n)
         dist = self.model.row_distances
         out = np.empty(len(a))
         for lo in range(0, len(a), step):
@@ -619,10 +627,12 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     decreasing isotropy order, then signature, then least sample key; the
     samples of each come in key order.
 
-    The neighbour search queries each element's moved samples in runs of at
-    most ``groups._BLOCK`` candidate pairs (a run holds at least one row)
-    and merges each run's edges as it comes, so the memory it holds at once
-    does not grow with how densely a region is sampled.
+    The neighbour search moves the samples by each element in blocks whose
+    key ranges, 3^(n-1) per row, hold at most ``groups._BLOCK`` entries; it
+    queries a block in runs of at most ``groups._BLOCK`` candidate pairs (a
+    run holds at least one row) and merges each run's edges as it comes, so
+    the memory it holds at once grows neither with the sample count nor with
+    how densely a region is sampled.
     """
     model = orbifold.model
     group = orbifold.group
@@ -640,17 +650,19 @@ def strata(orbifold: GoodOrbifold, resolution: int = 32) -> list[Stratum]:
     if model.kind == SPHERE:
         thresh = 2.0 * np.sin(min(thresh, np.pi) / 2.0)  # chordal
     ranges, pairs = _cell_list(points, thresh)
+    block = groups.block_rows(3 ** (points.shape[1] - 1))
     labels = np.arange(len(points))
-    for lab in range(group.order):
-        moved = row_apply(group.matrix(lab), points)
+    for lab, start in itertools.product(range(group.order),
+                                        range(0, len(points), block)):
+        moved = row_apply(group.matrix(lab), points[start:start + block])
         first, counts = ranges(moved)
         ends = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
         lo = 0
-        while lo < len(points):
+        while lo < len(moved):
             hi = max(lo + 1, int(np.searchsorted(
                 ends, ends[lo] + groups._BLOCK, side="right")) - 1)
             heads, tails = pairs(moved[lo:hi], first[lo:hi], counts[lo:hi])
-            labels = _merge(labels, codes, heads + lo, tails)
+            labels = _merge(labels, codes, heads + start + lo, tails)
             lo = hi
 
     sig_rank = np.argsort(sorted(range(len(sigs)),
@@ -714,7 +726,8 @@ def _cell_list(points: np.ndarray, thresh: float):
             first + counts - np.cumsum(counts), counts)
         sq = np.zeros(len(pos))
         for a in range(n):
-            d = np.repeat(query[:, a], per_row) - cols[a][pos]
+            d = np.repeat(query[:, a], per_row)
+            d -= cols[a][pos]
             d *= d
             sq += d
         keep = sq <= thresh * thresh

@@ -81,10 +81,9 @@ class SuiteReport:
         return sum(0 if rec.passed else 1 for _, rec in self.records)
 
     def render(self) -> str:
-        # imported here, so that only a rendered report pays for them:
-        # hashlib loads OpenSSL (+3.6 MB resident), scipy +1.2 MB
+        # imported here, so that only a rendered report pays for it:
+        # hashlib loads OpenSSL (+3.6 MB resident)
         import hashlib
-        import scipy
         sha = hashlib.sha256(self.config.raw_text.encode()).hexdigest()
         out = io.StringIO()
         out.write("orbidiff report\n")
@@ -94,7 +93,7 @@ class SuiteReport:
         out.write(f"seed: {self.seed}\n")
         out.write(f"tol-scale: {self.tol_scale:.16e}\n")
         out.write(f"environment: python {platform.python_version()}; "
-                  f"numpy {np.__version__}; scipy {scipy.__version__}\n")
+                  f"numpy {np.__version__}\n")
         current = None
         for suite, rec in self.records:
             if suite != current:

@@ -458,11 +458,21 @@ print(*sorted(sys.modules))
 """
 
 
+RUN_GROUP_SUITE = """\
+import contextlib, io, sys
+from orbidiff import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["run", "--suite", "group", "--seed", "1",
+                     "--out", sys.argv[1]]) == 0
+print(*sorted(sys.modules))
+"""
+
+
 def test_cli_import_loads_no_scipy_subpackage(tmp_path):
     # scipy.spatial alone took about 0.4 s of a 0.66 s start-up; scipy and
     # hashlib (OpenSSL) cost 1.2 and 3.6 MB of resident memory, and only a
-    # rendered report reads them; numpy.ma, 1.2 MB, came in through
-    # np.unique
+    # rendered report reads hashlib; the library reads no scipy at all;
+    # numpy.ma, 1.2 MB, came in through np.unique
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
 
@@ -480,6 +490,11 @@ def test_cli_import_loads_no_scipy_subpackage(tmp_path):
     assert "orbidiff.suites" in loaded
     assert not [m for m in loaded if m in ("scipy", "_hashlib", "numpy.ma")
                 or m.startswith(("scipy.", "numpy.ma."))]
+    # a run renders a report on the default football
+    out = tmp_path / "run"
+    loaded = modules(RUN_GROUP_SUITE, str(out))
+    assert "orbidiff.suites" in loaded and list(out.glob("report_*.txt"))
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
 
 
 @pytest.mark.parametrize("entry", ["1e308", "-1e308", "inf", "nan"])

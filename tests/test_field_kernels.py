@@ -497,7 +497,9 @@ def test_partition_sums_keep_their_order_on_an_order_48_group():
 @pytest.mark.parametrize("name", ["football5", "disk_Z4", "S2/Oh"])
 def test_values_past_one_block_match_one_row_calls(name):
     orbifold, atlas = case(name)
-    k = G._BLOCK // (orbifold.group.order * len(atlas)) + 1
+    # one more row than a translate-distance tile holds
+    k = G.block_rows(orbifold.group.order, orbifold.model.ambient_dim,
+                     len(atlas)) + 1
     pts = model_points(orbifold, np.random.default_rng(13).uniform(
         -1.0, 1.0, size=(k, orbifold.model.ambient_dim)))
     pou = R.PartitionOfUnity(orbifold, atlas)

@@ -713,7 +713,7 @@ def chart_hit_case(name):
         dirs = np.concatenate([frame, -frame, (frame[:1] + frame[-1:]) / np.sqrt(2.0)])
         base += [ch.center, *model.geo_exp(np.broadcast_to(ch.center, dirs.shape),
                                            ch.radius * dirs)]
-    block = max(1, G._BLOCK // (orb.group.order * len(atlas)))
+    block = G.block_rows(orb.group.order, orb.model.ambient_dim, len(atlas))
     rows = np.tile(base, (block // len(base) + 2, 1))
     assert len(rows) > block
     return orb, atlas, rows
