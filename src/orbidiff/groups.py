@@ -29,7 +29,8 @@ _BLOCK = 1 << 14
 
 
 def polar_orthonormalize(m: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal matrix (polar factor); keeps long products stable."""
+    """Nearest orthogonal matrix (polar factor) of each (n, n) matrix in a
+    stack; keeps long products stable."""
     u, _, vt = np.linalg.svd(m)
     return u @ vt
 
@@ -50,6 +51,16 @@ def block_rows(*shape: int) -> int:
     ``shape`` float64 elements per row: ``_BLOCK`` elements in all, and at
     least one row."""
     return max(1, _BLOCK // math.prod(shape))
+
+
+def product_grid(axis: Sequence, k: int) -> np.ndarray:
+    """Rows of the k-fold product of ``axis``, shape (len(axis)**k, k): the
+    rows of ``itertools.product(axis, repeat=k)`` in its order, with the
+    axis's dtype; one empty row when k = 0."""
+    axis = np.asarray(axis)
+    if k == 0:
+        return np.empty((1, 0), dtype=axis.dtype)
+    return np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
 
 
 def _snap(pts: np.ndarray) -> np.ndarray:
@@ -160,6 +171,17 @@ class FiniteActionGroup:
         orders.setflags(write=False)
         return orders
 
+    @cached_property
+    def fixed_bases(self) -> tuple[np.ndarray, ...]:
+        """Per label, an orthonormal basis (rows) of the subspace the element
+        fixes: the rows of vt in svd(g - I) whose singular values are below
+        EPS_GRP.  One batched SVD for the group."""
+        _, svals, vt = np.linalg.svd(self._stack - np.eye(self.dimension))
+        bases = tuple(v[s < EPS_GRP] for s, v in zip(svals, vt))
+        for b in bases:
+            b.setflags(write=False)
+        return bases
+
     def element_order(self, label: int) -> int:
         return int(self.element_orders[label])
 
@@ -217,42 +239,39 @@ def generate_group(generators: Sequence[np.ndarray],
             raise NotOrthogonal(f"generator {i} has shape {g.shape}, expected {(n, n)}")
         if not is_orthogonal(g):
             raise NotOrthogonal(f"generator {i} is not orthogonal within {ORTHO_TOL}")
-    gens = [polar_orthonormalize(g) for g in gens]
+    gens = polar_orthonormalize(np.stack(gens))
 
-    found: list[np.ndarray] = [np.eye(n)]
-
-    def lookup(m: np.ndarray) -> int | None:
-        diffs = np.abs(np.stack(found) - m).max(axis=(1, 2))
-        best = int(np.argmin(diffs))
-        return best if diffs[best] < EPS_GRP else None
-
-    frontier = [np.eye(n)]
-    while frontier:
-        products = []
-        for m in frontier:
-            for g in gens:
-                products.append(polar_orthonormalize(m @ g))
-        products.sort(key=_snap_key)
-        next_frontier = []
+    # found[:count] holds the elements in label order; it doubles when full
+    found, count = np.eye(n)[None], 1
+    frontier = found
+    while len(frontier):
+        # every frontier element times every generator, frontier-major
+        products = polar_orthonormalize(frontier[:, None] @ gens).reshape(-1, n, n)
+        keys = _snap(products.reshape(len(products), -1))
+        # lexsort is stable: the order of sorted(products, key=_snap_key)
+        products = products[np.lexsort(keys.T[::-1])]
+        start = count
         for p in products:
-            if lookup(p) is None:
-                found.append(p)
-                next_frontier.append(p)
-                if len(found) > max_order:
-                    raise ClosureExceeded(
-                        f"group order exceeds max_order={max_order}; generators may "
-                        "not generate a finite group or are drifting numerically")
-        frontier = next_frontier
+            if np.abs(found[:count] - p).max(axis=(1, 2)).min() < EPS_GRP:
+                continue
+            if count == len(found):
+                found = np.concatenate([found, np.empty_like(found)])
+            found[count] = p
+            count += 1
+            if count > max_order:
+                raise ClosureExceeded(
+                    f"group order exceeds max_order={max_order}; generators may "
+                    "not generate a finite group or are drifting numerically")
+        frontier = found[start:count]
 
+    found = found[:count]
     elems = [OrthogonalElement(m, i) for i, m in enumerate(found)]
-    stack = np.stack(found)
-    order = len(found)
-    cay = np.empty((order, order), dtype=int)
-    for a in range(order):
-        prods = stack[a] @ stack  # (order, n, n) products a*b
-        diffs = np.abs(prods[:, None, :, :] - stack[None, :, :, :]).max(axis=(2, 3))
+    cay = np.empty((count, count), dtype=int)
+    for a in range(count):
+        prods = found[a] @ found  # (order, n, n) products a*b
+        diffs = np.abs(prods[:, None, :, :] - found[None, :, :, :]).max(axis=(2, 3))
         labels = np.argmin(diffs, axis=1)
-        if float(diffs[np.arange(order), labels].max()) > EPS_GRP:
+        if float(diffs[np.arange(count), labels].max()) > EPS_GRP:
             raise ClosureExceeded("closure lookup failed; numerical drift too large")
         cay[a] = labels
     return FiniteActionGroup(elems, cay)
@@ -370,8 +389,7 @@ def fixed_subspace(group: FiniteActionGroup) -> np.ndarray:
     possibly 0.
     """
     n = group.dimension
-    blocks = np.concatenate([group.matrix(a) - np.eye(n)
-                             for a in range(group.order)], axis=0)
+    blocks = (group.matrices - np.eye(n)).reshape(-1, n)
     _, svals, vt = np.linalg.svd(blocks)
     svals = np.concatenate([svals, np.zeros(n - svals.size)])
     return vt[svals < EPS_GRP]
@@ -487,8 +505,9 @@ def canonical_representatives(group: FiniteActionGroup, pts: np.ndarray) -> np.n
     chunk = block_rows(group.order, group.dimension)
     for lo in range(0, len(pts), chunk):
         trans = translates(group, pts[lo:lo + chunk])
+        # lexsort orders -0.0 and 0.0 as equal, so the keys need not
+        # normalise -0.0 as _snap does
         keys = np.round(trans, 9)
-        keys += 0.0     # _snap's keys: -0.0 becomes 0.0
         keys[~_distinct_translates(trans, EPS_GRP)] = np.inf
         # lexsort is stable and takes its primary key last
         first = np.lexsort(np.moveaxis(keys, 2, 0)[::-1], axis=-1)[:, 0]

@@ -750,18 +750,22 @@ def enumerate_identity_lifts(orbifold: GoodOrbifold,
 
     # allowed[(i, j)][a, b]: germs a on chart i and b on chart j agree
     allowed: dict[tuple[int, int], np.ndarray] = {}
-    for edge in edges:
+    # the constraint depends on a point only through its stabilizer S:
+    # eta g_a eta^-1 must be s g_b s^-1 for some s in S; one mask covers
+    # every edge's points, and each (edge, stabilizer) row counts once
+    sing = [edge.singular_points for edge in edges]
+    fixing = fixing_mask(grp, np.concatenate([np.empty((0, grp.dimension)), *sing]))
+    owner = np.repeat(np.arange(len(edges)), [len(s) for s in sing])
+    first, _ = distinct_rows(np.column_stack([owner, fixing]))
+    for e, row in zip(owner[first].tolist(), fixing[first]):
+        if row.sum() <= 1:
+            continue
+        edge = edges[e]
         key = (edge.i, edge.j)
         gi, gj = (list(charts[k].isotropy.parent_labels) for k in key)
-        fixing = fixing_mask(grp, edge.singular_points)
-        # the constraint depends on a point only through its stabilizer S:
-        # eta g_a eta^-1 must be s g_b s^-1 for some s in S
-        for row in fixing[distinct_rows(fixing)[0]]:
-            if row.sum() <= 1:
-                continue
-            reach = np.zeros((grp.order, len(gj)), dtype=bool)
-            reach[conj[np.ix_(np.flatnonzero(row), gj)], np.arange(len(gj))] = True
-            allowed[key] = allowed.get(key, True) & reach[conj[edge.eta, gi]]
+        reach = np.zeros((grp.order, len(gj)), dtype=bool)
+        reach[conj[np.ix_(np.flatnonzero(row), gj)], np.arange(len(gj))] = True
+        allowed[key] = allowed.get(key, True) & reach[conj[edge.eta, gi]]
     rows = np.zeros((1, 0), dtype=int)
     for k, ch in enumerate(charts):
         m = ch.isotropy.order

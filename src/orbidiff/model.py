@@ -252,7 +252,7 @@ class ModelSpace:
         """Deterministic sample grid of the model, shape (k, ambient_dim)."""
         if self.kind == FLAT:
             axis = np.linspace(-self.radius, self.radius, resolution) * 0.98
-            pts = np.array(list(itertools.product(axis, repeat=self.dimension)))
+            pts = groups.product_grid(axis, self.dimension)
             keep = np.linalg.norm(pts, axis=1) < self.radius * 0.98 + 1e-12
             return pts[keep]
         thetas = np.linspace(0.0, np.pi, resolution)
@@ -276,7 +276,7 @@ class ModelSpace:
         """Deterministic samples of the metric ball around center."""
         center = np.asarray(center, dtype=float)
         axis = np.linspace(-1.0, 1.0, per_axis)
-        cube = np.array(list(itertools.product(axis, repeat=self.dimension)))
+        cube = groups.product_grid(axis, self.dimension)
         cube = cube[np.linalg.norm(cube, axis=1) <= 1.0 + 1e-12] * radius * shrink
         if self.kind == FLAT:
             return center + cube
@@ -394,37 +394,34 @@ class GoodOrbifold:
         """Exact singular locations, sampled along every fixed-point set.
 
         Rows are canonical representatives, deduplicated.  For each
-        non-identity element we sample its fixed subspace intersected with the
-        model.  Flat: the coefficient grid of the fixed subspace, kept inside
-        0.98R.  Sphere: a fixed line gives its two unit vectors; a fixed
+        non-identity element we sample its fixed subspace, whose basis is
+        cached in ``group.fixed_bases``, intersected with the model.  Flat:
+        the coefficient grid of the fixed subspace, kept inside 0.98R.
+        Sphere: a fixed line gives its two unit vectors; a fixed
         k-space (k > 1) gives the rows of its coefficient grid on the boundary
         of the cube [-1, 1]^k, which radial projection maps one to one onto
         the fixed (k-1)-sphere (4(r-1) rows on a mirror circle).
         """
         # every candidate lies in the model: norm below 0.98R, or a unit vector
-        cands: list[np.ndarray] = []
-        for lab in range(1, self.group.order):
-            gmat = self.group.matrix(lab)
-            _, svals, vt = np.linalg.svd(gmat - np.eye(self.group.dimension))
-            svals = np.concatenate([svals, np.zeros(vt.shape[0] - svals.size)])
-            basis = vt[svals < 1e-9]
+        model, n = self.model, self.model.ambient_dim
+        axis = np.linspace(-1, 1, max(resolution, 3))
+        cands = [np.empty((0, n))]
+        for basis in self.group.fixed_bases[1:]:
             k = basis.shape[0]
-            if self.model.kind == FLAT:
-                cands.append(np.zeros(self.model.ambient_dim))
+            if model.kind == FLAT:
+                cands.append(np.zeros((1, n)))
                 if k == 0:
                     continue
-                axis = np.linspace(-1, 1, max(resolution, 3)) * self.model.radius * 0.98
-                coeffs = np.array(list(itertools.product(axis, repeat=k)))
+                coeffs = groups.product_grid(axis * model.radius * 0.98, k)
                 p = row_apply(basis.T, coeffs)
-                cands.extend(p[np.sqrt(row_dot(p, p)) < self.model.radius * 0.98])
+                cands.append(p[np.sqrt(row_dot(p, p)) < model.radius * 0.98])
             elif k == 1:
-                cands += [basis[0], -basis[0]]
+                cands.append(np.stack([basis[0], -basis[0]]))
             elif k > 1:
-                axis = np.linspace(-1, 1, max(resolution, 3))
-                coeffs = np.array(list(itertools.product(axis, repeat=k)))
+                coeffs = groups.product_grid(axis, k)
                 coeffs = coeffs[np.abs(coeffs).max(axis=1) == 1.0]
-                cands.extend(self.model.project(row_apply(basis.T, coeffs)))
-        pts = np.reshape(cands, (-1, self.model.ambient_dim))
+                cands.append(model.project(row_apply(basis.T, coeffs)))
+        pts = np.concatenate(cands)
         reps = canonical_representatives(
             self.group, pts[fixing_mask(self.group, pts).sum(axis=1) > 1])
         return reps[_first_by_key(reps)[0]]
@@ -702,8 +699,7 @@ def _cell_list(points: np.ndarray, thresh: float):
     n = points.shape[1]
     reach = int(np.ceil(np.sqrt(row_dot(points, points)).max() / side)) + 2
     strides = (2 * reach + 1) ** np.arange(n - 1, -1, -1)
-    steps = np.array(list(itertools.product((-1, 0, 1), repeat=n - 1)),
-                     dtype=int).reshape(3 ** (n - 1), n - 1) @ strides[:-1]
+    steps = groups.product_grid(np.array((-1, 0, 1)), n - 1) @ strides[:-1]
 
     def keys(rows):
         cells = np.clip(np.floor(rows / side), 1 - reach, reach - 1)

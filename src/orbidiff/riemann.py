@@ -8,7 +8,6 @@ inverting it recovers the section.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -16,8 +15,8 @@ import numpy as np
 
 from .errors import (ChartMismatch, CoverGap, ImageEscapesChart,
                      NotCloseToIdentity, NotSPD, OutOfDomain, ThetaNotIdentity)
-from .groups import (EPS_GRP, fixing_mask, row_apply, row_dot, stabilizer,
-                     translates)
+from .groups import (EPS_GRP, fixing_mask, product_grid, row_apply, row_dot,
+                     stabilizer, translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
@@ -312,7 +311,7 @@ def exp_local_homeo_check(exp_map: ExpMap, row: np.ndarray, eps: float,
         vecs += [v, w]
 
     axis = np.linspace(-1.0, 1.0, HOMEO_PER_AXIS)
-    cube = np.array(list(itertools.product(axis, repeat=frame.shape[0])))
+    cube = product_grid(axis, frame.shape[0])
     disc = cube[np.hypot.reduce(cube, axis=1) <= 1.0] * eps
     vecs = np.concatenate([np.reshape(vecs, (-1, frame.shape[1])),
                            row_apply(frame.T, disc)])
