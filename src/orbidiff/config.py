@@ -20,23 +20,12 @@ from .model import GoodOrbifold, ModelSpace
 ALL_SUITES = ("group", "strata", "maps", "tangent", "riemann", "theorem1",
               "corollary2")
 
-_DEFAULT_TOLERANCES = {
-    "equivariance": 1e-9,
-    "roundtrip": 1e-8,
-    "pou_sum": 1e-9,
-    "metric_invariance": 1e-10,
-    "idempotence": 1e-12,
-    "exp_well_defined": 1e-9,
-    "metric_axioms": 1e-12,
-}
-
 # every section and the keys it may hold
 _KEYS = {
     "orbifold": ("name", "model", "dimension", "radius", "generator",
                  "max_order"),
     "atlas": ("resolution", "max_charts"),
     "grids": ("strata_resolution", "verify_resolution"),
-    "tolerances": tuple(_DEFAULT_TOLERANCES),
     "run": ("seed", "suites", "out", "sections", "diffeos"),
 }
 
@@ -53,16 +42,12 @@ class SuiteConfig:
     max_charts: int
     strata_resolution: int
     verify_resolution: int
-    tolerances: dict[str, float]
     seed: int
     suites: tuple[str, ...]
     out_dir: str
     sections: int
     diffeos: int
     raw_text: str
-
-    def tol(self, key: str, scale: float = 1.0) -> float:
-        return self.tolerances[key] * scale
 
     def build_orbifold(self) -> GoodOrbifold:
         if self.generators:
@@ -153,8 +138,7 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
             raise ConfigInvalid(f"section [{sec}] repeated")
         for key, _, lineno in entries:
             if key not in _KEYS[sec]:
-                noun = "tolerance" if sec == "tolerances" else "key"
-                raise ConfigInvalid(f"{sec}.{key} (line {lineno}): unknown {noun}")
+                raise ConfigInvalid(f"{sec}.{key} (line {lineno}): unknown key")
         by_name[sec] = entries
 
     if "orbifold" not in by_name:
@@ -190,14 +174,6 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
     grids = by_name.get("grids", [])
     run = by_name.get("run", [])
 
-    tolerances = dict(_DEFAULT_TOLERANCES)
-    for k, v, _ in by_name.get("tolerances", []):
-        try:
-            val = float(v)
-        except ValueError as exc:
-            raise ConfigInvalid(f"tolerances.{k}: {exc}") from exc
-        tolerances[k] = finite_positive(val, f"tolerances.{k}")
-
     suites_raw = _one(run, "suites", default=",".join(ALL_SUITES), where="run")
     suites = tuple(s.strip() for s in suites_raw.split(",") if s.strip())
     for s in suites:
@@ -214,7 +190,6 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
         max_charts=_count(atlas, "max_charts", 128, "atlas"),
         strata_resolution=_count(grids, "strata_resolution", 64, "grids"),
         verify_resolution=_count(grids, "verify_resolution", 20, "grids"),
-        tolerances=tolerances,
         seed=_count(run, "seed", 7, "run", low=0),
         suites=suites,
         out_dir=_one(run, "out", default="reports", where="run"),

@@ -597,25 +597,16 @@ def calibrate_chart_radius(orbifold: GoodOrbifold, exp_map: ExpMap,
 
 # -- corollary checks: identity lifts inside the diffeomorphism group ------------------
 
-def conjugate_identity_lift(id_group: IdentityLiftGroup,
-                            assignment: tuple[int, ...],
-                            g: OrbifoldMapData,
-                            tol: float = 1e-8) -> tuple[int, ...] | None:
-    """Assignment tuple of g f g^-1 for an identity lift f, or None.
+def conjugate_identity_lifts(id_group: IdentityLiftGroup,
+                             assignments: Sequence[tuple[int, ...]],
+                             g: OrbifoldMapData,
+                             tol: float = 1e-8) -> list[tuple[int, ...] | None]:
+    """Assignment tuple of g f g^-1 for each identity lift f, or None.
 
     Needs g to carry global and inverse lifts.  The conjugate's germ on each
     chart is transported through the chart of f nearest to the preimage of
     the center; None means some germ failed to normalize into the isotropy,
     i.e. the conjugate is not an identity lift over this atlas.
-    """
-    return conjugate_identity_lifts(id_group, [assignment], g, tol)[0]
-
-
-def conjugate_identity_lifts(id_group: IdentityLiftGroup,
-                             assignments: Sequence[tuple[int, ...]],
-                             g: OrbifoldMapData,
-                             tol: float = 1e-8) -> list[tuple[int, ...] | None]:
-    """conjugate_identity_lift of each assignment by one g.
 
     One inverse_lift call takes every chart centre, and their first
     chart_hits hits are the source charts.  Chart by chart, the sample

@@ -110,6 +110,19 @@ class SuiteReport:
         return out.getvalue()
 
 
+# base tolerances shared by several checks; a run multiplies them by its
+# tol-scale. Checks that count mismatches record them with tolerance 0.0.
+_TOLERANCES = {
+    "equivariance": 1e-9,
+    "roundtrip": 1e-8,
+    "pou_sum": 1e-9,
+    "metric_invariance": 1e-10,
+    "idempotence": 1e-12,
+    "exp_well_defined": 1e-9,
+    "metric_axioms": 1e-12,
+}
+
+
 class _Context:
     """Shared objects built once per run."""
 
@@ -128,7 +141,7 @@ class _Context:
         return np.random.default_rng(self.seed + 1000 * offset)
 
     def tol(self, key: str) -> float:
-        return self.config.tol(key, self.scale)
+        return _TOLERANCES[key] * self.scale
 
     @property
     def id_group(self):
@@ -155,11 +168,6 @@ def _record(records, suite, name, claim, residual, tolerance, witness="-"):
                                        float(tolerance),
                                        float(residual) <= float(tolerance),
                                        witness)))
-
-
-def _record_exact(records, suite, name, claim, mismatches, witness="-"):
-    records.append((suite, CheckRecord(name, claim, float(mismatches), 0.0,
-                                       mismatches == 0, witness)))
 
 
 def _raw_metric(rng: np.random.Generator, n: int):
@@ -190,10 +198,10 @@ def _suite_group(ctx: _Context, records):
             "products of group elements land back on group elements", worst, tol)
 
     autos = inner_automorphisms(grp)
-    _record_exact(records, "group", "inner_automorphism_count",
-                  f"conjugation maps count {len(autos)} times center order "
-                  f"{center(grp).order} equals the group order {grp.order}",
-                  0 if len(autos) * center(grp).order == grp.order else 1)
+    _record(records, "group", "inner_automorphism_count",
+            f"conjugation maps count {len(autos)} times center order "
+            f"{center(grp).order} equals the group order {grp.order}",
+            0 if len(autos) * center(grp).order == grp.order else 1, 0.0)
 
     basis = fixed_subspace(grp)
     res = float(np.abs(row_apply(grp.matrices[:, None], basis) - basis
@@ -213,9 +221,9 @@ def _suite_group(ctx: _Context, records):
         stab_size = stabilizer(grp, x).order
         if orb_size * stab_size != grp.order:
             mismatches += 1
-    _record_exact(records, "group", "orbit_stabilizer",
-                  "orbit size times stabilizer order equals the group order "
-                  "at sampled points", mismatches)
+    _record(records, "group", "orbit_stabilizer",
+            "orbit size times stabilizer order equals the group order "
+            "at sampled points", mismatches, 0.0)
 
     # linearization battery on a conjugated line flip: h(y) = y + 0.1 y^3
     flip = sign_flip_group()
@@ -258,19 +266,19 @@ def _suite_strata(ctx: _Context, records):
     orbifold = ctx.orbifold
     layers = strata(orbifold, resolution=ctx.config.strata_resolution)
     singletons = sum(1 for s in layers if s.is_singleton)
-    _record_exact(records, "strata", "finite_count",
-                  f"{len(layers)} strata at resolution "
-                  f"{ctx.config.strata_resolution}, {singletons} singletons",
-                  0 if layers else 1)
+    _record(records, "strata", "finite_count",
+            f"{len(layers)} strata at resolution "
+            f"{ctx.config.strata_resolution}, {singletons} singletons",
+            0 if layers else 1, 0.0)
 
     group = orbifold.group
     mismatches = 0
     for layer in layers:
         masks = fixing_mask(group, layer.sample_points[:24])
         mismatches += int((masks != masks[0]).any())
-    _record_exact(records, "strata", "signature_constancy",
-                  "every stratum carries a single isotropy signature",
-                  mismatches)
+    _record(records, "strata", "signature_constancy",
+            "every stratum carries a single isotropy signature",
+            mismatches, 0.0)
 
     rng = ctx.rng(2)
     rows = np.stack([orbifold.random_row(rng) for _ in range(6)])
@@ -290,30 +298,30 @@ def _suite_strata(ctx: _Context, records):
     reps = orbifold.model.project_checked(rows[:4])
     orders = fixing_mask(group, translates(group, reps).reshape(
         -1, reps.shape[1])).sum(axis=1).reshape(len(reps), -1)
-    _record_exact(records, "strata", "isotropy_conjugacy",
-                  "isotropy order is constant along each orbit",
-                  int((orders != orders[:, :1]).sum()))
+    _record(records, "strata", "isotropy_conjugacy",
+            "isotropy order is constant along each orbit",
+            int((orders != orders[:, :1]).sum()), 0.0)
 
 
 def _suite_maps(ctx: _Context, records):
     orbifold = ctx.orbifold
     idg = ctx.id_group
     product_order = math.prod(ch.isotropy.order for ch in ctx.atlas)
-    _record_exact(records, "maps", "identity_lift_count",
-                  f"identity lifts number {idg.order} over "
-                  f"{len(ctx.atlas)} charts (unconstrained product "
-                  f"{product_order})", 0 if idg.order >= 1 else 1)
-    _record_exact(records, "maps", "identity_lift_group",
-                  "identity lifts close under chartwise composition and inverse",
-                  0 if idg.is_group() else 1)
+    _record(records, "maps", "identity_lift_count",
+            f"identity lifts number {idg.order} over "
+            f"{len(ctx.atlas)} charts (unconstrained product "
+            f"{product_order})", 0 if idg.order >= 1 else 1, 0.0)
+    _record(records, "maps", "identity_lift_group",
+            "identity lifts close under chartwise composition and inverse",
+            0 if idg.is_group() else 1, 0.0)
 
     n_theta = count_theta_choices(orbifold.group)
-    _record_exact(records, "maps", "theta_choices",
-                  f"the identity map admits {n_theta} homomorphism choices, "
-                  f"the group order {orbifold.group.order} over the center "
-                  f"order {center(orbifold.group).order}",
-                  0 if n_theta * center(orbifold.group).order
-                  == orbifold.group.order else 1)
+    _record(records, "maps", "theta_choices",
+            f"the identity map admits {n_theta} homomorphism choices, "
+            f"the group order {orbifold.group.order} over the center "
+            f"order {center(orbifold.group).order}",
+            0 if n_theta * center(orbifold.group).order
+            == orbifold.group.order else 1, 0.0)
 
     idm = identity_map(orbifold, ctx.atlas)
     _record(records, "maps", "identity_equivariance",
@@ -421,9 +429,9 @@ def _suite_tangent(ctx: _Context, records):
         expect = fixed.shape[0] - orbifold.model.ambient_dim + orbifold.dimension
         if basis.shape[0] != max(expect, 0):
             mism += 1
-    _record_exact(records, "tangent", "admissible_dimensions",
-                  "admissible spaces match the isotropy fixed subspaces at "
-                  "chart centers", mism)
+    _record(records, "tangent", "admissible_dimensions",
+            "admissible spaces match the isotropy fixed subspaces at "
+            "chart centers", mism, 0.0)
 
     mirror = plane_mod_reflection()
     kinked = CurveInOrbifold(mirror, [
@@ -437,11 +445,11 @@ def _suite_tangent(ctx: _Context, records):
     counts = (len(kl), sum(1 for l in kl if l.smooth_order >= 1),
               len(sl), sum(1 for l in sl if l.smooth_order >= 1),
               sum(1 for l in sl if l.smooth_order >= 2))
-    _record_exact(records, "tangent", "curve_lift_counts",
-                  "reflected-plane curve lifts count 4/2 (kinked, once "
-                  "differentiable) and 4/4/2 (smooth, twice differentiable)",
-                  0 if counts == (4, 2, 4, 4, 2) else 1,
-                  witness=str(counts))
+    _record(records, "tangent", "curve_lift_counts",
+            "reflected-plane curve lifts count 4/2 (kinked, once "
+            "differentiable) and 4/4/2 (smooth, twice differentiable)",
+            0 if counts == (4, 2, 4, 4, 2) else 1, 0.0,
+            witness=str(counts))
 
 
 def _suite_riemann(ctx: _Context, records):
@@ -457,7 +465,7 @@ def _suite_riemann(ctx: _Context, records):
                 "partition weights are deck invariant", equi_res,
                 1e-12 * ctx.scale)
     except CoverGap as exc:
-        _record_exact(records, "riemann", "partition_sum", str(exc), 1)
+        _record(records, "riemann", "partition_sum", str(exc), 1, 0.0)
 
     chart = max(ctx.atlas, key=lambda c: c.isotropy.order)
     n = orbifold.model.ambient_dim
@@ -475,18 +483,18 @@ def _suite_riemann(ctx: _Context, records):
             "averaging an invariant metric changes nothing", idem,
             ctx.tol("idempotence"))
     mineig = float(np.linalg.eigvalsh(vals).min())
-    _record_exact(records, "riemann", "metric_positive",
-                  f"averaged metric stays positive definite (min eigenvalue "
-                  f"{mineig:.3e})", 0 if mineig > 0 else 1)
+    _record(records, "riemann", "metric_positive",
+            f"averaged metric stays positive definite (min eigenvalue "
+            f"{mineig:.3e})", 0 if mineig > 0 else 1, 0.0)
     if chart.isotropy.order > 1 and \
             fixed_subspace(chart.isotropy).shape[0] < n:
         degen = average_metric(chart, raw_metric, printed_double_sum=True)(pts)
         deg_eig = float(np.linalg.eigvalsh(
             0.5 * (degen + np.swapaxes(degen, 1, 2))).min())
-        _record_exact(records, "riemann", "metric_double_sum_degenerate",
-                      "the two-slot averaged form is degenerate off the fixed "
-                      f"subspace (min eigenvalue {deg_eig:.3e})",
-                      0 if abs(deg_eig) < 1e-9 else 1)
+        _record(records, "riemann", "metric_double_sum_degenerate",
+                "the two-slot averaged form is degenerate off the fixed "
+                f"subspace (min eigenvalue {deg_eig:.3e})",
+                0 if abs(deg_eig) < 1e-9 else 1, 0.0)
 
     _record(records, "riemann", "exp_well_defined",
             "exponential images agree across orbit representatives",
@@ -503,9 +511,9 @@ def _suite_riemann(ctx: _Context, records):
     if basis.shape[0]:
         ok = exp_stratum_check(ctx.exp_map, chart.center, basis[0] * 0.2,
                                np.linspace(0.0, 1.0, 9))
-        _record_exact(records, "riemann", "exp_stratum",
-                      "admissible directions exponentiate inside the stratum",
-                      0 if ok else 1)
+        _record(records, "riemann", "exp_stratum",
+                "admissible directions exponentiate inside the stratum",
+                0 if ok else 1, 0.0)
 
 
 def _suite_theorem1(ctx: _Context, records):
@@ -544,29 +552,29 @@ def _suite_theorem1(ctx: _Context, records):
     if gap > 1e-4:
         d = cs_distance(E_apply(sigma, ctx.exp_map),
                         E_apply(tau, ctx.exp_map), s=0, per_axis=4).value
-        _record_exact(records, "theorem1", "injective_on_sections",
-                      f"distinct sections (gap {gap:.2e}) give distinct "
-                      f"diffeomorphisms (distance {d:.2e})",
-                      0 if d > 0 else 1)
+        _record(records, "theorem1", "injective_on_sections",
+                f"distinct sections (gap {gap:.2e}) give distinct "
+                f"diffeomorphisms (distance {d:.2e})",
+                0 if d > 0 else 1, 0.0)
 
     sing = max(ctx.atlas, key=lambda c: c.isotropy.order)
     homeo = exp_local_homeo_check(ctx.exp_map, sing.center,
                                   min(0.3, sing.radius), ctx.rng(8))
-    _record_exact(records, "theorem1", "exp_local_homeo",
-                  "exp is injective and surjective onto the sampled ball at "
-                  "the most singular chart center",
-                  0 if homeo.passed else 1,
-                  witness=f"gap={homeo.surjectivity_gap:.3e} "
-                          f"tol={homeo.surjectivity_tolerance:.3e}")
+    _record(records, "theorem1", "exp_local_homeo",
+            "exp is injective and surjective onto the sampled ball at "
+            "the most singular chart center",
+            0 if homeo.passed else 1, 0.0,
+            witness=f"gap={homeo.surjectivity_gap:.3e} "
+                    f"tol={homeo.surjectivity_tolerance:.3e}")
 
     probe = E_apply(random_orbisection(orbifold, ctx.atlas, ctx.rng(9), 0.04,
                                        "vd"), ctx.exp_map)
     vd = verify_diffeo(probe, per_axis=4)
-    _record_exact(records, "theorem1", "verify_diffeo",
-                  "a small-section chart map verifies as a diffeomorphism "
-                  f"(margin {vd.margin:.3e}, displacement "
-                  f"{vd.c0_distance_to_identity:.3e})",
-                  0 if vd.passed else 1)
+    _record(records, "theorem1", "verify_diffeo",
+            "a small-section chart map verifies as a diffeomorphism "
+            f"(margin {vd.margin:.3e}, displacement "
+            f"{vd.c0_distance_to_identity:.3e})",
+            0 if vd.passed else 1, 0.0)
 
     diffeos = ctx.sample_diffeos()
     if len(diffeos) >= 2:
@@ -588,29 +596,30 @@ def _suite_theorem1(ctx: _Context, records):
             f, g, linear_combination(sigma, sigma, 1.0, eta), ctx.exp_map)
         modulus = seminorm(linear_combination(bumped, fwd, 1, -1), 0,
                            per_axis=4) / (eta * max(seminorm(sigma, 0), 1e-12))
-        _record_exact(records, "theorem1", "transition_modulus",
-                      f"transition output moves continuously with the input "
-                      f"(sampled modulus {modulus:.3e})",
-                      0 if np.isfinite(modulus) else 1)
+        _record(records, "theorem1", "transition_modulus",
+                f"transition output moves continuously with the input "
+                f"(sampled modulus {modulus:.3e})",
+                0 if np.isfinite(modulus) else 1, 0.0)
 
 
 def _suite_corollary2(ctx: _Context, records):
     idg = ctx.id_group
     report = reduced_group_quotient_check(idg, ctx.sample_diffeos())
-    _record_exact(records, "corollary2", "id_finite",
-                  f"identity lifts form a finite group of order {idg.order}"
-                  + (f", abelian of exponent {idg.exponent}"
-                     if idg.order <= 64 and idg.is_abelian else ""),
-                  0 if report.id_order == report.enumerated_order else 1)
+    _record(records, "corollary2", "id_finite",
+            f"identity lifts form a finite group of order {idg.order}"
+            + (f", abelian of exponent {idg.exponent}"
+               if idg.order <= 64 and idg.is_abelian else ""),
+            0 if report.id_order == report.enumerated_order else 1, 0.0)
     witness = report.conjugation_witness
-    _record_exact(records, "corollary2", "conjugation_closure",
-                  "conjugating identity lifts by sampled diffeomorphisms "
-                  "stays inside the identity-lift group",
-                  0 if report.conjugation_closed else 1, "-" if witness is None
-                  else "diffeo{} conjugates {} to {}".format(*witness))
-    _record_exact(records, "corollary2", "lift_differences",
-                  "two lifts of one sampled diffeomorphism differ by an "
-                  "identity lift", 0 if report.lift_differences_in_id else 1)
+    _record(records, "corollary2", "conjugation_closure",
+            "conjugating identity lifts by sampled diffeomorphisms "
+            "stays inside the identity-lift group",
+            0 if report.conjugation_closed else 1, 0.0,
+            "-" if witness is None
+            else "diffeo{} conjugates {} to {}".format(*witness))
+    _record(records, "corollary2", "lift_differences",
+            "two lifts of one sampled diffeomorphism differ by an "
+            "identity lift", 0 if report.lift_differences_in_id else 1, 0.0)
 
 
 _SUITE_RUNNERS = {

@@ -209,7 +209,7 @@ def test_criterion_10_corollary_membership():
     conj_ok = True
     for g in diffeos:
         for a in ids.assignments:
-            image = R.conjugate_identity_lift(ids, a, g)
+            image = R.conjugate_identity_lifts(ids, [a], g)[0]
             if image is None or not ids.contains(image):
                 conj_ok = False
     report = R.reduced_group_quotient_check(ids, diffeos)

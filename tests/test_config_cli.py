@@ -75,15 +75,14 @@ class TestParsing:
         with pytest.raises(ConfigInvalid, match="unknown suite"):
             parse_config(text)
 
-    def test_negative_tolerance(self):
-        text = FLAT_Z2 + "\n[tolerances]\nroundtrip = -1\n"
-        with pytest.raises(ConfigInvalid, match="tolerances.roundtrip"):
+    def test_tolerances_section_is_unknown(self):
+        # base tolerances live in suites.py; --tol-scale is the one knob
+        text = FLAT_Z2 + "\n[tolerances]\nroundtrip = 1e-8\n"
+        with pytest.raises(ConfigInvalid) as exc:
             parse_config(text)
-
-    def test_unknown_tolerance_key(self):
-        text = FLAT_Z2 + "\n[tolerances]\nmystery = 1e-3\n"
-        with pytest.raises(ConfigInvalid, match="unknown tolerance"):
-            parse_config(text)
+        assert str(exc.value).startswith("[tolerances] (line ")
+        assert str(exc.value).endswith(
+            "unknown section; expected one of [orbifold], [atlas], [grids], [run]")
 
     def test_repeated_scalar_key(self):
         text = FLAT_Z2 + "\n[grids]\nstrata_resolution = 3\nstrata_resolution = 5\n"
@@ -173,6 +172,61 @@ resolution = 13
             curve_tangent(kinked, 0.0)
 
 
+# (suite, check) -> the check's tolerance at tol-scale 1 on the built-in
+# football; 0.0 marks a check that counts mismatches
+FOOTBALL_TOLERANCES = {
+    ("group", "closure"): 1e-9,
+    ("group", "inner_automorphism_count"): 0.0,
+    ("group", "fixed_subspace"): 1e-9,
+    ("group", "orbit_stabilizer"): 0.0,
+    ("group", "linearize_conjugacy"): 1e-9,
+    ("group", "linearize_differential"): 1e-6,
+    ("group", "linearize_fixed_point"): 1e-12,
+    ("strata", "finite_count"): 0.0,
+    ("strata", "signature_constancy"): 0.0,
+    ("strata", "metric_symmetry"): 0.0,
+    ("strata", "metric_triangle"): 1e-12,
+    ("strata", "isotropy_conjugacy"): 0.0,
+    ("maps", "identity_lift_count"): 0.0,
+    ("maps", "identity_lift_group"): 0.0,
+    ("maps", "theta_choices"): 0.0,
+    ("maps", "identity_equivariance"): 1e-9,
+    ("maps", "distance_identity"): 0.0,
+    ("maps", "distance_symmetry"): 0.0,
+    ("maps", "distance_triangle"): 1e-12,
+    ("maps", "polynomial_averaging_idempotent"): 1e-12,
+    ("maps", "lift_extension"): 1e-9,
+    ("tangent", "projection_idempotent"): 1e-12,
+    ("tangent", "equivariance"): 1e-9,
+    ("tangent", "center_values"): 1e-9,
+    ("tangent", "combination_equivariance"): 1e-9,
+    ("tangent", "seminorm_homogeneity"): 1e-12,
+    ("tangent", "seminorm_triangle"): 1e-12,
+    ("tangent", "admissible_dimensions"): 0.0,
+    ("tangent", "curve_lift_counts"): 0.0,
+    ("riemann", "partition_sum"): 1e-9,
+    ("riemann", "partition_equivariance"): 1e-12,
+    ("riemann", "metric_invariance"): 1e-10,
+    ("riemann", "metric_idempotence"): 1e-12,
+    ("riemann", "metric_positive"): 0.0,
+    ("riemann", "metric_double_sum_degenerate"): 0.0,
+    ("riemann", "exp_well_defined"): 1e-9,
+    ("riemann", "exp_zero"): 0.0,
+    ("theorem1", "zero_section_identity"): 0.0,
+    ("theorem1", "roundtrip_sections"): 1e-8,
+    ("theorem1", "roundtrip_maps"): 1e-8,
+    ("theorem1", "injective_on_sections"): 0.0,
+    ("theorem1", "exp_local_homeo"): 0.0,
+    ("theorem1", "verify_diffeo"): 0.0,
+    ("theorem1", "transition_identity"): 1e-8,
+    ("theorem1", "transition_roundtrip"): 10 * 1e-8,
+    ("theorem1", "transition_modulus"): 0.0,
+    ("corollary2", "id_finite"): 0.0,
+    ("corollary2", "conjugation_closure"): 0.0,
+    ("corollary2", "lift_differences"): 0.0,
+}
+
+
 class TestSuitesAndReports:
     def test_flat_run_passes(self):
         cfg = parse_config(FLAT_Z2)
@@ -197,6 +251,14 @@ class TestSuitesAndReports:
         report = run_suite(parse_config(FLAT_Z2), suites=("group",),
                            tol_scale=10.0)
         assert "tol-scale: 1.0000000000000000e+01" in report.render()
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_every_check_states_its_tolerance(self, scale):
+        report = run_suite(parse_config(DEFAULT_FOOTBALL3), tol_scale=scale)
+        got = {(suite, rec.name): rec.tolerance for suite, rec in report.records}
+        assert len(got) == len(report.records) == 49
+        assert got == {key: base * scale
+                       for key, base in FOOTBALL_TOLERANCES.items()}
 
     def test_pass_flags_match_residuals(self):
         report = run_suite(parse_config(FLAT_Z2))

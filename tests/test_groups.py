@@ -227,6 +227,17 @@ class TestOrbitStabilizer:
         stab = G.stabilizer(grp, point).order
         assert orb * stab == grp.order
 
+    # ROADMAP item 19: 6.164e-10 from the origin, fixing_mask keeps 6 of the
+    # 8 labels, which are not a subgroup, and orbit finds 2 points
+    @pytest.mark.xfail(strict=True, raises=ClosureExceeded,
+                       reason="isotropy decided element by element (item 19)")
+    def test_orbit_stabilizer_product_near_the_d4_origin(self):
+        grp = G.dihedral_group(4)
+        point = np.array([0.0, 6.164e-10])
+        orb = G.orbit(grp, point).shape[0]
+        stab = G.stabilizer(grp, point).order
+        assert orb * stab == grp.order
+
     def test_shared_stabilizer_is_read_only(self):
         grp = G.dihedral_group(4)
         stab = G.stabilizer(grp, np.array([0.4, 0.0]))

@@ -557,7 +557,7 @@ class TestCorollaryChecks:
                  if c.isotropy.order > 1]
         a = list(ids.assignments[0])
         a[poles[0]], a[poles[1]] = 1, 0
-        conj = R.conjugate_identity_lift(ids, tuple(a), flip)
+        conj = R.conjugate_identity_lifts(ids, [tuple(a)], flip)[0]
         assert conj is not None and ids.contains(conj)
         assert conj != tuple(a)  # the nontrivial germ moved to the other pole
 

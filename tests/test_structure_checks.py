@@ -224,7 +224,8 @@ def reference_source_chart(atlas, grp, z):
 
 
 def reference_conjugate_identity_lift(id_group, assignment, g, tol=1e-8):
-    """riemann.conjugate_identity_lift redoing the map-only work per call."""
+    """riemann.conjugate_identity_lifts of one assignment, redoing the
+    map-only work per call."""
     orb = id_group.orbifold
     grp = orb.group
     out = []
@@ -644,7 +645,7 @@ def test_conjugations_match_per_assignment(name, data):
                                 min_size=1, max_size=12))
     got = R.conjugate_identity_lifts(ids, chosen, g, tol)
     assert got == [reference_conjugate_identity_lift(ids, a, g, tol) for a in chosen]
-    assert [R.conjugate_identity_lift(ids, a, g, tol) for a in chosen] == got
+    assert [R.conjugate_identity_lifts(ids, [a], g, tol)[0] for a in chosen] == got
 
 
 @pytest.mark.parametrize("name,resolution", [
