@@ -84,6 +84,17 @@ class TestParsing:
         assert str(exc.value).endswith(
             "unknown section; expected one of [orbifold], [atlas], [grids], [run]")
 
+    def test_negative_tolerance(self):
+        # refused before any value is read: the section itself is unknown
+        text = FLAT_Z2 + "\n[tolerances]\nroundtrip = -1\n"
+        with pytest.raises(ConfigInvalid, match=r"^\[tolerances\] .*unknown section"):
+            parse_config(text)
+
+    def test_unknown_tolerance_key(self):
+        text = FLAT_Z2 + "\n[tolerances]\nmystery = 1e-3\n"
+        with pytest.raises(ConfigInvalid, match=r"^\[tolerances\] .*unknown section"):
+            parse_config(text)
+
     def test_repeated_scalar_key(self):
         text = FLAT_Z2 + "\n[grids]\nstrata_resolution = 3\nstrata_resolution = 5\n"
         with pytest.raises(ConfigInvalid, match="more than once"):
