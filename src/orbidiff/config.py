@@ -181,8 +181,14 @@ def parse_config(text: str, name_hint: str = "config") -> SuiteConfig:
             raise ConfigInvalid(
                 f"run.suites: unknown suite {s!r}; choose from {ALL_SUITES}")
 
+    # the name is part of every output file name
+    name = _one(orb, "name", default=name_hint, where="orbifold")
+    if not name or "/" in name or "\0" in name:
+        raise ConfigInvalid(
+            f"orbifold.name: must be non-empty, without '/' or NUL, got {name!r}")
+
     return SuiteConfig(
-        name=_one(orb, "name", default=name_hint, where="orbifold"),
+        name=name,
         model=model,
         generators=generators,
         max_order=_count(orb, "max_order", 4096, "orbifold"),

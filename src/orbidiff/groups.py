@@ -1,9 +1,9 @@
 """Finite subgroups of the orthogonal group: enumeration and structure.
 
-Groups are stored as explicit element lists with a Cayley table over small
-integer labels.  Label 0 is always the identity; labels are assigned
-breadth-first from the identity with a lexicographic tie-break on matrix
-entries, so tables are reproducible bit for bit across runs.
+A group is one read-only stack of its element matrices and an integer
+Cayley table over their labels.  Label 0 is always the identity; labels are
+assigned breadth-first from the identity with a lexicographic tie-break on
+matrix entries, so tables are reproducible bit for bit across runs.
 """
 
 from __future__ import annotations
@@ -81,35 +81,23 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndar
     return (vals[:x.size] - vals[x.size:]).T / (2.0 * FD_STEP)
 
 
-@dataclass(frozen=True)
-class OrthogonalElement:
-    """One orthogonal matrix with its label inside a group."""
-
-    matrix: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 class FiniteActionGroup:
     """A finite subgroup of O(n) closed under product and inverse.
 
+    ``matrices`` is the read-only (order, n, n) stack of the elements in
+    label order and ``cayley`` the integer table of their products.
     ``parent_labels`` is set on subgroups and maps each local label to the
     label of the same matrix in the parent group.
     """
 
-    def __init__(self, elements: Sequence[OrthogonalElement], cayley: np.ndarray,
+    def __init__(self, matrices: Sequence[np.ndarray], cayley: np.ndarray,
                  parent_labels: tuple[int, ...] | None = None):
-        self.elements = tuple(elements)
-        self.dimension = int(self.elements[0].matrix.shape[0])
-        self.cayley = np.asarray(cayley, dtype=int)
+        self.matrices = np.array(matrices, dtype=float)
+        self.matrices.setflags(write=False)
+        self.dimension = int(self.matrices.shape[1])
+        self.cayley = np.array(cayley, dtype=int)
         self.cayley.setflags(write=False)
         self.parent_labels = parent_labels
-        self._stack = np.stack([e.matrix for e in self.elements])
-        self._stack.setflags(write=False)
         is_identity = self.cayley == 0
         bad = np.flatnonzero(is_identity.sum(axis=1) != 1)
         if bad.size:
@@ -122,15 +110,10 @@ class FiniteActionGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """Stacked element matrices, shape (order, n, n)."""
-        return self._stack
+        return len(self.matrices)
 
     def matrix(self, label: int) -> np.ndarray:
-        return self.elements[label].matrix
+        return self.matrices[label]
 
     def multiply(self, a: int, b: int) -> int:
         return int(self.cayley[a, b])
@@ -154,12 +137,6 @@ class FiniteActionGroup:
         table.setflags(write=False)
         return table
 
-    def find(self, m: np.ndarray) -> int | None:
-        """Label of the element equal to m within EPS_GRP, or None."""
-        diffs = np.abs(self._stack - np.asarray(m, dtype=float)).max(axis=(1, 2))
-        best = int(np.argmin(diffs))
-        return best if diffs[best] < EPS_GRP else None
-
     @cached_property
     def element_orders(self) -> np.ndarray:
         """Order of each element; the powers of all labels are raised together."""
@@ -176,7 +153,7 @@ class FiniteActionGroup:
         """Per label, an orthonormal basis (rows) of the subspace the element
         fixes: the rows of vt in svd(g - I) whose singular values are below
         EPS_GRP.  One batched SVD for the group."""
-        _, svals, vt = np.linalg.svd(self._stack - np.eye(self.dimension))
+        _, svals, vt = np.linalg.svd(self.matrices - np.eye(self.dimension))
         bases = tuple(v[s < EPS_GRP] for s, v in zip(svals, vt))
         for b in bases:
             b.setflags(write=False)
@@ -201,19 +178,13 @@ class FiniteActionGroup:
         cay = pos[self.cayley[np.ix_(labs, labs)]]
         if (cay < 0).any():
             raise ClosureExceeded("labels are not closed under product")
-        elems = [OrthogonalElement(self.matrix(l), i) for i, l in enumerate(labs)]
         return self._subgroups.setdefault(
-            labs, FiniteActionGroup(elems, cay, parent_labels=labs))
+            labs, FiniteActionGroup(self.matrices[list(labs)], cay,
+                                    parent_labels=labs))
 
     def act(self, label: int, points: np.ndarray) -> np.ndarray:
         """Apply element to one point (n,) or a batch (k, n)."""
         return row_apply(self.matrix(label), points)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         return f"FiniteActionGroup(order={self.order}, dim={self.dimension})"
@@ -225,7 +196,10 @@ def generate_group(generators: Sequence[np.ndarray],
 
     Breadth-first from the identity; products are re-orthonormalized by a
     polar decomposition each step so numerically drifting inputs do not
-    masquerade as new elements.  Raises ClosureExceeded past max_order and
+    masquerade as new elements.  The Cayley table is read off the labels the
+    closure's (element, generator) lookups found, and every product is then
+    checked to lie within EPS_GRP of its table entry.  Raises
+    ClosureExceeded past max_order or when that check fails, and
     NotOrthogonal on bad generators.
     """
     if max_order < 1:
@@ -241,40 +215,48 @@ def generate_group(generators: Sequence[np.ndarray],
             raise NotOrthogonal(f"generator {i} is not orthogonal within {ORTHO_TOL}")
     gens = polar_orthonormalize(np.stack(gens))
 
-    # found[:count] holds the elements in label order; it doubles when full
-    found, count = np.eye(n)[None], 1
-    frontier = found
-    while len(frontier):
+    # found[:count] holds the elements in label order; it doubles when full.
+    # right[a, g] is the label of found[a] @ gens[g], and element b > 0 was
+    # first found as found[parent[b]] @ gens[via[b]]
+    found, count, ngen = np.eye(n)[None], 1, len(gens)
+    right = np.empty((0, ngen), dtype=int)
+    parent, via = [0], [0]
+    while len(right) < count:
+        lo = len(right)
         # every frontier element times every generator, frontier-major
-        products = polar_orthonormalize(frontier[:, None] @ gens).reshape(-1, n, n)
+        products = polar_orthonormalize(found[lo:count, None] @ gens).reshape(-1, n, n)
         keys = _snap(products.reshape(len(products), -1))
+        labels = np.empty(len(products), dtype=int)
         # lexsort is stable: the order of sorted(products, key=_snap_key)
-        products = products[np.lexsort(keys.T[::-1])]
-        start = count
-        for p in products:
-            if np.abs(found[:count] - p).max(axis=(1, 2)).min() < EPS_GRP:
+        for i in np.lexsort(keys.T[::-1]):
+            diffs = np.abs(found[:count] - products[i]).max(axis=(1, 2))
+            labels[i] = int(np.argmin(diffs))
+            if diffs[labels[i]] < EPS_GRP:
                 continue
             if count == len(found):
                 found = np.concatenate([found, np.empty_like(found)])
-            found[count] = p
+            found[count], labels[i] = products[i], count
+            parent.append(lo + i // ngen)
+            via.append(i % ngen)
             count += 1
             if count > max_order:
                 raise ClosureExceeded(
                     f"group order exceeds max_order={max_order}; generators may "
                     "not generate a finite group or are drifting numerically")
-        frontier = found[start:count]
+        right = np.concatenate([right, labels.reshape(-1, ngen)])
 
+    # a * b = (a * parent[b]) * gens[via[b]], column by column in label order
     found = found[:count]
-    elems = [OrthogonalElement(m, i) for i, m in enumerate(found)]
     cay = np.empty((count, count), dtype=int)
-    for a in range(count):
-        prods = found[a] @ found  # (order, n, n) products a*b
-        diffs = np.abs(prods[:, None, :, :] - found[None, :, :, :]).max(axis=(2, 3))
-        labels = np.argmin(diffs, axis=1)
-        if float(diffs[np.arange(count), labels].max()) > EPS_GRP:
+    cay[:, 0] = np.arange(count)
+    for b in range(1, count):
+        cay[:, b] = right[cay[:, parent[b]], via[b]]
+    step = block_rows(count, n, n)
+    for lo in range(0, count, step):
+        prods = found[lo:lo + step, None] @ found
+        if float(np.abs(prods - found[cay[lo:lo + step]]).max()) > EPS_GRP:
             raise ClosureExceeded("closure lookup failed; numerical drift too large")
-        cay[a] = labels
-    return FiniteActionGroup(elems, cay)
+    return FiniteActionGroup(found, cay)
 
 
 def group_from_elements(matrices: Sequence[np.ndarray]) -> FiniteActionGroup:
@@ -342,14 +324,6 @@ class GroupHom:
     @staticmethod
     def inclusion(sub: FiniteActionGroup, ambient: FiniteActionGroup) -> "GroupHom":
         """Inclusion of a subgroup carrying parent labels into its parent."""
-        if sub.parent_labels is None:
-            labels = []
-            for a in range(sub.order):
-                lab = ambient.find(sub.matrix(a))
-                if lab is None:
-                    raise ValueError("subgroup element not found in ambient group")
-                labels.append(lab)
-            return GroupHom(sub, ambient, tuple(labels))
         return GroupHom(sub, ambient, tuple(sub.parent_labels))
 
 

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import (ChartMismatch, CoverGap, ImageEscapesChart,
                      NotCloseToIdentity, NotSPD, OutOfDomain, ThetaNotIdentity)
-from .groups import (EPS_GRP, fixing_mask, product_grid, row_apply, row_dot,
-                     stabilizer, translates)
+from .groups import (fixing_mask, product_grid, row_apply, row_dot, stabilizer,
+                     translates)
 from .maps import (ChartLift, IdentityLiftGroup, OrbifoldMapData,
                    _isotropy_values, compose, cs_distance, derive_theta,
                    identity_map)
@@ -693,28 +693,15 @@ def reduced_group_quotient_check(id_group: IdentityLiftGroup,
 
     # (c): alternative lifts of one underlying map are deck variants eta g;
     # the difference (eta g) g^-1 = eta covers the identity, and its germ at
-    # a singular chart normalizes into the chart isotropy through any deck
-    # element t with (t eta) fixing the center.
-    diff_ok = True
-    for lab in range(grp.order):
-        diff: list[int] | None = []
-        for chart in id_group.atlas:
-            if chart.isotropy.order == 1:
-                diff.append(0)
-                continue
-            loc = None
-            for t in range(grp.order):
-                cand = grp.multiply(t, lab)
-                if cand in chart.isotropy.parent_labels:
-                    moved = grp.act(cand, chart.center)
-                    if float(np.abs(moved - chart.center).max()) < EPS_GRP:
-                        loc = chart.isotropy.parent_labels.index(cand)
-                        break
-            if loc is None:
-                diff = None
-                break
-            diff.append(loc)
-        if diff is None or not id_group.contains(tuple(diff)):
-            diff_ok = False
+    # a chart is t eta for the first label t with t eta in the chart's
+    # isotropy H: t = min over h in H of h eta^-1.  H fixes the chart centre,
+    # so each germ t eta does too.
+    cols = []
+    for chart in id_group.atlas:
+        iso = np.array(chart.isotropy.parent_labels)
+        first = grp.cayley[iso[:, None], grp.inverses].min(axis=0)
+        cols.append(np.searchsorted(iso, grp.cayley[first, np.arange(grp.order)]))
+    diff_ok = all(id_group.contains(tuple(diff))
+                  for diff in np.stack(cols, axis=1).tolist())
     return QuotientGroupReport(id_group.order, id_group.order, conj_ok, diff_ok,
                                witness)

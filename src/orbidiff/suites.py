@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SuiteConfig
-from .errors import CoverGap, OrbidiffError
+from .errors import ConfigInvalid, CoverGap, OrbidiffError
 from . import __version__
 from .groups import (NonlinearActionSample, center, fixed_subspace,
                      fixing_mask, inner_automorphisms, linearize_action, orbit,
@@ -640,6 +640,10 @@ def run_suite(config: SuiteConfig, suites: tuple[str, ...] | None = None,
     if grid_override is not None:
         config = replace(config, strata_resolution=grid_override,
                          verify_resolution=grid_override)
+    if not len(config.model.verification_grid(config.verify_resolution)):
+        raise ConfigInvalid(
+            f"verification grid at resolution {config.verify_resolution} has no "
+            "row in the verification domain")
     chosen = tuple(suites or config.suites)
     # suites always execute in the canonical declared order
     chosen = tuple(s for s in _SUITE_RUNNERS if s in chosen)

@@ -168,7 +168,8 @@ def random_orbisection(orbifold: GoodOrbifold, atlas: Sequence[DerivedChart],
 
     def raw(pts: np.ndarray) -> np.ndarray:
         feats = np.hstack([np.ones((len(pts), 1)), pts,
-                           (pts[:, :, None] * pts[:, None, :]).reshape(len(pts), -1)])
+                           (pts[:, :, None] * pts[:, None, :])
+                           .reshape(len(pts), dim * dim)])
         return row_apply(coeff, feats)
 
     field = project_equivariant(orbifold.group, raw, model=orbifold.model)

@@ -399,6 +399,17 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "d" / "partition_halfline.csv").exists()
 
+    def test_flat_orbisection_dump_on_an_empty_grid_writes_its_header(
+            self, tmp_path):
+        cfg_file = tmp_path / "flat.cfg"
+        cfg_file.write_text(FLAT_Z2)
+        code = cli.main(["dump", "--config", str(cfg_file), "--which",
+                         "orbisection", "--grid", "1", "--out",
+                         str(tmp_path / "d")])
+        assert code == 0
+        text = (tmp_path / "d" / "orbisection_halfline.csv").read_text()
+        assert text.splitlines() == ["x0,s_x0"]
+
     def test_run_grid_dumps_at_the_grid(self, tmp_path):
         cfg_file = tmp_path / "flat.cfg"
         cfg_file.write_text(FLAT_Z2)
@@ -472,6 +483,11 @@ BAD_INPUT = {
     "--seed -1": (FLAT_Z2, ["--seed", "-1"]),
     "--tol-scale 0": (FLAT_Z2, ["--tol-scale", "0"]),
     "--tol-scale nan": (FLAT_Z2, ["--tol-scale", "nan"]),
+    # the flat grid at resolution 2 has no row inside 0.75 of the radius
+    "--grid 2": (FLAT_Z2, ["--grid", "2"]),
+    "name with a slash": (FLAT_Z2.replace("name = halfline", "name = a/b"), []),
+    "empty name": (FLAT_Z2.replace("name = halfline", "name ="), []),
+    "name with a NUL": (FLAT_Z2.replace("name = halfline", "name = a\0b"), []),
 }
 
 
@@ -486,6 +502,17 @@ def test_bad_input_exits_two_without_traceback(case, tmp_path, capsys):
     assert code == 2
     assert err.startswith("configuration error: ")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_without_a_stem_needs_a_name(tmp_path, capsys):
+    # the file name gives the default name, and ".cfg" gives the empty one
+    cfg_file = tmp_path / ".cfg"
+    cfg_file.write_text(FLAT_Z2.replace("name = halfline\n", ""))
+    code = cli.main(["run", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out")])
+    assert code == 2
+    assert "orbifold.name: must be non-empty" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from orbidiff import groups as G
 from orbidiff.errors import ClosureExceeded, NotOrthogonal, SampleOutOfChart
+from test_kernels import POLYHEDRAL
 
 
 def brute_force_closure(generators, cap=512):
@@ -53,12 +54,26 @@ class TestGenerateGroup:
         with pytest.raises(ClosureExceeded):
             G.generate_group([G.rotation_2d(1.0)], max_order=64)
 
+    def test_products_off_their_table_entry_are_refused(self):
+        # T's generators moved by about 2e-10 and re-orthonormalised: the
+        # closure finds twelve elements, but some products of two of them
+        # miss the element their table entry names by more than EPS_GRP
+        rng = np.random.default_rng(3)
+        gens = [G.polar_orthonormalize(g + 2e-10 * rng.standard_normal((3, 3)))
+                for g in POLYHEDRAL["T"]]
+        with pytest.raises(ClosureExceeded, match="closure lookup failed"):
+            G.generate_group(gens)
+
+    def test_closes_z1024_with_the_addition_table(self):
+        grp = G.cyclic_rotation_group(1024)
+        labels = np.arange(1024)
+        assert grp.cayley.tobytes() == ((labels[:, None] + labels) % 1024).tobytes()
+
     def test_labeling_deterministic(self):
         gens = [G.rotation_2d(np.pi / 2), G.reflection_2d(0.0)]
         a = G.generate_group(gens)
         b = G.generate_group(gens)
-        assert all(np.array_equal(x.matrix, y.matrix)
-                   for x, y in zip(a.elements, b.elements))
+        assert all(np.array_equal(x, y) for x, y in zip(a.matrices, b.matrices))
         assert np.array_equal(a.cayley, b.cayley)
 
     def test_identity_is_label_zero(self):

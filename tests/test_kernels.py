@@ -198,11 +198,11 @@ def test_row_kernels_give_a_row_its_bits_alone(name, seed, size, data):
 
 @functools.cache
 def z1024():
-    # built directly: generate_group takes minutes at this order
+    # built directly, from the rotations and the table of Z_1024
     p = 1024
     labels = np.arange(p)
     return G.FiniteActionGroup(
-        [G.OrthogonalElement(G.rotation_2d(2.0 * np.pi * a / p), a) for a in labels],
+        [G.rotation_2d(2.0 * np.pi * a / p) for a in labels],
         (labels[:, None] + labels[None]) % p)
 
 

@@ -18,6 +18,7 @@ import pytest
 from orbidiff import groups as G
 from orbidiff import maps as P
 from orbidiff import model as M
+from orbidiff import riemann as R
 from orbidiff import suites as S
 from orbidiff.config import DEFAULT_FOOTBALL3, parse_config
 from test_kernels import POLYHEDRAL, THIRD_TURN
@@ -241,6 +242,66 @@ def test_dropping_a_constraining_edge_on_s2_d2h():
         assert ids.assignments == reference_assignments(orb, atlas, subset)
         orders.append(ids.order)
     assert orders[0] < orders[1]
+
+
+# -- lift differences (corollary2, part (c)) -----------------------------------------
+
+def reference_lift_differences(ids):
+    """Part (c) of reduced_group_quotient_check as the loop over (deck label,
+    chart, t) it replaced, with its float check that t eta fixes the chart
+    centre."""
+    grp = ids.orbifold.group
+    ok = True
+    for lab in range(grp.order):
+        diff = []
+        for chart in ids.atlas:
+            if chart.isotropy.order == 1:
+                diff.append(0)
+                continue
+            loc = None
+            for t in range(grp.order):
+                cand = grp.multiply(t, lab)
+                if cand in chart.isotropy.parent_labels:
+                    moved = grp.act(cand, chart.center)
+                    if float(np.abs(moved - chart.center).max()) < G.EPS_GRP:
+                        loc = chart.isotropy.parent_labels.index(cand)
+                        break
+            if loc is None:
+                diff = None
+                break
+            diff.append(loc)
+        if diff is None or not ids.contains(tuple(diff)):
+            ok = False
+    return ok
+
+
+def _config(name, model, dimension, radius, *generators):
+    return "\n".join(["[orbifold]", f"name = {name}", f"model = {model}",
+                      f"dimension = {dimension}", f"radius = {radius}",
+                      *(f"generator = {g}" for g in generators)]) + "\n"
+
+
+# the CI configs, with the verdicts CI pins for corollary2 lift_differences
+LIFT_DIFFERENCES = {
+    "football": (DEFAULT_FOOTBALL3, True),
+    "S2/T": (_config("s2t", "sphere", 2, 1.0, "-1 0 0 0 -1 0 0 0 1",
+                     "0 0 1 1 0 0 0 1 0"), True),
+    "S2/D2h": (_config("s2d2h", "sphere", 2, 1.0, "-1 0 0 0 1 0 0 0 1",
+                       "1 0 0 0 -1 0 0 0 1", "1 0 0 0 1 0 0 0 -1"), False),
+    "S2/Oh": (_config("s2oh", "sphere", 2, 1.0, "0 0 1 1 0 0 0 1 0",
+                      "0 -1 0 1 0 0 0 0 1", "-1 0 0 0 -1 0 0 0 -1"), False),
+    "disk mod D4": (_config("diskd4", "flat", 2, 1.0, "0 -1 1 0", "1 0 0 -1"),
+                    True),
+    "mirror plane": (_config("mirror", "flat", 2, 2.0, "1 0 0 -1"), True),
+}
+
+
+@pytest.mark.parametrize("name", LIFT_DIFFERENCES)
+def test_lift_differences_read_off_the_tables_match_the_loop(name):
+    text, verdict = LIFT_DIFFERENCES[name]
+    ids = S._Context(parse_config(text), 0, 1.0).id_group
+    got = R.reduced_group_quotient_check(ids, []).lift_differences_in_id
+    assert got == reference_lift_differences(ids) == verdict
 
 
 # -- the suites' |G| / |Z(G)| comparisons ------------------------------------------
