@@ -198,7 +198,9 @@ def test_row_kernels_give_a_row_its_bits_alone(name, seed, size, data):
 
 @functools.cache
 def z1024():
-    # built directly, from the rotations and the table of Z_1024
+    # built directly from the rotations and the table of Z_1024, so these
+    # kernel tests do not rest on the closure; test_groups checks that
+    # generate_group gives the same table
     p = 1024
     labels = np.arange(p)
     return G.FiniteActionGroup(
